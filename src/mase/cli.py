@@ -225,6 +225,8 @@ def cmd_symmetry(args) -> int:
 def cmd_weakform(args) -> int:
     if bool(args.run) == bool(args.profile):
         raise ConfigError("give exactly one of --run or --profile")
+    if args.n_bumps < 1:
+        raise ConfigError(f"--n-bumps must be at least 1, got {args.n_bumps}")
     if args.run:
         traj, _ = read_trajectory(Path(args.run))
         report = _unsteady_report(traj, args.seed, args.n_bumps)

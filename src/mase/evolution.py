@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BlowUpError
 from .grid import Field, Grid, State
-from .operators import _rhs_values, _spectral_tables
+from .operators import FLUX, REACTION, _rhs_values, _spectral_tables
 
 __all__ = [
     "SolverConfig",
@@ -115,7 +115,8 @@ def step(s: State, dt: float) -> State:
 
 
 def _cfl_dt(values: np.ndarray, grid: Grid, config: SolverConfig) -> float:
-    speed = 1.0 + float(np.max(np.abs(1.0 + 14.0 * values)))
+    # FLUX'(u) = FLUX[1] + 2 FLUX[2] u is the local advection speed
+    speed = 1.0 + float(np.max(np.abs(FLUX[1] + 2.0 * FLUX[2] * values)))
     return min(config.dt_max, config.cfl * grid.spacing / speed)
 
 
@@ -186,6 +187,6 @@ def detect_breaking(traj: Trajectory) -> BreakingReport:
 
 
 def linear_phase_speed(k: float) -> float:
-    """Phase speed (1 - k^2)/(1 + k^2) of the linearized equation."""
+    """Phase speed (1 - k^2)/(1 + k^2) = 2/(1 + k^2) - 1 of the linearized equation."""
     k = float(k)
-    return (1.0 - k * k) / (1.0 + k * k)
+    return REACTION[1] / (1.0 + k * k) - FLUX[1]

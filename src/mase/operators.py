@@ -21,6 +21,16 @@ import numpy as np
 from .errors import DerivativeOrderError, NonFiniteFieldError
 from .grid import Field, Grid, State, require_same_grid
 
+# Coefficients of the nonlocal form, in ascending powers of u:
+#   u_t = d/dx FLUX(u) - d/dx (1 - d^2/dx^2)^{-1} R(u),
+#   FLUX(u) = sum_j FLUX[j] u^j,  R(u) = sum_j REACTION[j] u^j + SLOPE_SQ u_x^2.
+# Constant terms drop out of every x-derivative; they are kept so the tuples
+# read as polynomials.  local_form_residual keeps its own hand-derived
+# coefficients on purpose: it is the independent oracle for this record.
+FLUX = (0.0, 1.0, 7.0)
+REACTION = (0.0, 2.0, 10.0, -2.0, 3.0)
+SLOPE_SQ = -7.0
+
 # ---------------------------------------------------------------------------
 # spectral helpers
 
@@ -98,12 +108,13 @@ def _nonlinear_spectra(values: np.ndarray, grid: Grid) -> dict:
 
 
 def _reaction_spectrum(parts: dict) -> np.ndarray:
+    _, r1, r2, r3, r4 = REACTION
     return (
-        2.0 * parts["uh"]
-        + 10.0 * parts["u2h"]
-        - 2.0 * parts["u3h"]
-        + 3.0 * parts["u4h"]
-        - 7.0 * parts["ux2h"]
+        r1 * parts["uh"]
+        + r2 * parts["u2h"]
+        + r3 * parts["u3h"]
+        + r4 * parts["u4h"]
+        + SLOPE_SQ * parts["ux2h"]
     )
 
 
@@ -141,22 +152,18 @@ def helmholtz_inverse(f: Field) -> Field:
     )
 
 
-def kernel_image_count(length: float) -> int:
-    """Number of kernel images per side, ceil(20/L)+1, so exp(-L*m) < 1e-8."""
-    return int(np.ceil(20.0 / length)) + 1
-
-
 @lru_cache(maxsize=16)
 def _kernel_matrix(n_points: int, length: float) -> np.ndarray:
-    """Quadrature matrix of the periodized kernel (1/2) sum_m exp(-|d + mL|)."""
+    """Quadrature matrix of the periodized kernel (1/2) sum_m exp(-|d + mL|).
+
+    The image sum is geometric; for |d| <= L it equals
+    cosh(|d| - L/2) / (2 sinh(L/2)), evaluated here in the overflow-free form
+    (exp(-|d|) + exp(|d| - L)) / (2 (1 - exp(-L))).
+    """
     h = length / n_points
     x = np.arange(n_points) * h
-    d = x[:, None] - x[None, :]
-    m_max = kernel_image_count(length)
-    kern = np.zeros_like(d)
-    for m in range(-m_max, m_max + 1):
-        kern += 0.5 * np.exp(-np.abs(d + m * length))
-    kern *= h
+    d = np.abs(x[:, None] - x[None, :])
+    kern = h * (np.exp(-d) + np.exp(d - length)) / (-2.0 * np.expm1(-length))
     kern.setflags(write=False)
     return kern
 
@@ -187,22 +194,18 @@ def kernel_convolve(f: Field) -> Field:
     return f.with_values(quad + corr)
 
 
-def evolution_rhs(s: State) -> Field:
-    """Value of u_t: d/dx (u + 7u^2) - d/dx (1-d^2/dx^2)^{-1} R(u)."""
-    u = s.u
-    _require_finite(u)
-    parts = _nonlinear_spectra(u.values, u.grid)
-    t = parts["tables"]
-    flux = parts["uh"] + 7.0 * parts["u2h"] - t["helmholtz"] * _reaction_spectrum(parts)
-    return u.with_values(np.fft.irfft(t["d1"] * flux, u.grid.n_points))
-
-
 def _rhs_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Array-level evolution right-hand side for the integrator hot path."""
     parts = _nonlinear_spectra(values, grid)
     t = parts["tables"]
-    flux = parts["uh"] + 7.0 * parts["u2h"] - t["helmholtz"] * _reaction_spectrum(parts)
+    flux = FLUX[1] * parts["uh"] + FLUX[2] * parts["u2h"] - t["helmholtz"] * _reaction_spectrum(parts)
     return np.fft.irfft(t["d1"] * flux, grid.n_points)
+
+
+def evolution_rhs(s: State) -> Field:
+    """Value of u_t: d/dx (u + 7u^2) - d/dx (1-d^2/dx^2)^{-1} R(u)."""
+    _require_finite(s.u)
+    return s.u.with_values(_rhs_values(s.u.values, s.u.grid))
 
 
 def local_form_residual(u: Field, ut: Field) -> Field:

@@ -2,11 +2,14 @@
 
 A profile U(xi) traveling at speed ``c`` satisfies, after one integration of
 the steady weak equation (integration constant ``A``) and application of
-(1 - d^2/dx^2),
+(1 - d^2/dx^2), (1 - d^2/dx^2) [c U + FLUX(U)] - R(U, U') = A with the
+coefficients of ``operators``, that is
 
     D(U) U'' + 7 (U')^2 + F(U) = 0,
-    D(U) = c + 1 + 14 U,
-    F(U) = A - (c - 1) U + 3 U^2 - 2 U^3 + 3 U^4.
+    D(U) = c + FLUX'(U) = c + 1 + 14 U,
+    F(U) = A + R(U, 0) - FLUX(U) - c U = A - (c - 1) U + 3 U^2 - 2 U^3 + 3 U^4,
+
+where 7 = 2 FLUX[2] + SLOPE_SQ.
 
 The planar system (U, V=U') conserves
 
@@ -38,6 +41,7 @@ from .errors import (
     SingularLineError,
 )
 from .grid import Field, Grid
+from .operators import FLUX, REACTION, SLOPE_SQ
 
 __all__ = [
     "TWParams",
@@ -69,6 +73,9 @@ __all__ = [
 
 SINGULAR_GUARD = 1e-12
 PARAM_MATCH_TOL = 1e-10
+# (U')^2 coefficient of the profile equation: d^2 [FLUX[2] U^2] carries
+# 2 FLUX[2] U'^2 beside its U U'' part (which joins D), and R adds SLOPE_SQ U'^2
+_SLOPE_SQ_COEFF = 2.0 * FLUX[2] + SLOPE_SQ
 
 
 @dataclass(frozen=True)
@@ -148,33 +155,41 @@ class TWProfile:
 
 # ---------------------------------------------------------------------------
 # the planar system
-
+#
+# The polynomials are built with plain array arithmetic rather than
+# Polynomial algebra: it is faster, and it keeps every coefficient bitwise
+# equal to the hand-derived literals (1 - c is exactly -(c - 1)).
 
 def uxx_coeff_poly(params: TWParams) -> Polynomial:
-    """Coefficient of U'' in the profile equation: c + 1 + 14 U."""
-    return Polynomial([params.speed + 1.0, 14.0])
+    """Coefficient of U'' in the profile equation: D = c + FLUX' = c + 1 + 14 U."""
+    return Polynomial([params.speed + FLUX[1], 2.0 * FLUX[2]])
 
 
 def force_poly(params: TWParams) -> Polynomial:
-    """F(U) = A - (c-1) U + 3 U^2 - 2 U^3 + 3 U^4."""
-    c, a = params.speed, params.integration_constant
-    return Polynomial([a, -(c - 1.0), 3.0, -2.0, 3.0])
+    """F(U) = A + R(U, 0) - FLUX(U) - c U = A - (c-1) U + 3 U^2 - 2 U^3 + 3 U^4."""
+    coef = np.array(REACTION)
+    coef[: len(FLUX)] -= FLUX
+    coef[0] += params.integration_constant
+    coef[1] -= params.speed
+    return Polynomial(coef)
 
 
 def potential_poly(params: TWParams) -> Polynomial:
     """Antiderivative G of F with G(0) = 0; 2G is the potential in H."""
-    c, a = params.speed, params.integration_constant
-    return Polynomial([0.0, a, -(c - 1.0) / 2.0, 1.0, -0.5, 0.6])
+    f = force_poly(params).coef
+    return Polynomial(np.concatenate([[0.0], f / np.arange(1, len(f) + 1)]))
 
 
 def level_polynomial(params: TWParams) -> Polynomial:
     """E - 2 G(U); its simple roots are the turning points of the level."""
-    return Polynomial([params.energy]) - 2.0 * potential_poly(params)
+    coef = -2.0 * potential_poly(params).coef
+    coef[0] += params.energy
+    return Polynomial(coef)
 
 
 def singular_line(params: TWParams) -> float:
     """Elevation where the U'' coefficient vanishes: U = -(c+1)/14."""
-    return -(params.speed + 1.0) / 14.0
+    return -(params.speed + FLUX[1]) / (2.0 * FLUX[2])
 
 
 def planar_field(p: PhasePoint, params: TWParams) -> PhasePoint:
@@ -185,7 +200,7 @@ def planar_field(p: PhasePoint, params: TWParams) -> PhasePoint:
             f"elevation {p.elevation!r} is within {SINGULAR_GUARD} of the singular line"
         )
     f = force_poly(params)(p.elevation)
-    return PhasePoint(p.slope, -(7.0 * p.slope**2 + f) / d)
+    return PhasePoint(p.slope, -(_SLOPE_SQ_COEFF * p.slope**2 + f) / d)
 
 
 def first_integral_uv(u, v, params: TWParams):
@@ -283,7 +298,7 @@ def integrate_orbit(
         d = d_poly(y[0])
         if abs(d) <= SINGULAR_GUARD:
             raise SingularLineError("orbit reached the singular line")
-        return np.array([y[1], -(7.0 * y[1] ** 2 + f_poly(y[0])) / d])
+        return np.array([y[1], -(_SLOPE_SQ_COEFF * y[1] ** 2 + f_poly(y[0])) / d])
 
     y = np.array([start.elevation, start.slope], dtype=np.float64)
     us = np.empty(n_steps + 1)
@@ -332,12 +347,6 @@ def _deflate(poly: Polynomial, root: float) -> Polynomial:
     return Polynomial(out)
 
 
-def _is_level_root(params: TWParams, u: float) -> bool:
-    p = level_polynomial(params)
-    scale = max(1.0, abs(params.energy), float(np.max(np.abs(p.coef))))
-    return abs(p(u)) <= 1e-9 * scale
-
-
 def _segment_w(params: TWParams, u_from: float, u_to: float):
     """Squared-slope evaluator for a segment, with singular contacts canceled.
 
@@ -347,6 +356,7 @@ def _segment_w(params: TWParams, u_from: float, u_to: float):
     level (a cusp) is rejected.
     """
     level = level_polynomial(params)
+    d_poly = uxx_coeff_poly(params)
     u_s = singular_line(params)
     scale = max(1.0, float(np.max(np.abs(level.coef))))
     on_line = [
@@ -359,23 +369,39 @@ def _segment_w(params: TWParams, u_from: float, u_to: float):
                 "unbounded-slope segments are not composable"
             )
         num = _deflate(level, u_s)
+        d_lead = d_poly.coef[1]
 
         def den_fn(u):
-            return np.full_like(np.asarray(u, dtype=np.float64), 14.0)
+            return np.full_like(np.asarray(u, dtype=np.float64), d_lead)
 
         def w_fn(u):
-            return num(u) / 14.0
+            return num(u) / d_lead
 
         return w_fn, num, den_fn
-    d_poly = uxx_coeff_poly(params)
-
-    def den_fn(u):
-        return d_poly(u)
 
     def w_fn(u):
         return level(u) / d_poly(u)
 
-    return w_fn, level, den_fn
+    return w_fn, level, d_poly
+
+
+def _end_knots(
+    num: Polynomial, den: Callable, end: float, inner: float, n_panels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Knots (U, xi) from a simple root ``end`` of W = num/den toward ``inner``.
+
+    W(U) = (U - end) * reduced(U) / den(U), so the square-root singularity of
+    dxi = dU / sqrt(W) cancels under U = end + sign * s^2; xi is 0 at ``end``.
+    """
+    step = np.sign(inner - end)
+    reduced = _deflate(num, end)
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        u = end + step * s * s
+        return 2.0 / np.sqrt(np.abs(reduced(u) / den(u)))
+
+    s_knots = np.linspace(0.0, np.sqrt(abs(inner - end)), n_panels + 1)
+    return end + step * s_knots**2, _cumulative(integrand, s_knots)
 
 
 def _segment_knots(
@@ -386,8 +412,7 @@ def _segment_knots(
 ):
     """Quadrature table (xi, U, V) for a monotone orbit piece on one level.
 
-    Endpoints may be simple turning points (where the inverse-slope integrand
-    has a square-root singularity, removed by U = root +/- s^2), singular
+    Endpoints may be simple turning points (see _end_knots), singular
     contacts with finite corner slope, or regular points.  xi starts at 0 at
     ``u_from``.  Also returns the squared-slope evaluator used.
     """
@@ -404,18 +429,7 @@ def _segment_knots(
     def knots_from_end(end: float, inner: float):
         """Return (u_knots, xi cumulative from ``end`` toward ``inner``)."""
         if is_turning(end):
-            # W(u) = (u - end) * reduced(u) / den(u); the sqrt singularity
-            # cancels under u = end + sign * s^2
-            reduced = _deflate(w_num, end)
-
-            def integrand(s: np.ndarray) -> np.ndarray:
-                u = end + np.sign(inner - end) * s * s
-                return 2.0 / np.sqrt(np.abs(reduced(u) / w_den(u)))
-
-            s_knots = np.linspace(0.0, np.sqrt(abs(inner - end)), n_panels + 1)
-            xi = _cumulative(integrand, s_knots)
-            u_knots = end + np.sign(inner - end) * s_knots**2
-            return u_knots, xi
+            return _end_knots(w_num, w_den, end, inner, n_panels)
         u_knots = np.linspace(end, inner, n_panels + 1)
 
         def integrand(u: np.ndarray) -> np.ndarray:
@@ -444,10 +458,14 @@ def _segment_knots(
     return xi_knots[good], u_knots[good], v_knots[good], w_fn, is_turning
 
 
-def _resample_uniform(xi_knots, u_knots, v_knots, n_samples):
-    spline = CubicHermiteSpline(xi_knots, u_knots, v_knots)
-    xi = np.linspace(xi_knots[0], xi_knots[-1], n_samples)
-    return xi, spline(xi), spline, xi_knots[-1]
+def _traversable(params: TWParams, lo: float, hi: float, n_probe: int) -> bool:
+    """Whether W > 0 and D keeps one sign at n_probe - 2 points inside (lo, hi)."""
+    probe = np.linspace(lo, hi, n_probe)[1:-1]
+    d_vals = uxx_coeff_poly(params)(probe)
+    return bool(
+        np.sign(d_vals.min()) == np.sign(d_vals.max())
+        and np.all(slope_squared(probe, params) > 0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +502,8 @@ def solitary_profile(
             f"origin is not a saddle at speed {c}: F'(0)/D(0) = {fprime0 / d0:.3g} >= 0"
         )
     # -2G(U) = U^2 * q(U); roots of q are the crest candidates
-    q = Polynomial([params.speed - 1.0, -2.0, 1.0, -1.2])
+    level = level_polynomial(params)
+    q = Polynomial(level.coef[2:])
     u_singular = singular_line(params)
 
     def branch_outcome(sign: float):
@@ -522,75 +541,9 @@ def solitary_profile(
         raise NonexistenceError(
             f"level is not traversable between 0 and {u_max:.6g} at speed {c}"
         )
-
-    kappa = _saddle_decay_rate(params)
-    u_mid = 0.5 * u_max
-    p_level = level_polynomial(params)
-    d_poly = uxx_coeff_poly(params)
-    reduced = _deflate(p_level, u_max)
-
-    # crest half: U = u_max - sign*s^2 down to u_mid
-    def crest_integrand(s: np.ndarray) -> np.ndarray:
-        u = u_max - np.sign(u_max) * s * s
-        g = np.abs(reduced(u) / d_poly(u))
-        return 2.0 / np.sqrt(g)
-
-    s_knots = np.linspace(0.0, np.sqrt(abs(u_max - u_mid)), 321)
-    xi_crest = _cumulative(crest_integrand, s_knots)
-    u_crest = u_max - np.sign(u_max) * s_knots**2
-
-    # tail: U = u_mid * exp(-tau) toward zero
-    tail_rel = 1e-9
-    tau_max = float(np.log(abs(u_mid) / (tail_rel * abs(u_max))))
-
-    def tail_integrand(tau: np.ndarray) -> np.ndarray:
-        u = u_mid * np.exp(-tau)
-        return np.abs(u) / np.sqrt(np.abs(slope_squared(u, params)))
-
-    tau_knots = np.linspace(0.0, tau_max, max(64, int(tau_max / 0.02)) + 1)
-    xi_tail = xi_crest[-1] + _cumulative(tail_integrand, tau_knots)
-    u_tail = u_mid * np.exp(-tau_knots)
-
-    xi_knots = np.concatenate([xi_crest, xi_tail[1:]])
-    u_knots = np.concatenate([u_crest, u_tail[1:]])
-    v_knots = -np.sign(u_max) * np.sqrt(np.abs(slope_squared(u_knots, params)))
-    v_knots[0] = 0.0
-    spline = CubicHermiteSpline(xi_knots, u_knots, v_knots)
-    xi_cut = float(xi_knots[-1])
-    u_cut = float(u_knots[-1])
-
-    def eval_half(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        out = np.empty_like(s)
-        inside = s <= xi_cut
-        out[inside] = spline(s[inside])
-        out[~inside] = u_cut * np.exp(-kappa * (s[~inside] - xi_cut))
-        return out
-
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        return eval_half(np.abs(np.asarray(x, dtype=np.float64)))
-
-    if window is None:
-        # window ends where the tail reaches 1e-7 of the crest
-        target = 1e-7 * abs(u_max)
-        if abs(u_cut) <= target:
-            half_window = xi_cut - np.log(target / abs(u_cut)) / kappa
-        else:
-            half_window = float(np.interp(np.log(target / abs(u_mid)) / -1.0,
-                                          tau_knots, xi_tail - 0.0))
-        window = 2.0 * float(half_window)
-    xi = (np.arange(n_points) - n_points // 2) * (window / n_points)
-    values = evaluator(xi)
-    w_xi = np.abs(slope_squared(values, params))
-    slopes = -np.sign(xi) * np.sign(u_max) * np.sqrt(w_xi)
-    return TWProfile(
-        params=params,
-        xi=xi,
-        values=values,
-        regularity=Regularity.SMOOTH_SOLITARY,
-        period=None,
-        slopes=slopes,
-        evaluator=evaluator,
+    u_head, xi_head = _end_knots(level, uxx_coeff_poly(params), u_max, 0.5 * u_max, 320)
+    return _solitary_from_head(
+        params, u_max, xi_head, u_head, Regularity.SMOOTH_SOLITARY, n_points, window
     )
 
 
@@ -611,7 +564,6 @@ def _contact_solitary(
     else:
         regularity = Regularity.CUSPED
 
-    kappa = _saddle_decay_rate(params)
     sign = np.sign(u_contact)
     u_mid = 0.5 * u_contact
     d_poly = uxx_coeff_poly(params)
@@ -625,23 +577,52 @@ def _contact_solitary(
 
     s_knots = np.linspace(0.0, np.sqrt(abs(u_contact - u_mid)), 801)[1:]
     s_knots = np.concatenate([[1e-9], s_knots])
-    xi_contact = _cumulative(contact_integrand, s_knots)
-    u_contact_knots = u_contact - sign * s_knots**2
+    xi_head = _cumulative(contact_integrand, s_knots)
+    u_head = u_contact - sign * s_knots**2
+    return _solitary_from_head(
+        params, u_contact, xi_head, u_head, regularity, n_points, window
+    )
 
+
+def _solitary_from_head(
+    params: TWParams,
+    u_top: float,
+    xi_head: np.ndarray,
+    u_head: np.ndarray,
+    regularity: Regularity,
+    n_points: int,
+    window: float | None,
+) -> TWProfile:
+    """Solitary profile from its tabulated head, crest ``u_top`` down to u_top/2.
+
+    Appends the saddle tail U = (u_top/2) exp(-tau) down to 1e-9 |u_top|,
+    interpolates (cubic Hermite on the exact slopes for smooth waves, PCHIP
+    at a singular contact), continues analytically with the saddle decay rate
+    beyond the table, and samples n_points over a window whose edges sit
+    where the tail reaches 1e-7 |u_top| unless ``window`` is given.
+    """
+    kappa = _saddle_decay_rate(params)
+    sign = np.sign(u_top)
+    u_mid = 0.5 * u_top
     tail_rel = 1e-9
-    tau_max = float(np.log(abs(u_mid) / (tail_rel * abs(u_contact))))
+    tau_max = float(np.log(abs(u_mid) / (tail_rel * abs(u_top))))
 
     def tail_integrand(tau: np.ndarray) -> np.ndarray:
         u = u_mid * np.exp(-tau)
         return np.abs(u) / np.sqrt(np.abs(slope_squared(u, params)))
 
     tau_knots = np.linspace(0.0, tau_max, max(64, int(tau_max / 0.02)) + 1)
-    xi_tail = xi_contact[-1] + _cumulative(tail_integrand, tau_knots)
+    xi_tail = xi_head[-1] + _cumulative(tail_integrand, tau_knots)
     u_tail = u_mid * np.exp(-tau_knots)
 
-    xi_knots = np.concatenate([xi_contact, xi_tail[1:]])
-    u_knots = np.concatenate([u_contact_knots, u_tail[1:]])
-    pchip = PchipInterpolator(xi_knots, u_knots)
+    xi_knots = np.concatenate([xi_head, xi_tail[1:]])
+    u_knots = np.concatenate([u_head, u_tail[1:]])
+    if regularity is Regularity.SMOOTH_SOLITARY:
+        v_knots = -sign * np.sqrt(np.abs(slope_squared(u_knots, params)))
+        v_knots[0] = 0.0
+        interp = CubicHermiteSpline(xi_knots, u_knots, v_knots)
+    else:
+        interp = PchipInterpolator(xi_knots, u_knots)
     xi_cut = float(xi_knots[-1])
     u_cut = float(u_knots[-1])
 
@@ -649,12 +630,14 @@ def _contact_solitary(
         s = np.abs(np.asarray(x, dtype=np.float64))
         out = np.empty_like(s)
         inside = s <= xi_cut
-        out[inside] = pchip(s[inside])
+        out[inside] = interp(s[inside])
         out[~inside] = u_cut * np.exp(-kappa * (s[~inside] - xi_cut))
-        return np.where(s < xi_knots[0], u_contact, out)
+        return out
 
     if window is None:
-        target = 1e-7 * abs(u_contact)
+        # u_cut = 1e-9 |u_top| is below the target, so the edge is on the
+        # analytic continuation
+        target = 1e-7 * abs(u_top)
         window = 2.0 * (xi_cut - np.log(target / abs(u_cut)) / kappa)
     xi = (np.arange(n_points) - n_points // 2) * (window / n_points)
     values = evaluator(xi)
@@ -664,8 +647,7 @@ def _contact_solitary(
         slopes = -np.sign(xi) * sign * np.sqrt(np.abs(slope_squared(values, params)))
     bad = ~np.isfinite(slopes)
     if np.any(bad):
-        fallback = pchip.derivative()(np.abs(xi[bad])) * -np.sign(xi[bad])
-        slopes[bad] = fallback
+        slopes[bad] = interp.derivative()(np.abs(xi[bad])) * -np.sign(xi[bad])
     return TWProfile(
         params=params,
         xi=xi,
@@ -692,15 +674,8 @@ def periodic_profile(
     if pair is None:
         roots = turning_points(params, bracket)
         tangent = set(level_tangencies(params, bracket))
-        pair = None
         for u1, u2 in zip(roots, roots[1:]):
-            if u1 in tangent or u2 in tangent:
-                continue
-            probe = np.linspace(u1, u2, 129)[1:-1]
-            d_vals = uxx_coeff_poly(params)(probe)
-            if np.any(d_vals == 0) or np.sign(d_vals.min()) != np.sign(d_vals.max()):
-                continue
-            if np.all(slope_squared(probe, params) > 0):
+            if u1 not in tangent and u2 not in tangent and _traversable(params, u1, u2, 129):
                 pair = (u1, u2)
                 break
         if pair is None:
@@ -708,12 +683,11 @@ def periodic_profile(
                 "no adjacent turning-point pair bounds a periodic orbit at this level"
             )
     u1, u2 = sorted(pair)
-    probe = np.linspace(u1, u2, 513)[1:-1]
-    d_vals = uxx_coeff_poly(params)(probe)
-    if np.sign(d_vals.min()) != np.sign(d_vals.max()):
-        raise NonexistenceError("the singular line crosses the requested orbit")
-    if np.any(slope_squared(probe, params) <= 0):
-        raise NonexistenceError("squared slope is not positive between the turning points")
+    if not _traversable(params, u1, u2, 513):
+        raise NonexistenceError(
+            "the singular line crosses the requested orbit or the squared slope "
+            "is not positive between the turning points"
+        )
 
     xi_k, u_k, v_k, _, _ = _segment_knots(params, u2, u1, n_panels=600)
     half = CubicHermiteSpline(xi_k, u_k, v_k)
@@ -757,7 +731,9 @@ def orbit_segment(
     squared slope (for instance the singular-line contact of a peaked wave).
     """
     xi_k, u_k, v_k, w_fn, is_turning = _segment_knots(params, u_from, u_to)
-    xi, values, spline, _ = _resample_uniform(xi_k, u_k, v_k, n_samples)
+    spline = CubicHermiteSpline(xi_k, u_k, v_k)
+    xi = np.linspace(xi_k[0], xi_k[-1], n_samples)
+    values = spline(xi)
     direction = 1.0 if u_to > u_from else -1.0
     slopes = direction * np.sqrt(np.abs(w_fn(values)))
     if is_turning(u_from):
@@ -947,14 +923,7 @@ def peaked_composite(
     params = TWParams(speed, integration_constant, energy)
 
     roots = [r for r in turning_points(params, bracket) if abs(r - u_s) > 1e-8]
-    candidates = []
-    for r in roots:
-        lo, hi = sorted((r, u_s))
-        probe = np.linspace(lo, hi, 257)[1:-1]
-        w = slope_squared(probe, params)
-        d_vals = uxx_coeff_poly(params)(probe)
-        if np.all(w > 0) and np.sign(d_vals.min()) == np.sign(d_vals.max()):
-            candidates.append(r)
+    candidates = [r for r in roots if _traversable(params, *sorted((r, u_s)), 257)]
     if not candidates:
         raise NonexistenceError(
             "no turning point adjoins the singular contact on this level"

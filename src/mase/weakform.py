@@ -30,7 +30,7 @@ from scipy.special import erf
 from .errors import SupportError
 from .evolution import Trajectory
 from .grid import Field, Grid
-from .operators import helmholtz_inverse, reaction_term, spectral_derivative
+from .operators import FLUX, REACTION, SLOPE_SQ, helmholtz_inverse, reaction_term, spectral_derivative
 from .traveling_wave import TWProfile
 
 __all__ = [
@@ -135,6 +135,8 @@ class ResidualReport:
     normalization: float
 
     def __post_init__(self):
+        if not self.per_test_function:
+            raise ValueError("a residual report needs at least one test function")
         if self.normalization <= 0:
             raise ValueError("normalization must be positive")
 
@@ -156,13 +158,19 @@ def _profile_grid(profile: TWProfile) -> tuple[Grid, float]:
     return Grid(len(xi), spacing * len(xi)), float(xi[0])
 
 
+def _pointwise_reaction(u: np.ndarray, ux: np.ndarray) -> np.ndarray:
+    """R(u) from sampled values and slopes, without dealiasing."""
+    _, r1, r2, r3, r4 = REACTION
+    return r1 * u + r2 * u**2 + r3 * u**3 + r4 * u**4 + SLOPE_SQ * ux**2
+
+
 def _profile_reaction(profile: TWProfile, grid: Grid) -> np.ndarray:
     u = profile.values
     if profile.slopes is not None:
         ux = profile.slopes
     else:
         ux = spectral_derivative(Field(grid, u), 1).values
-    return 2.0 * u + 10.0 * u**2 - 2.0 * u**3 + 3.0 * u**4 - 7.0 * ux**2
+    return _pointwise_reaction(u, ux)
 
 
 def _oversample(values: np.ndarray, factor: int) -> np.ndarray:
@@ -203,7 +211,7 @@ def steady_weak_residual(profile: TWProfile, psi: TestFunction) -> float:
     p = helmholtz_inverse(Field(grid, r)).values
     c = profile.params.speed
     psi_x = psi.derivative(profile.xi, 1)
-    integrand = ((c + 1.0) * u + 7.0 * u**2 - p) * psi_x
+    integrand = ((c + FLUX[1]) * u + FLUX[2] * u**2 - p) * psi_x
     return float(grid.spacing * np.sum(integrand) / psi.mass())
 
 
@@ -232,12 +240,12 @@ def unsteady_weak_residual(traj: Trajectory, phi: TestFunction, rho: TestFunctio
             slices[i] = 0.0
             continue
         u = s.u.values
-        ux = spectral_derivative(s.u, 1).values
-        r = 2.0 * u + 10.0 * u**2 - 2.0 * u**3 + 3.0 * u**4 - 7.0 * ux**2
+        r = _pointwise_reaction(u, spectral_derivative(s.u, 1).values)
         p = helmholtz_inverse(Field(grid, r)).values
         rho_v = float(rho.value(times[i]))
         rho_t = float(rho.derivative(times[i], 1))
-        integrand = u * phi_v * rho_t - (u + 7.0 * u**2) * phi_x * rho_v + p * phi_x * rho_v
+        flux = FLUX[1] * u + FLUX[2] * u**2
+        integrand = u * phi_v * rho_t - flux * phi_x * rho_v + p * phi_x * rho_v
         slices[i] = grid.spacing * np.sum(integrand)
     total = float(np.trapezoid(slices, times))
     return total / (phi.mass() * rho.mass())

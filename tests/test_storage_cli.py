@@ -16,6 +16,7 @@ from mase.storage import (
     write_trajectory,
 )
 from mase.traveling_wave import solitary_profile
+from mase.weakform import ResidualReport
 
 
 @pytest.fixture()
@@ -169,6 +170,19 @@ def test_cli_weakform_on_run_and_profile(tmp_path, scenario_file):
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert all(abs(e["residual"]) < 1e-4 for e in doc["per_test_function"])
+
+
+def test_cli_weakform_rejects_empty_bump_family(tmp_path, scenario_file, capsys):
+    run_dir = tmp_path / "run_0"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    tw_dir = tmp_path / "tw_0"
+    assert main(["tw", "--speed", "1.2", "--out", str(tw_dir)]) == 0
+    for source in (["--run", str(run_dir)], ["--profile", str(tw_dir / "profile_c=1.2")]):
+        capsys.readouterr()
+        assert main(["weakform", *source, "--n-bumps", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: config: --n-bumps")
+    with pytest.raises(ValueError):
+        ResidualReport((), 1.0)
 
 
 def test_cli_tw_profile_run_keeps_amplitude(tmp_path):

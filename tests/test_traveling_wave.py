@@ -21,6 +21,7 @@ from mase.traveling_wave import (
     first_integral_uv,
     force_poly,
     integrate_orbit,
+    level_polynomial,
     level_tangencies,
     mirror_profile,
     orbit_segment,
@@ -84,6 +85,20 @@ def test_first_integral_conserved_along_orbit():
     us, vs = integrate_orbit(PhasePoint(0.05, 0.0), SOLITARY, 1e-4, 1000)
     h = first_integral_uv(us, vs, SOLITARY)
     assert np.max(np.abs(h - h[0])) / max(1.0, abs(h[0])) < 1e-8
+
+
+@pytest.mark.parametrize("c,a", [(1.2, 0.0), (2.5, 0.7), (-3.0, -1.0), (-0.4, 1.3)])
+def test_derived_polynomials_equal_paper_literals(c, a):
+    # the hand-derived coefficients of the profile equation are the reference
+    params = TWParams(c, a)
+    assert np.array_equal(uxx_coeff_poly(params).coef, [c + 1.0, 14.0])
+    assert np.array_equal(force_poly(params).coef, [a, -(c - 1.0), 3.0, -2.0, 3.0])
+    assert np.array_equal(
+        potential_poly(params).coef, [0.0, a, -(c - 1.0) / 2.0, 1.0, -0.5, 0.6]
+    )
+    # crest quotient q of -2G(U) = U^2 q(U) on the homoclinic level A = E = 0
+    crest = level_polynomial(TWParams(c)).coef[2:]
+    assert np.array_equal(crest, [c - 1.0, -2.0, 1.0, -1.2])
 
 
 @pytest.mark.parametrize("c,expected", [(-1.0, 0.0), (13.0, -1.0)])
@@ -188,10 +203,17 @@ def test_solitary_negative_branch_exists():
     assert p.values.min() < -0.9
 
 
-def test_solitary_positive_branch_cusps_at_singular_line():
+def test_solitary_positive_branch_cusps_at_singular_line(solitary_c12):
     p = solitary_profile(-3.0, branch="positive")
     assert p.regularity is Regularity.CUSPED
     assert p.values.max() == pytest.approx(singular_line(TWParams(-3.0)), abs=1e-6)
+    # cusped and smooth waves share the tail, evaluator, window and slopes
+    for prof in (p, solitary_c12):
+        x = np.linspace(-1.5 * prof.xi[-1], 1.5 * prof.xi[-1], 601)
+        assert np.array_equal(prof.evaluator(x), prof.evaluator(-x))
+        assert np.all(np.isfinite(prof.slopes))
+        for edge in (prof.values[0], prof.values[-1]):
+            assert 0.5e-7 <= abs(edge) / prof.amplitude <= 2e-7
 
 
 # ---------------------------------------------------------------------------
