@@ -4,7 +4,8 @@ Subcommands: simulate, tw, symmetry, weakform, sweep.  Scenario files are
 JSON; ``--set key.path=value`` overrides win over the file.  Science
 outcomes (including detected wave breaking) exit 0; configuration faults
 exit 2, nonexistent traveling waves exit 3, degenerate symmetry inputs
-exit 4, each with a one-line ``error: <kind>: <message>`` on stderr.
+exit 4 and every other package error exit 5, each with a one-line
+``error: <kind>: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -168,9 +170,10 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
                          (width_lo, max(width_lo * 1.01, width_hi)))
     report = steady_residual_report(profile, bumps)
 
+    tangencies = level_tangencies(params)
     extras = {
-        "turning_points": turning_points(params),
-        "tangencies": level_tangencies(params),
+        "turning_points": turning_points(params, tangencies=tangencies),
+        "tangencies": tangencies,
         "singular_line": singular_line(params),
         "max_steady_residual": report.max_residual(),
     }
@@ -399,6 +402,15 @@ def main(argv=None) -> int:
     except ConstantFieldError as exc:
         print(f"error: degenerate: {exc}", file=sys.stderr)
         return 4
+    except MaseError as exc:
+        print(f"error: {_error_kind(exc)}: {exc}", file=sys.stderr)
+        return 5
+
+
+def _error_kind(exc: MaseError) -> str:
+    """Kebab-case kind from the class name: SingularLineError -> singular-line."""
+    name = type(exc).__name__.removesuffix("Error")
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 
 
 if __name__ == "__main__":

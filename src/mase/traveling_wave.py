@@ -26,13 +26,13 @@ substitution absorbing the turning-point singularity.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import (
     CompositionError,
@@ -244,7 +244,7 @@ def _scan_roots(poly: Polynomial, bracket: tuple[float, float], n_scan: int = 80
     lo, hi = bracket
     grid = np.linspace(lo, hi, n_scan)
     vals = poly(grid)
-    roots = [float(g) for g, v in zip(grid, vals) if v == 0.0]
+    roots = grid[vals == 0.0].tolist()
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     for i in sign_change:
         roots.append(_bisect(poly, float(grid[i]), float(grid[i + 1])))
@@ -271,14 +271,22 @@ def level_tangencies(params: TWParams, bracket: tuple[float, float] = (-10.0, 10
     return out
 
 
-def turning_points(params: TWParams, bracket: tuple[float, float] = (-10.0, 10.0)) -> list[float]:
+def turning_points(
+    params: TWParams,
+    bracket: tuple[float, float] = (-10.0, 10.0),
+    tangencies: list[float] | None = None,
+) -> list[float]:
     """All real roots of E - 2G(U) on the bracket, in increasing order.
 
     Sign-change bisection to 1e-12 for simple roots; tangency (even-order)
-    roots are recovered from the equilibria of F and merged in.
+    roots are recovered from the equilibria of F and merged in.  A caller
+    that already holds ``level_tangencies(params, bracket)`` passes it as
+    ``tangencies`` to skip a second scan of F.
     """
+    if tangencies is None:
+        tangencies = level_tangencies(params, bracket)
     roots = _scan_roots(level_polynomial(params), bracket)
-    for r in level_tangencies(params, bracket):
+    for r in tangencies:
         if not any(abs(r - q) <= 1e-9 for q in roots):
             roots.append(r)
     return sorted(roots)
@@ -312,6 +320,100 @@ def integrate_orbit(
         y = y + (step_size / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         us[i + 1], vs[i + 1] = y
     return us, vs
+
+
+# ---------------------------------------------------------------------------
+# piecewise-cubic interpolants
+#
+# Coefficients, interval search and evaluation order follow scipy's
+# CubicHermiteSpline / PPoly, and the slopes follow PchipInterpolator, so the
+# profiles are bitwise equal to the scipy-built ones (tests/test_interp.py
+# holds that) without importing scipy at run time.
+
+
+def _checked_knots(x, *arrays) -> tuple[np.ndarray, ...]:
+    x = np.asarray(x, dtype=np.float64)
+    arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
+    if x.ndim != 1 or len(x) < 2:
+        raise ValueError("knots must be a 1-d array of at least 2 points")
+    if any(a.shape != x.shape for a in arrays):
+        raise ValueError("knot data must match the knots in shape")
+    if not all(np.all(np.isfinite(a)) for a in (x,) + arrays):
+        raise ValueError("knots and knot data must be finite")
+    if np.any(np.diff(x) <= 0):
+        raise ValueError("knots must be strictly increasing")
+    return (x,) + arrays
+
+
+class _PiecewiseCubic:
+    """C1 cubic through values ``y`` with slopes ``dydx`` at knots ``x``.
+
+    Row k of ``c`` multiplies (xi - x[i])^(3-k) on [x[i], x[i+1]); the end
+    intervals extend beyond the knots unless ``extrapolate`` is off, in which
+    case points outside give NaN (as NaN points always do).
+    """
+
+    def __init__(self, x, y, dydx, extrapolate: bool = True):
+        x, y, dydx = _checked_knots(x, y, dydx)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+        self.extrapolate = extrapolate
+
+    def __call__(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=np.float64)
+        i = np.clip(np.searchsorted(self.x, xi, side="right") - 1, 0, len(self.x) - 2)
+        s = xi - self.x[i]
+        # power sum from the constant term up, as PPoly evaluates (not Horner)
+        res = np.zeros_like(s)
+        z = np.ones_like(s)
+        for row in self.c[::-1]:
+            res += row[i] * z
+            z *= s
+        if not self.extrapolate:
+            res[~((self.x[0] <= xi) & (xi <= self.x[-1]))] = np.nan
+        return res
+
+    def derivative(self) -> "_PiecewiseCubic":
+        out = copy.copy(self)
+        out.c = self.c[:-1] * np.arange(len(self.c) - 1, 0, -1.0)[:, None]
+        return out
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, held to the data's shape (Moler's pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y, extrapolate: bool = True) -> _PiecewiseCubic:
+    """Monotone piecewise cubic through (x, y) (PCHIP, Fritsch & Carlson).
+
+    The knot slope is zero at extrema and next to flat segments and the
+    weighted harmonic mean of the adjacent secants elsewhere; two points
+    give the chord.
+    """
+    x, y = _checked_knots(x, y)
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    if len(x) == 2:
+        return _PiecewiseCubic(x, y, np.array([m[0], m[0]]), extrapolate)
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return _PiecewiseCubic(x, y, d, extrapolate)
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +722,9 @@ def _solitary_from_head(
     if regularity is Regularity.SMOOTH_SOLITARY:
         v_knots = -sign * np.sqrt(np.abs(slope_squared(u_knots, params)))
         v_knots[0] = 0.0
-        interp = CubicHermiteSpline(xi_knots, u_knots, v_knots)
+        interp = _PiecewiseCubic(xi_knots, u_knots, v_knots)
     else:
-        interp = PchipInterpolator(xi_knots, u_knots)
+        interp = _pchip(xi_knots, u_knots)
     xi_cut = float(xi_knots[-1])
     u_cut = float(u_knots[-1])
 
@@ -672,8 +774,8 @@ def periodic_profile(
     sits at xi = 0 and the sampled window covers one period.
     """
     if pair is None:
-        roots = turning_points(params, bracket)
-        tangent = set(level_tangencies(params, bracket))
+        tangent = level_tangencies(params, bracket)
+        roots = turning_points(params, bracket, tangent)
         for u1, u2 in zip(roots, roots[1:]):
             if u1 not in tangent and u2 not in tangent and _traversable(params, u1, u2, 129):
                 pair = (u1, u2)
@@ -690,7 +792,7 @@ def periodic_profile(
         )
 
     xi_k, u_k, v_k, _, _ = _segment_knots(params, u2, u1, n_panels=600)
-    half = CubicHermiteSpline(xi_k, u_k, v_k)
+    half = _PiecewiseCubic(xi_k, u_k, v_k)
     half_len = float(xi_k[-1])
     period = 2.0 * half_len
 
@@ -731,7 +833,7 @@ def orbit_segment(
     squared slope (for instance the singular-line contact of a peaked wave).
     """
     xi_k, u_k, v_k, w_fn, is_turning = _segment_knots(params, u_from, u_to)
-    spline = CubicHermiteSpline(xi_k, u_k, v_k)
+    spline = _PiecewiseCubic(xi_k, u_k, v_k)
     xi = np.linspace(xi_k[0], xi_k[-1], n_samples)
     values = spline(xi)
     direction = 1.0 if u_to > u_from else -1.0
@@ -947,7 +1049,7 @@ def evaluate_profile(profile: TWProfile, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=np.float64)
     if profile.evaluator is not None:
         return np.asarray(profile.evaluator(xi), dtype=np.float64)
-    interp = PchipInterpolator(profile.xi, profile.values, extrapolate=False)
+    interp = _pchip(profile.xi, profile.values, extrapolate=False)
     out = interp(xi)
     return np.where(np.isnan(out), 0.0, out)
 

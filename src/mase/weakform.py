@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import erf
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import SupportError
 from .evolution import Trajectory

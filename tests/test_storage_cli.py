@@ -1,10 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mase import cli
 from mase.cli import main
+from mase.errors import (
+    BlowUpError,
+    CompositionError,
+    EnergyMismatchError,
+    SingularLineError,
+    SupportError,
+)
 from mase.evolution import SolverConfig, evolve
 from mase.grid import Field, Grid, State
 from mase.storage import (
@@ -183,6 +194,36 @@ def test_cli_weakform_rejects_empty_bump_family(tmp_path, scenario_file, capsys)
         assert capsys.readouterr().err.startswith("error: config: --n-bumps")
     with pytest.raises(ValueError):
         ResidualReport((), 1.0)
+
+
+@pytest.mark.parametrize(
+    "error, kind",
+    [
+        (SupportError("bump support leaves the window"), "support"),
+        (CompositionError("segments do not join"), "composition"),
+        (SingularLineError("orbit reached the singular line"), "singular-line"),
+        (EnergyMismatchError(1e-3), "energy-mismatch"),
+        (BlowUpError("non-finite stage values"), "blow-up"),
+    ],
+)
+def test_cli_other_package_errors_exit_5_without_traceback(monkeypatch, capsys, error, kind):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_tw", failing)
+    assert main(["tw", "--speed", "1.2"]) == 5
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {kind}: {error}"]
+    assert "Traceback" not in err
+
+
+def test_import_needs_no_scipy():
+    blocked = "import sys; sys.modules['scipy'] = None; import mase.cli"
+    listed = "import sys, mase.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", blocked], env=env).returncode == 0
+    out = subprocess.run([sys.executable, "-c", listed], env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "[]"
 
 
 def test_cli_tw_profile_run_keeps_amplitude(tmp_path):

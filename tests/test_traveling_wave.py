@@ -131,7 +131,10 @@ def test_turning_points_include_saddle_tangency():
     # A = 0, E = 0: the origin is an equilibrium sitting exactly on the level
     roots = turning_points(SOLITARY)
     assert any(abs(r) < 1e-9 for r in roots)
-    assert any(abs(r) < 1e-9 for r in level_tangencies(SOLITARY))
+    # F(0) = 0 exactly on a scan-grid point: the exact zero comes back as a float
+    tangencies = level_tangencies(SOLITARY)
+    assert tangencies == [0.0] and type(tangencies[0]) is float
+    assert turning_points(SOLITARY, tangencies=tangencies) == roots
 
 
 def test_center_tangency_flagged():
