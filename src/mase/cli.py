@@ -146,9 +146,15 @@ def cmd_simulate(args) -> int:
 
 def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
     """Construct the requested traveling wave and write CSV + JSON sidecar."""
-    speed = float(doc["speed"])
-    a = float(doc.get("integration_constant", 0.0))
-    e = float(doc.get("energy", 0.0))
+    try:
+        speed = float(doc["speed"])
+        a = float(doc.get("integration_constant", 0.0))
+        e = float(doc.get("energy", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"tw needs a numeric speed, integration_constant and energy: {exc!r}")
+    for name, value in (("speed", speed), ("integration_constant", a), ("energy", e)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     wave = doc.get("wave", "auto")
     if wave == "auto":
         wave = "solitary" if (a == 0.0 and e == 0.0) else "periodic"

@@ -57,10 +57,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     kind = initial.get("kind")
     if kind not in _IC_KINDS:
         raise ConfigError(f"unknown initial condition kind {kind!r}; choose from {_IC_KINDS}")
-    if kind == "file":
-        path = Path(initial.get("path", ""))
-        if not path.exists():
-            raise ConfigError(f"initial condition file does not exist: {path}")
     analysis = dict(doc.get("analysis", {}))
     sc = Scenario(grid, initial, solver, analysis)
     build_initial_field(sc)  # validate parameters eagerly
@@ -142,7 +138,9 @@ def build_initial_field(scenario: Scenario) -> Field:
     if kind == "file":
         from .storage import read_columns_csv
 
-        cols = read_columns_csv(Path(ic["path"]))
+        if "path" not in ic:
+            raise ConfigError("file initial condition needs a path")
+        cols = read_columns_csv(Path(ic["path"]), require=("u",))
         if len(cols["u"]) != grid.n_points:
             raise ConfigError(
                 f"file initial condition has {len(cols['u'])} samples, grid wants {grid.n_points}"

@@ -5,11 +5,18 @@ with sorted keys.  Every file a command writes is listed in manifest.json
 with its sha256 digest.  Volatile metadata (wall clock, tool invocation) goes
 to run.log, a plain-text file outside the manifest, so repeated runs produce
 byte-identical CSV/JSON.
+
+A CSV file is formatted in one string operation and written once, without
+newline translation; ``write_columns_csv`` returns the sha256 of exactly the
+bytes it wrote, and ``write_trajectory`` builds the manifest from those
+digests instead of reading the snapshots back.  Only the JSON reports and
+``verify_manifest`` hash files from disk.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,10 +43,6 @@ class RunManifest:
     outputs: tuple[tuple[str, str], ...]  # (relative path, sha256)
 
 
-def fmt(x: float) -> str:
-    return FMT % float(x)
-
-
 def sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
@@ -50,17 +53,36 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
+    """Write equal-length columns as CSV; returns the sha256 of the bytes written."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join([FMT] * table.shape[1]) + "\n"
+    text = ",".join(header) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+    path.write_text(text, encoding="utf-8", newline="")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def read_columns_csv(path: Path) -> dict[str, np.ndarray]:
-    lines = path.read_text().strip().splitlines()
-    names = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+def read_columns_csv(path: Path, require: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+    """Columns of a header-plus-numbers CSV by name.
+
+    Each number parses to the double ``float()`` gives.  An unreadable file, a
+    non-numeric cell, a row whose length differs from the header's, or a
+    missing ``require``d column raises ConfigError.
+    """
+    try:
+        header, _, body = path.read_text().strip().partition("\n")
+        names = header.split(",")
+        data = (np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+                if body else np.empty((0, len(names))))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read CSV {path}: {exc}") from None
+    if data.shape[1] != len(names):
+        raise ConfigError(
+            f"CSV {path} has {data.shape[1]} values per row under {len(names)} header names"
+        )
+    missing = [name for name in require if name not in names]
+    if missing:
+        raise ConfigError(f"CSV {path} lacks column(s) {', '.join(missing)}")
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
@@ -79,33 +101,35 @@ def write_trajectory(
     wall_clock: float = 0.0,
     extra_outputs: list[Path] | None = None,
 ) -> RunManifest:
+    names = [snapshot_filename(s.time) for s in traj.snapshots]
+    for a, b in zip(names, names[1:]):  # times increase, so a clash is adjacent
+        if a == b:
+            raise ConfigError(
+                f"snapshot times closer than 1e-6 share the file name {a}; "
+                "widen solver.snapshot_interval"
+            )
     run_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = list(extra_outputs or [])
+    digests = {p.name: sha256_file(p) for p in extra_outputs or []}
     x = traj.grid.points
-    for s in traj.snapshots:
-        p = run_dir / snapshot_filename(s.time)
-        write_columns_csv(p, ["x", "u"], [x, s.u.values])
-        outputs.append(p)
+    for name, s in zip(names, traj.snapshots):
+        digests[name] = write_columns_csv(run_dir / name, ["x", "u"], [x, s.u.values])
 
     from .evolution import _max_slope
 
-    diag = run_dir / "diagnostics.csv"
     times = traj.times()
     means = np.array([s.u.mean() for s in traj.snapshots])
     sups = np.array([s.u.sup_norm() for s in traj.snapshots])
     slopes = np.array([_max_slope(s.u.values, traj.grid) for s in traj.snapshots])
-    write_columns_csv(diag, ["t", "mean", "sup_norm", "max_slope"],
-                      [times, means, sups, slopes])
-    outputs.append(diag)
+    digests["diagnostics.csv"] = write_columns_csv(
+        run_dir / "diagnostics.csv", ["t", "mean", "sup_norm", "max_slope"],
+        [times, means, sups, slopes])
 
     manifest = RunManifest(
         scenario=scenario,
         tool_version=__version__,
         wall_clock_seconds=wall_clock,
         termination=traj.termination.value,
-        outputs=tuple(
-            (p.name, sha256_file(p)) for p in sorted(outputs, key=lambda q: q.name)
-        ),
+        outputs=tuple(sorted(digests.items())),
     )
     write_json(run_dir / "manifest.json", {
         "schema": "mase/run/v1",
@@ -134,7 +158,7 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
         if not name.startswith("t=") or not name.endswith(".csv"):
             continue
         t = float(name[2:-4])
-        cols = read_columns_csv(run_dir / name)
+        cols = read_columns_csv(run_dir / name, require=("x", "u"))
         n = len(cols["x"])
         if n < 2:
             raise ConfigError(f"snapshot {name} too short")
@@ -142,6 +166,9 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
         grid = Grid(n, length)
         snaps.append(State(t, Field(grid, cols["u"])))
     snaps.sort(key=lambda s: s.time)
+    for a, b in zip(snaps, snaps[1:]):
+        if not a.time < b.time:
+            raise ConfigError(f"run lists snapshot time {b.time:.6f} more than once")
     traj = Trajectory(tuple(snaps), config, Termination(manifest["termination"]))
     return traj, manifest
 
@@ -177,7 +204,7 @@ def write_profile(prefix: Path, profile: TWProfile, extras: dict | None = None) 
 
 
 def read_profile(prefix: Path) -> TWProfile:
-    cols = read_columns_csv(Path(str(prefix) + ".csv"))
+    cols = read_columns_csv(Path(str(prefix) + ".csv"), require=("xi", "U"))
     sidecar = json.loads(Path(str(prefix) + ".json").read_text())
     params = TWParams(
         sidecar["speed"], sidecar["integration_constant"], sidecar["energy"]

@@ -12,6 +12,7 @@ from mase.cli import main
 from mase.errors import (
     BlowUpError,
     CompositionError,
+    ConfigError,
     EnergyMismatchError,
     SingularLineError,
     SupportError,
@@ -196,6 +197,69 @@ def test_cli_weakform_rejects_empty_bump_family(tmp_path, scenario_file, capsys)
         ResidualReport((), 1.0)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--speed", "--integration-constant", "--energy"])
+def test_cli_tw_non_finite_arguments_exit_2(tmp_path, capsys, flag, value):
+    argv = ["tw", "--speed", "1.2", f"{flag}={value}", "--out", str(tmp_path / "tw")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "must be finite" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "tw").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,u\n" + "0,0\n" * 63 + "1,abc\n",       # non-numeric cell
+        "x,u\n" + "0,0\n" * 32 + "1\n" + "0,0\n" * 31,  # ragged row
+        "x,v\n" + "0,0\n" * 64,                   # no u column
+        None,                                       # no such file
+    ],
+    ids=["non-numeric", "ragged", "no-u-column", "missing-file"],
+)
+def test_cli_simulate_bad_file_initial_condition_exits_2(tmp_path, capsys, text):
+    data = tmp_path / "u0.csv"
+    if text is not None:
+        data.write_text(text)
+    doc = {
+        "grid": {"n_points": 64, "length": 20.0},
+        "initial": {"kind": "file", "path": str(data)},
+        "solver": {"t_end": 0.5, "snapshot_interval": 0.25},
+    }
+    cfg = tmp_path / "file_ic.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and len(err.splitlines()) == 1
+
+
+def test_snapshot_name_collision_is_a_config_error(tmp_path, scenario_file, capsys):
+    run_dir = tmp_path / "close"
+    argv = ["simulate", "--config", str(scenario_file), "--out", str(run_dir),
+            "--set", "solver.snapshot_interval=1e-7", "--set", "solver.t_end=3e-7"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "t=0.000000.csv" in err
+    assert not list(run_dir.glob("t=*.csv")) and not (run_dir / "manifest.json").exists()
+
+
+def test_read_trajectory_rejects_repeated_snapshot_times(tmp_path, scenario_file, capsys):
+    run_dir = tmp_path / "dup"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    mpath = run_dir / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    first = next(e for e in manifest["outputs"] if e["path"].startswith("t="))
+    manifest["outputs"].append(first)
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="more than once"):
+        read_trajectory(run_dir)
+    capsys.readouterr()
+    for command in (["symmetry", "--run", str(run_dir)], ["weakform", "--run", str(run_dir)]):
+        assert main(command) == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+
+
 @pytest.mark.parametrize(
     "error, kind",
     [
@@ -344,6 +408,17 @@ def test_sweep_tw_existence_table(tmp_path):
     rows = {ln.split(",")[1]: ln for ln in table[1:]}
     assert "error" in rows["0.5"]
     assert "smooth_solitary" in rows["1.2"]
+
+
+def test_sweep_tw_non_numeric_point_is_recorded_as_error(tmp_path):
+    cfg = tmp_path / "twbad.json"
+    cfg.write_text(json.dumps({"command": "tw", "base": {"speed": 1.2},
+                               "sweep": {"speed": ["abc", 1.2]}}))
+    sweep_dir = tmp_path / "twbad"
+    assert main(["sweep", "--config", str(cfg), "--out", str(sweep_dir)]) == 0
+    rows = (sweep_dir / "aggregate.csv").read_text().splitlines()[1:]
+    assert rows[0].startswith('point_0000,"abc",error,') and "numeric speed" in rows[0]
+    assert ",ok,smooth_solitary," in rows[1]
 
 
 def test_sweep_rejects_bad_config(tmp_path, capsys):
