@@ -238,6 +238,8 @@ def cmd_weakform(args) -> int:
         raise ConfigError(f"--n-bumps must be at least 1, got {args.n_bumps}")
     if args.run:
         traj, _ = read_trajectory(Path(args.run))
+        if len(traj.snapshots) < 4:
+            raise ConfigError("the unsteady residual needs a run with at least 4 snapshots")
         report = _unsteady_report(traj, args.seed, args.n_bumps)
         out = Path(args.out) if args.out else Path(args.run) / "residuals.json"
     else:

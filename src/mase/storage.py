@@ -145,19 +145,21 @@ def write_trajectory(
 
 
 def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
+    """Trajectory and manifest of a run directory; a malformed manifest raises ConfigError."""
     mpath = run_dir / "manifest.json"
     if not mpath.exists():
         raise ConfigError(f"no manifest.json in {run_dir}")
-    manifest = json.loads(mpath.read_text())
-    scenario = manifest["scenario"]
-    solver = scenario["solver"]
-    config = SolverConfig(**solver)
+    try:
+        manifest = json.loads(mpath.read_text())
+        config = SolverConfig(**manifest["scenario"]["solver"])
+        termination = Termination(manifest["termination"])
+        names = [entry["path"] for entry in manifest["outputs"]]
+        timed = [(name, float(name[2:-4])) for name in names
+                 if name.startswith("t=") and name.endswith(".csv")]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed run {run_dir}: {type(exc).__name__}: {exc}") from None
     snaps = []
-    for entry in manifest["outputs"]:
-        name = entry["path"]
-        if not name.startswith("t=") or not name.endswith(".csv"):
-            continue
-        t = float(name[2:-4])
+    for name, t in timed:
         cols = read_columns_csv(run_dir / name, require=("x", "u"))
         n = len(cols["x"])
         if n < 2:
@@ -169,8 +171,7 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
     for a, b in zip(snaps, snaps[1:]):
         if not a.time < b.time:
             raise ConfigError(f"run lists snapshot time {b.time:.6f} more than once")
-    traj = Trajectory(tuple(snaps), config, Termination(manifest["termination"]))
-    return traj, manifest
+    return Trajectory(tuple(snaps), config, termination), manifest
 
 
 def verify_manifest(run_dir: Path) -> bool:
@@ -204,18 +205,22 @@ def write_profile(prefix: Path, profile: TWProfile, extras: dict | None = None) 
 
 
 def read_profile(prefix: Path) -> TWProfile:
+    """Profile from ``prefix``.csv and its JSON sidecar; a missing or malformed one raises ConfigError."""
     cols = read_columns_csv(Path(str(prefix) + ".csv"), require=("xi", "U"))
-    sidecar = json.loads(Path(str(prefix) + ".json").read_text())
-    params = TWParams(
-        sidecar["speed"], sidecar["integration_constant"], sidecar["energy"]
-    )
-    return TWProfile(
-        params=params,
-        xi=cols["xi"],
-        values=cols["U"],
-        regularity=Regularity(sidecar["regularity"]),
-        period=sidecar.get("period"),
-    )
+    try:
+        sidecar = json.loads(Path(str(prefix) + ".json").read_text())
+        params = TWParams(
+            sidecar["speed"], sidecar["integration_constant"], sidecar["energy"]
+        )
+        return TWProfile(
+            params=params,
+            xi=cols["xi"],
+            values=cols["U"],
+            regularity=Regularity(sidecar["regularity"]),
+            period=sidecar.get("period"),
+        )
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read profile {prefix}: {type(exc).__name__}: {exc}") from None
 
 
 def symmetry_report_dict(report: SymmetryReport) -> dict:

@@ -19,9 +19,10 @@ even in V, so bounded orbits are symmetric about the U-axis and profiles are
 even about their extrema.  On a level set H = E the squared slope is
 W(U) = (E - 2G(U)) / D(U); simple roots of E - 2G are turning points, and the
 line D(U) = 0 is singular: orbits reaching it with finite limiting slope give
-peaked waves, with unbounded slope cusped ones.  Smooth solitary and periodic
-profiles are built by quadrature of dxi = dU / sqrt(W), with a square-root
-substitution absorbing the turning-point singularity.
+peaked waves, with unbounded slope cusped ones.  Every profile is built by
+quadrature of dxi = dU / sqrt(W) over half-orbits; one endpoint rule
+(_end_knots) absorbs the singularity of a turning-point or cusp end with a
+square-root substitution and tabulates any other end plainly in U.
 """
 
 from __future__ import annotations
@@ -449,58 +450,49 @@ def _deflate(poly: Polynomial, root: float) -> Polynomial:
     return Polynomial(out)
 
 
-def _segment_w(params: TWParams, u_from: float, u_to: float):
-    """Squared-slope evaluator for a segment, with singular contacts canceled.
+def _is_root(poly: Polynomial, u: float) -> bool:
+    """Whether |poly(u)| <= 1e-9 max(1, max |coef|)."""
+    return abs(poly(u)) <= 1e-9 * max(1.0, float(np.max(np.abs(poly.coef))))
 
-    When an endpoint sits on the singular line and the level passes through
-    it (a corner), the common factor of E - 2G and D = 14 (U - U_s) is
-    divided out, leaving the finite corner slope; a singular endpoint off the
-    level (a cusp) is rejected.
+
+def _slope_sq_parts(params: TWParams, ends) -> tuple[Polynomial, Polynomial]:
+    """Numerator E - 2G and denominator D of W for an orbit piece with these ends.
+
+    When an end sits on the singular line D = 14 (U - U_s) = 0 and the level
+    passes through it too (a corner), the common factor U - U_s is divided
+    out of both, leaving the finite corner slope.
     """
-    level = level_polynomial(params)
-    d_poly = uxx_coeff_poly(params)
+    num, den = level_polynomial(params), uxx_coeff_poly(params)
     u_s = singular_line(params)
-    scale = max(1.0, float(np.max(np.abs(level.coef))))
-    on_line = [
-        e for e in (u_from, u_to) if abs(e - u_s) <= 1e-10 * max(1.0, abs(u_s))
-    ]
-    if on_line:
-        if abs(level(u_s)) > 1e-9 * scale:
-            raise NonexistenceError(
-                "segment endpoint reaches the singular line off the level (cusp); "
-                "unbounded-slope segments are not composable"
-            )
-        num = _deflate(level, u_s)
-        d_lead = d_poly.coef[1]
-
-        def den_fn(u):
-            return np.full_like(np.asarray(u, dtype=np.float64), d_lead)
-
-        def w_fn(u):
-            return num(u) / d_lead
-
-        return w_fn, num, den_fn
-
-    def w_fn(u):
-        return level(u) / d_poly(u)
-
-    return w_fn, level, d_poly
+    if any(_is_root(den, e) for e in ends) and _is_root(num, u_s):
+        num, den = _deflate(num, u_s), _deflate(den, u_s)
+    return num, den
 
 
 def _end_knots(
-    num: Polynomial, den: Callable, end: float, inner: float, n_panels: int
+    num: Polynomial, den: Polynomial, end: float, inner: float, n_panels: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Knots (U, xi) from a simple root ``end`` of W = num/den toward ``inner``.
+    """Knots (U, xi) of dxi = dU / sqrt(W), W = num/den, from ``end`` toward ``inner``.
 
-    W(U) = (U - end) * reduced(U) / den(U), so the square-root singularity of
-    dxi = dU / sqrt(W) cancels under U = end + sign * s^2; xi is 0 at ``end``.
+    xi is 0 at ``end``.  At a turning point (root of num) W = (U - end) w, at
+    a cusp (root of den) W = w / (U - end); the factor is divided out, and
+    U = end + sign * s^2 leaves the finite integrand 2/sqrt(|w|) resp.
+    2 s^2/sqrt(|w|) in s.  Any other end (a regular point or a canceled
+    corner) is a plain panel table in U.
     """
+    if _is_root(num, end):
+        num, power = _deflate(num, end), 0.0
+    elif _is_root(den, end):
+        den, power = _deflate(den, end), 2.0
+    else:
+        u_knots = np.linspace(end, inner, n_panels + 1)
+        xi = _cumulative(lambda u: 1.0 / np.sqrt(np.abs(num(u) / den(u))), u_knots)
+        return u_knots, np.abs(xi)
     step = np.sign(inner - end)
-    reduced = _deflate(num, end)
 
     def integrand(s: np.ndarray) -> np.ndarray:
         u = end + step * s * s
-        return 2.0 / np.sqrt(np.abs(reduced(u) / den(u)))
+        return 2.0 * s**power / np.sqrt(np.abs(num(u) / den(u)))
 
     s_knots = np.linspace(0.0, np.sqrt(abs(inner - end)), n_panels + 1)
     return end + step * s_knots**2, _cumulative(integrand, s_knots)
@@ -514,50 +506,42 @@ def _segment_knots(
 ):
     """Quadrature table (xi, U, V) for a monotone orbit piece on one level.
 
-    Endpoints may be simple turning points (see _end_knots), singular
-    contacts with finite corner slope, or regular points.  xi starts at 0 at
-    ``u_from``.  Also returns the squared-slope evaluator used.
+    Each end is a simple turning point, a singular contact with finite corner
+    slope or a regular point (see _end_knots); a cusp is rejected.  xi starts
+    at 0 at ``u_from``.  Also returns the slope rule U -> V for elevations
+    running from ``u_from`` to ``u_to``: zero at a turning end.
     """
     if u_from == u_to:
         raise ValueError("segment endpoints must differ")
-    w_fn, w_num, w_den = _segment_w(params, u_from, u_to)
+    num, den = _slope_sq_parts(params, (u_from, u_to))
+    if _is_root(den, u_from) or _is_root(den, u_to):
+        raise NonexistenceError(
+            "segment endpoint reaches the singular line off the level (cusp); "
+            "unbounded-slope segments are not composable"
+        )
     direction = 1.0 if u_to > u_from else -1.0
+    turning = (_is_root(num, u_from), _is_root(num, u_to))
+
+    def slopes(u: np.ndarray) -> np.ndarray:
+        v = direction * np.sqrt(np.abs(num(u) / den(u)))
+        if turning[0]:
+            v[0] = 0.0
+        if turning[1]:
+            v[-1] = 0.0
+        return v
+
     mid = 0.5 * (u_from + u_to)
-    num_scale = max(1.0, float(np.max(np.abs(w_num.coef))))
-
-    def is_turning(e: float) -> bool:
-        return abs(w_num(e)) <= 1e-9 * num_scale
-
-    def knots_from_end(end: float, inner: float):
-        """Return (u_knots, xi cumulative from ``end`` toward ``inner``)."""
-        if is_turning(end):
-            return _end_knots(w_num, w_den, end, inner, n_panels)
-        u_knots = np.linspace(end, inner, n_panels + 1)
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            return 1.0 / np.sqrt(np.abs(w_fn(u)))
-
-        xi = np.abs(_cumulative(integrand, u_knots))
-        return u_knots, xi
-
-    u_a, xi_a = knots_from_end(u_from, mid)
-    u_b, xi_b = knots_from_end(u_to, mid)
+    u_a, xi_a = _end_knots(num, den, u_from, mid, n_panels)
+    u_b, xi_b = _end_knots(num, den, u_to, mid, n_panels)
 
     # assemble: xi measured from u_from; the b-side runs backwards
-    len_a = xi_a[-1]
-    len_b = xi_b[-1]
     u_knots = np.concatenate([u_a, u_b[::-1][1:]])
-    xi_knots = np.concatenate([xi_a, len_a + (len_b - xi_b[::-1][1:])])
-    w_vals = np.abs(w_fn(u_knots))
-    if is_turning(u_from):
-        w_vals[0] = 0.0
-    if is_turning(u_to):
-        w_vals[-1] = 0.0
-    v_knots = direction * np.sqrt(w_vals)
+    xi_knots = np.concatenate([xi_a, xi_a[-1] + (xi_b[-1] - xi_b[::-1][1:])])
+    v_knots = slopes(u_knots)
 
     # guard against duplicate xi from the double endpoint
     good = np.concatenate([[True], np.diff(xi_knots) > 1e-15])
-    return xi_knots[good], u_knots[good], v_knots[good], w_fn, is_turning
+    return xi_knots[good], u_knots[good], v_knots[good], slopes
 
 
 def _traversable(params: TWParams, lo: float, hi: float, n_probe: int) -> bool:
@@ -589,10 +573,11 @@ def solitary_profile(
     """Solitary wave of speed c by quadrature of the homoclinic level A = E = 0.
 
     The crest is the nearest simple root of -2G on the chosen branch
-    (``auto`` tries positive elevations first).  Square-root substitution at
-    the crest, exponential parametrization along the saddle tail, and an
-    analytic exponential continuation beyond the tabulated range.  The result
-    is even about xi = 0 and sampled uniformly over the window.
+    (``auto`` tries positive elevations first), or the singular line when it
+    comes first: a cusped wave, or a peaked one if the level passes through
+    it.  The head down to half the crest comes from _end_knots, the rest
+    from _solitary_from_head.  The result is even about xi = 0 and sampled
+    uniformly over the window.
     """
     params = TWParams(float(c), 0.0, 0.0)
     d0 = uxx_coeff_poly(params)(0.0)
@@ -620,69 +605,38 @@ def solitary_profile(
         return first_root, contact
 
     order = {"auto": [1.0, -1.0], "positive": [1.0], "negative": [-1.0]}[branch]
-    chosen = None
     for sign in order:
         first_root, contact = branch_outcome(sign)
         if contact is not None or first_root is not None:
-            chosen = (sign, first_root, contact)
             break
-    if chosen is None:
+    else:
         raise NonexistenceError(
             f"no admissible turning point on [{-bracket}, {bracket}] at speed {c}"
         )
-    sign, first_root, contact = chosen
 
     if contact is not None:
-        return _contact_solitary(params, contact, n_points, window)
-
-    u_max = _bisect(q, first_root - 1e-6, first_root + 1e-6) if q(first_root) != 0 else first_root
-    # verify the orbit stays clear of the singular line and W > 0 inside
-    probe = np.linspace(0.1 * u_max, 0.999 * u_max, 257)
-    w_probe = slope_squared(probe, params)
-    if np.any(w_probe <= 0):
-        raise NonexistenceError(
-            f"level is not traversable between 0 and {u_max:.6g} at speed {c}"
-        )
-    u_head, xi_head = _end_knots(level, uxx_coeff_poly(params), u_max, 0.5 * u_max, 320)
-    return _solitary_from_head(
-        params, u_max, xi_head, u_head, Regularity.SMOOTH_SOLITARY, n_points, window
-    )
-
-
-def _contact_solitary(
-    params: TWParams, u_contact: float, n_points: int, window: float | None
-) -> TWProfile:
-    """Solitary orbit reaching the singular line: peaked or cusped wave."""
-    p_level = level_polynomial(params)
-    scale = max(1.0, float(np.max(np.abs(p_level.coef))))
-    f_contact = force_poly(params)(u_contact)
-    if abs(p_level(u_contact)) <= 1e-9 * scale:
-        # level passes through the contact point: finite corner slope
-        if f_contact >= 0:
-            raise NonexistenceError(
-                "contact with the singular line admits no real corner slope"
-            )
-        regularity = Regularity.PEAKED
+        num, den = _slope_sq_parts(params, (contact,))
+        if _is_root(level, contact):  # the level passes through: a corner
+            if force_poly(params)(contact) >= 0:
+                raise NonexistenceError(
+                    "contact with the singular line admits no real corner slope"
+                )
+            regularity = Regularity.PEAKED
+        else:
+            regularity = Regularity.CUSPED
+        u_top = contact
+        u_head, xi_head = _end_knots(num, den, contact, 0.5 * contact, 800)
     else:
-        regularity = Regularity.CUSPED
-
-    sign = np.sign(u_contact)
-    u_mid = 0.5 * u_contact
-    d_poly = uxx_coeff_poly(params)
-
-    # contact half: U = u_contact - sign*s^2; the integrand stays integrable
-    # for both the peaked (W -> const) and cusped (W ~ 1/(U-Us)) contact
-    def contact_integrand(s: np.ndarray) -> np.ndarray:
-        u = u_contact - sign * s * s
-        w = np.abs(p_level(u) / d_poly(u))
-        return 2.0 * s / np.sqrt(w)
-
-    s_knots = np.linspace(0.0, np.sqrt(abs(u_contact - u_mid)), 801)[1:]
-    s_knots = np.concatenate([[1e-9], s_knots])
-    xi_head = _cumulative(contact_integrand, s_knots)
-    u_head = u_contact - sign * s_knots**2
+        u_top = (_bisect(q, first_root - 1e-6, first_root + 1e-6)
+                 if q(first_root) != 0 else first_root)
+        if not _traversable(params, *sorted((0.0, u_top)), 257):
+            raise NonexistenceError(
+                f"level is not traversable between 0 and {u_top:.6g} at speed {c}"
+            )
+        regularity = Regularity.SMOOTH_SOLITARY
+        u_head, xi_head = _end_knots(level, uxx_coeff_poly(params), u_top, 0.5 * u_top, 320)
     return _solitary_from_head(
-        params, u_contact, xi_head, u_head, regularity, n_points, window
+        params, u_top, xi_head, u_head, regularity, n_points, window
     )
 
 
@@ -791,7 +745,7 @@ def periodic_profile(
             "is not positive between the turning points"
         )
 
-    xi_k, u_k, v_k, _, _ = _segment_knots(params, u2, u1, n_panels=600)
+    xi_k, u_k, v_k, _ = _segment_knots(params, u2, u1, n_panels=600)
     half = _PiecewiseCubic(xi_k, u_k, v_k)
     half_len = float(xi_k[-1])
     period = 2.0 * half_len
@@ -832,23 +786,17 @@ def orbit_segment(
     Endpoints may be simple turning points or regular points with positive
     squared slope (for instance the singular-line contact of a peaked wave).
     """
-    xi_k, u_k, v_k, w_fn, is_turning = _segment_knots(params, u_from, u_to)
+    xi_k, u_k, v_k, slopes = _segment_knots(params, u_from, u_to)
     spline = _PiecewiseCubic(xi_k, u_k, v_k)
     xi = np.linspace(xi_k[0], xi_k[-1], n_samples)
     values = spline(xi)
-    direction = 1.0 if u_to > u_from else -1.0
-    slopes = direction * np.sqrt(np.abs(w_fn(values)))
-    if is_turning(u_from):
-        slopes[0] = 0.0
-    if is_turning(u_to):
-        slopes[-1] = 0.0
     return TWProfile(
         params=params,
         xi=xi,
         values=values,
         regularity=Regularity.COMPOSITE,
         period=None,
-        slopes=slopes,
+        slopes=slopes(values),
         evaluator=spline,
     )
 

@@ -260,6 +260,60 @@ def test_read_trajectory_rejects_repeated_snapshot_times(tmp_path, scenario_file
         assert capsys.readouterr().err.startswith("error: config:")
 
 
+def _drop_termination(m):
+    del m["termination"]
+
+
+def _negative_cfl(m):
+    m["scenario"]["solver"]["cfl"] = -1
+
+
+def _unknown_termination(m):
+    m["termination"] = "exploded"
+
+
+@pytest.mark.parametrize("damage", [_drop_termination, "{not json", _negative_cfl,
+                                    _unknown_termination])
+def test_malformed_manifest_is_a_config_error(tmp_path, scenario_file, capsys, damage):
+    run_dir = tmp_path / "bad_manifest"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    mpath = run_dir / "manifest.json"
+    if isinstance(damage, str):
+        mpath.write_text(damage)
+    else:
+        manifest = json.loads(mpath.read_text())
+        damage(manifest)
+        mpath.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="malformed run"):
+        read_trajectory(run_dir)
+    capsys.readouterr()
+    for command in (["symmetry", "--run", str(run_dir)], ["weakform", "--run", str(run_dir)]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: malformed run") and "\n" not in err.strip()
+
+
+def test_cli_weakform_short_run_exits_2(tmp_path, scenario_file, capsys):
+    run_dir = tmp_path / "short"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir),
+                 "--set", "solver.t_end=0.5", "--set", "solver.snapshot_interval=0.25"]) == 0
+    assert len(read_trajectory(run_dir)[0].snapshots) == 3
+    assert not (run_dir / "residuals.json").exists()
+    capsys.readouterr()
+    assert main(["weakform", "--run", str(run_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: config: the unsteady residual needs")
+
+
+def test_cli_weakform_missing_profile_sidecar_exits_2(tmp_path, solitary_c12, capsys):
+    prefix = tmp_path / "profile_c=1.2"
+    write_profile(prefix, solitary_c12)
+    Path(str(prefix) + ".json").unlink()
+    with pytest.raises(ConfigError, match="cannot read profile"):
+        read_profile(prefix)
+    assert main(["weakform", "--profile", str(prefix)]) == 2
+    assert capsys.readouterr().err.startswith("error: config: cannot read profile")
+
+
 @pytest.mark.parametrize(
     "error, kind",
     [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from mase.errors import (
     CompositionError,
@@ -219,6 +220,25 @@ def test_solitary_positive_branch_cusps_at_singular_line(solitary_c12):
             assert 0.5e-7 <= abs(edge) / prof.amplitude <= 2e-7
 
 
+@pytest.mark.parametrize("c,branch", [(-3.0, "positive"), (1.5, "negative")])
+def test_cusp_head_length_matches_adaptive_quadrature(c, branch):
+    # dxi = dU / sqrt(W) from the cusp U_s down to U_s/2; with U = U_s -+ s^2
+    # and D = 14 (U - U_s) the integrand is 2 s^2 sqrt(14/|E - 2G|)
+    prof = solitary_profile(c, branch=branch)
+    assert prof.regularity is Regularity.CUSPED
+    u_s = singular_line(prof.params)
+    level = level_polynomial(prof.params)
+
+    def integrand(s):
+        return 2.0 * s * s * np.sqrt(14.0 / abs(level(u_s - np.sign(u_s) * s * s)))
+
+    head, err = quad(integrand, 0.0, np.sqrt(0.5 * abs(u_s)), epsabs=1e-14, epsrel=1e-14)
+    assert err < 1e-13 * head
+    xi_half = brentq(lambda x: prof.evaluator(np.array([x]))[0] - 0.5 * u_s,
+                     0.0, prof.xi[-1], xtol=1e-15, rtol=1e-15)
+    assert xi_half == pytest.approx(head, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # periodic profile
 
@@ -329,6 +349,16 @@ def test_peaked_even_about_corner(peaked):
 def test_peaked_needs_real_corner_slope():
     with pytest.raises(NonexistenceError):
         peaked_composite(-3.0, 0.0)  # F(U_s) > 0 at A = 0
+
+
+def test_orbit_segment_to_a_cusp_is_rejected():
+    # at A = E = 0 and c = -3 the level misses the singular line: a cusp
+    params = TWParams(-3.0)
+    u_s = singular_line(params)
+    assert abs(level_polynomial(params)(u_s)) > 1e-3
+    for ends in ((0.5 * u_s, u_s), (u_s, 0.5 * u_s)):
+        with pytest.raises(NonexistenceError, match="cusp"):
+            orbit_segment(params, *ends)
 
 
 def test_unchecked_concatenation_allows_mismatch(periodic):
