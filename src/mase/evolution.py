@@ -1,20 +1,21 @@
 """Time integration of the nonlocal evolution form.
 
-Classical RK4 with an adaptive CFL-limited step, snapshot capture at a fixed
-cadence, and onset detection for wave breaking (slope blow-up with bounded
-amplitude).
+Classical RK4 on the Fourier spectrum of u with an adaptive CFL-limited step,
+snapshot capture at a fixed cadence, and onset detection for wave breaking
+(slope blow-up with bounded amplitude).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
 from .errors import BlowUpError
 from .grid import Field, Grid, State
-from .operators import FLUX, REACTION, _rhs_values, _spectral_tables
+from .operators import FLUX, REACTION, _rhs_spectrum, _rhs_tables, _spectral_tables
 
 __all__ = [
     "SolverConfig",
@@ -51,7 +52,11 @@ class SolverConfig:
     breaking_slope_threshold: float = 1e3
 
     def __post_init__(self):
-        if self.t_end <= 0 or not np.isfinite(self.t_end):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, Real) or isinstance(value, bool) or not np.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if self.t_end <= 0:
             raise ValueError(f"t_end must be positive, got {self.t_end!r}")
         if not 0 < self.dt_min < self.dt_max:
             raise ValueError("need 0 < dt_min < dt_max")
@@ -94,14 +99,15 @@ def _max_slope(values: np.ndarray, grid: Grid) -> float:
     return float(np.max(np.abs(ux)))
 
 
-def _rk4(values: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
+def _rk4(uh: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
+    """One classical RK4 step of the spectrum uh = rfft(u)."""
     # overflow in a stage is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _rhs_values(values, grid)
-        k2 = _rhs_values(values + 0.5 * dt * k1, grid)
-        k3 = _rhs_values(values + 0.5 * dt * k2, grid)
-        k4 = _rhs_values(values + dt * k3, grid)
-        out = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = _rhs_spectrum(uh, grid)
+        k2 = _rhs_spectrum(uh + 0.5 * dt * k1, grid)
+        k3 = _rhs_spectrum(uh + 0.5 * dt * k2, grid)
+        k4 = _rhs_spectrum(uh + dt * k3, grid)
+        out = uh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(f"non-finite stage values at step of size {dt:.3e}")
     return out
@@ -111,7 +117,9 @@ def step(s: State, dt: float) -> State:
     """One classical RK4 step of the nonlocal evolution form."""
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError(f"dt must be a positive real, got {dt!r}")
-    return State(s.time + dt, s.u.with_values(_rk4(s.u.values, s.u.grid, dt)))
+    grid = s.u.grid
+    uh = _rk4(np.fft.rfft(s.u.values), grid, dt)
+    return State(s.time + dt, s.u.with_values(np.fft.irfft(uh, grid.n_points)))
 
 
 def _cfl_dt(values: np.ndarray, grid: Grid, config: SolverConfig) -> float:
@@ -129,7 +137,9 @@ def evolve(initial: State, config: SolverConfig) -> Trajectory:
     is appended as a final snapshot.
     """
     grid = initial.u.grid
-    values = initial.u.values.copy()
+    value_slope = _rhs_tables(grid.n_points, grid.length)["value_slope"]
+    values = initial.u.values
+    uh = np.fft.rfft(values)
     t = initial.time
     snapshots = [initial]
     n_snaps = int(round((config.t_end - initial.time) / config.snapshot_interval))
@@ -147,9 +157,11 @@ def evolve(initial: State, config: SolverConfig) -> Trajectory:
                 stopped = True
                 break
             dt = min(dt_cfl, t_target - t)
-            values = _rk4(values, grid, dt)
+            uh = _rk4(uh, grid, dt)
             t += dt
-            if _max_slope(values, grid) >= config.breaking_slope_threshold:
+            # values for the next CFL step and the snapshot, slope for breaking
+            values, ux = np.fft.irfft(value_slope * uh, grid.n_points)
+            if float(np.max(np.abs(ux))) >= config.breaking_slope_threshold:
                 termination = Termination.BREAKING_DETECTED
                 stopped = True
                 break

@@ -63,6 +63,30 @@ def _spectral_tables(n_points: int, length: float):
     return tables
 
 
+@lru_cache(maxsize=16)
+def _rhs_tables(n_points: int, length: float):
+    """Multipliers of the spectral right-hand side for a grid size.
+
+    Kept apart from _spectral_tables, which the weak forms fill with many
+    grid lengths, so that only evolved grids pay for these.  Read-only.
+    """
+    t = _spectral_tables(n_points, length)
+    d1, helm = t["d1"], t["helmholtz"]
+    band = int(t["keep"].sum())
+    tables = {
+        # rows 1 and d1: one irfft of (this * uh) gives u and u_x together
+        "value_slope": np.stack((np.ones_like(d1), d1)),
+        # the right-hand side as multipliers of uh, of the kept band of the
+        # u^2 spectrum and of the rest of the nonlinearity (see _rhs_spectrum)
+        "lin": d1 * (FLUX[1] - REACTION[1] * helm),
+        "quad": (d1 * (FLUX[2] - REACTION[2] * helm))[:band],
+        "rest": (-d1 * helm)[:band],
+    }
+    for arr in tables.values():
+        arr.setflags(write=False)
+    return tables
+
+
 def _truncate(spec: np.ndarray, keep: np.ndarray) -> np.ndarray:
     out = spec.copy()
     out[~keep] = 0.0
@@ -75,12 +99,13 @@ def _product_spectrum(a: np.ndarray, b: np.ndarray, keep: np.ndarray) -> np.ndar
 
 
 def _nonlinear_spectra(values: np.ndarray, grid: Grid) -> dict:
-    """Shared assembly of the dealiased powers entering R(u) and the flux.
+    """Dealiased powers entering R(u), one truncated product each.
 
     Returns the full spectrum ``uh`` plus band-truncated spectra of u^2, u^3,
     u^4 and u_x^2, and the physical-space truncated factors used to build
-    them.  Both the nonlocal right-hand side and the local-form residual draw
-    from this one composition so their algebraic equivalence is structural.
+    them.  reaction_term and local_form_residual draw from it; the evolution
+    right-hand side (_rhs_spectrum) fuses the same products into fewer
+    transforms, so the local-form oracle checks it from separate code.
     """
     t = _spectral_tables(grid.n_points, grid.length)
     n = grid.n_points
@@ -194,12 +219,33 @@ def kernel_convolve(f: Field) -> Field:
     return f.with_values(quad + corr)
 
 
+def _rhs_spectrum(uh: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spectrum of the evolution right-hand side from the spectrum of u.
+
+    Five transforms in four calls: one stacked irfft of the kept band of u
+    and u_x, the rfft of u^2 and its irfft, and one rfft of the remaining
+    nonlinearity u^2 (r3 u + r4 u^2) + SLOPE_SQ u_x^2.  Each of its three
+    terms is a product of two kept-band factors, so the sum is alias-free in
+    the kept band, which is all that is kept of it.
+    """
+    t = _rhs_tables(grid.n_points, grid.length)
+    n = grid.n_points
+    quad, rest = t["quad"], t["rest"]
+    band = len(quad)
+    ubh = uh[:band]
+    ub, ubx = np.fft.irfft(t["value_slope"][:, :band] * ubh, n)
+    u2h = np.fft.rfft(ub * ub)[:band]
+    u2 = np.fft.irfft(u2h, n)
+    _, _, _, r3, r4 = REACTION
+    nlh = np.fft.rfft(u2 * (r3 * ub + r4 * u2) + SLOPE_SQ * (ubx * ubx))[:band]
+    out = t["lin"] * uh
+    out[:band] += quad * u2h + rest * nlh
+    return out
+
+
 def _rhs_values(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Array-level evolution right-hand side for the integrator hot path."""
-    parts = _nonlinear_spectra(values, grid)
-    t = parts["tables"]
-    flux = FLUX[1] * parts["uh"] + FLUX[2] * parts["u2h"] - t["helmholtz"] * _reaction_spectrum(parts)
-    return np.fft.irfft(t["d1"] * flux, grid.n_points)
+    """Evolution right-hand side at the grid points."""
+    return np.fft.irfft(_rhs_spectrum(np.fft.rfft(values), grid), grid.n_points)
 
 
 def evolution_rhs(s: State) -> Field:

@@ -161,12 +161,12 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
     snaps = []
     for name, t in timed:
         cols = read_columns_csv(run_dir / name, require=("x", "u"))
-        n = len(cols["x"])
-        if n < 2:
-            raise ConfigError(f"snapshot {name} too short")
-        length = float(cols["x"][-1] + (cols["x"][1] - cols["x"][0]))
-        grid = Grid(n, length)
-        snaps.append(State(t, Field(grid, cols["u"])))
+        x = cols["x"]
+        try:
+            grid = Grid(len(x), float(x[-1] + (x[1] - x[0])))
+            snaps.append(State(t, Field(grid, cols["u"])))
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"snapshot {name} is not a periodic grid sample: {exc}") from None
     snaps.sort(key=lambda s: s.time)
     for a, b in zip(snaps, snaps[1:]):
         if not a.time < b.time:

@@ -725,7 +725,8 @@ def periodic_profile(
 
     With ``pair`` unset, the first adjacent root pair with positive squared
     slope in between and a sign-definite U'' coefficient is used.  The crest
-    sits at xi = 0 and the sampled window covers one period.
+    sits at xi = 0 and the sampled window covers one period.  A turning point
+    on the singular line is a corner, so no smooth periodic wave exists there.
     """
     if pair is None:
         tangent = level_tangencies(params, bracket)
@@ -739,6 +740,13 @@ def periodic_profile(
                 "no adjacent turning-point pair bounds a periodic orbit at this level"
             )
     u1, u2 = sorted(pair)
+    for end in (u1, u2):
+        if _is_root(uxx_coeff_poly(params), end):
+            raise NonexistenceError(
+                f"turning point U = {end:.12g} lies on the singular line U_s = "
+                f"{singular_line(params) + 0.0:.12g}: the orbit has a corner there "
+                "(a peaked wave), not a smooth periodic one"
+            )
     if not _traversable(params, u1, u2, 513):
         raise NonexistenceError(
             "the singular line crosses the requested orbit or the squared slope "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mase import evolution
 from mase.errors import BlowUpError
 from mase.evolution import (
     SolverConfig,
@@ -72,10 +73,10 @@ def test_global_order_four():
     u0 = gaussian(grid, 0.2, 3.0).values
 
     def run(dt, T=2.0):
-        v = u0.copy()
+        vh = np.fft.rfft(u0)
         for _ in range(int(round(T / dt))):
-            v = _rk4(v, grid, dt)
-        return v
+            vh = _rk4(vh, grid, dt)
+        return np.fft.irfft(vh, grid.n_points)
 
     ref = run(2.0 / 1600)
     errs = [np.max(np.abs(run(dt) - ref)) for dt in (0.05, 0.025, 0.0125)]
@@ -185,3 +186,25 @@ def test_breaking_run_detected(breaking_trajectory):
     sups = [v for _, v in rep.sup_norm_history]
     i_detect = [t for t, _ in rep.max_slope_history].index(rep.t_detect)
     assert sups[i_detect] <= 2.0 * sups[0]
+
+
+def test_evolve_breaking_check_trips_where_max_slope_does(monkeypatch):
+    # evolve reads the slope off its own transform of the spectral state; it
+    # must stop at the first step whose state _max_slope puts over threshold
+    grid = Grid(256, 300.0)
+    u0 = Field(grid, 0.25 * np.sin(2 * np.pi * grid.points / grid.length))
+    threshold = 3.0 * _max_slope(u0.values, grid)
+    spectra = []
+
+    def recording(uh, grid, dt):
+        spectra.append(_rk4(uh, grid, dt))
+        return spectra[-1]
+
+    monkeypatch.setattr(evolution, "_rk4", recording)
+    cfg = SolverConfig(t_end=60.0, snapshot_interval=5.0, breaking_slope_threshold=threshold)
+    traj = evolve(State(0.0, u0), cfg)
+    assert traj.termination is Termination.BREAKING_DETECTED
+    states = [np.fft.irfft(uh, grid.n_points) for uh in spectra]
+    slopes = [_max_slope(v, grid) for v in states]
+    assert max(slopes[:-1]) < threshold <= slopes[-1]
+    assert np.array_equal(traj.snapshots[-1].u.values, states[-1])

@@ -4,6 +4,8 @@ import pytest
 from mase.errors import DerivativeOrderError, GridMismatchError, NonFiniteFieldError
 from mase.grid import Field, Grid, State, constant_field, zero_field
 from mase.operators import (
+    _nonlinear_spectra,
+    _rhs_values,
     evolution_rhs,
     helmholtz_inverse,
     kernel_convolve,
@@ -181,3 +183,44 @@ def test_local_residual_vanishes_on_rhs(rng):
     u = random_band_limited(grid, rng, amplitude=0.1)
     ut = evolution_rhs(State(0.0, u))
     assert local_form_residual(u, ut).sup_norm() < 1e-6
+
+
+def test_rhs_matches_unfused_composition(rng):
+    # d/dx (u + 7 u^2) - d/dx H R(u) from the public operators, one dealiased
+    # product per power, against the fused five-transform right-hand side
+    for n in (64, 256, 1024):
+        grid = Grid(n, 40.0)
+        u = random_band_limited(grid, rng, amplitude=0.3)
+        u2 = np.fft.irfft(_nonlinear_spectra(u.values, grid)["u2h"], n)
+        flux = u.with_values(u.values + 7.0 * u2 - helmholtz_inverse(reaction_term(u)).values)
+        ref = spectral_derivative(flux, 1).values
+        assert np.max(np.abs(_rhs_values(u.values, grid) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_rhs_equivariance_and_zero_mean():
+    # exact in exact arithmetic for any real data: every product is alias-free
+    # in the kept band, so shifts and reflections commute with the dealiasing
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        n=st.sampled_from([64, 256, 1024]),
+        seed=st.integers(0, 2**32 - 1),
+        amplitude=st.floats(0.01, 1.0),
+        shift=st.integers(-2048, 2048),
+    )
+    def check(n, seed, amplitude, shift):
+        grid = Grid(n, 40.0)
+        # modes up to n/8: the quartic term reaches past the kept band n/3
+        v = random_band_limited(grid, np.random.default_rng(seed), amplitude).values
+        rhs = _rhs_values(v, grid)
+        scale = np.max(np.abs(rhs))
+        shifted = _rhs_values(np.roll(v, shift), grid)
+        assert np.max(np.abs(shifted - np.roll(rhs, shift))) <= 1e-13 * scale
+        mirror = np.roll(v[::-1], 1)  # u(-x) on the grid
+        reflected = _rhs_values(mirror, grid)
+        assert np.max(np.abs(reflected + np.roll(rhs[::-1], 1))) <= 1e-13 * scale
+        assert abs(np.mean(rhs)) <= 1e-13 * scale
+
+    check()

@@ -147,6 +147,17 @@ def test_cli_tw_nonexistence_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: nonexistence:")
 
 
+def test_cli_tw_periodic_corner_exits_3(tmp_path, capsys):
+    # c = -1 puts the singular line at U = 0, which is also a turning point
+    argv = ["tw", "--speed", "-1", "-A", "-0.05", "-E", "0", "--wave", "periodic",
+            "--out", str(tmp_path / "tw")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: nonexistence: turning point U = 0 lies on the singular line")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "tw").exists()
+
+
 def test_cli_symmetry_constant_run_exits_4(tmp_path, capsys):
     doc = {
         "grid": {"n_points": 64, "length": 20.0},
@@ -258,6 +269,34 @@ def test_read_trajectory_rejects_repeated_snapshot_times(tmp_path, scenario_file
     for command in (["symmetry", "--run", str(run_dir)], ["weakform", "--run", str(run_dir)]):
         assert main(command) == 2
         assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize("setting", ["solver.cfl=NaN", "solver.breaking_slope_threshold=NaN",
+                                     "solver.t_end=nan", "solver.dt_max=Infinity",
+                                     "solver.dt_min=-Infinity", "solver.snapshot_interval=null"])
+def test_cli_non_finite_solver_setting_exits_2(tmp_path, scenario_file, capsys, setting):
+    run_dir = tmp_path / "run"
+    argv = ["simulate", "--config", str(scenario_file), "--out", str(run_dir), "--set", setting]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    name = setting.split("=")[0].split(".")[1]
+    assert err.startswith(f"error: config: invalid scenario: {name} must be a finite number")
+    assert len(err.splitlines()) == 1
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("rows", [5, 1, 0])
+def test_truncated_snapshot_is_a_config_error(tmp_path, scenario_file, capsys, rows):
+    run_dir = tmp_path / "cut"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    snap = sorted(run_dir.glob("t=*.csv"))[1]
+    snap.write_text("".join(snap.read_text().splitlines(keepends=True)[:rows + 1]))
+    capsys.readouterr()
+    with pytest.raises(ConfigError, match=f"snapshot {snap.name} is not a periodic grid sample"):
+        read_trajectory(run_dir)
+    assert main(["symmetry", "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: snapshot") and len(err.splitlines()) == 1
 
 
 def _drop_termination(m):
