@@ -176,10 +176,9 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
                          (width_lo, max(width_lo * 1.01, width_hi)))
     report = steady_residual_report(profile, bumps)
 
-    tangencies = level_tangencies(params)
     extras = {
-        "turning_points": turning_points(params, tangencies=tangencies),
-        "tangencies": tangencies,
+        "turning_points": turning_points(params),
+        "tangencies": level_tangencies(params),
         "singular_line": singular_line(params),
         "max_steady_residual": report.max_residual(),
     }
@@ -355,16 +354,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=False):
-        p.add_argument("--config", required=needs_config, help="scenario JSON file")
+    def common(p, seed=True, scenario=False, workers=False):
+        """The shared flags a subcommand reads, and no others."""
         p.add_argument("--out", default=None, help="output directory (default under MASE_OUT_ROOT)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized test-function families")
-        p.add_argument("--workers", type=int, default=1, help="worker count for sweeps")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config entry (repeatable; flags win)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for randomized test-function families")
+        if scenario:
+            p.add_argument("--config", required=True, help="scenario (or sweep) JSON file")
+            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                           help="override a config entry (repeatable; flags win)")
+        if workers:
+            p.add_argument("--workers", type=int, default=1, help="worker processes for the sweep")
 
     p = sub.add_parser("simulate", help="evolve a scenario and write a run directory")
-    common(p, needs_config=True)
+    common(p, scenario=True)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("tw", help="construct a traveling-wave profile")
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tw)
 
     p = sub.add_parser("symmetry", help="axis tracking and theorem verdict for a run")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--run", required=True, help="run directory from simulate")
     p.add_argument("--symmetry-tol", type=float, default=1e-6)
     p.add_argument("--travel-tol", type=float, default=1e-3)
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_weakform)
 
     p = sub.add_parser("sweep", help="run a parameter sweep of simulate or tw")
-    common(p, needs_config=True)
+    common(p, scenario=True, workers=True)
     p.set_defaults(fn=cmd_sweep)
 
     return parser

@@ -33,6 +33,7 @@ class Termination(str, Enum):
     COMPLETED = "completed"
     BREAKING_DETECTED = "breaking_detected"
     DT_UNDERFLOW = "dt_underflow"
+    BLOW_UP = "blow_up"
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class SolverConfig:
     """Time-stepping controls.
 
     dt follows min(dt_max, cfl * h / (1 + max|1 + 14u|)); the run stops early
-    when max|u_x| crosses breaking_slope_threshold or the step would fall
-    below dt_min.
+    when max|u_x| crosses breaking_slope_threshold, the step would fall
+    below dt_min or a step produces non-finite values.
     """
 
     t_end: float
@@ -133,8 +134,9 @@ def evolve(initial: State, config: SolverConfig) -> Trajectory:
 
     Snapshot times are hit exactly (the last step into a snapshot is
     shortened).  Stops early with the matching termination code when the
-    breaking threshold or the dt floor is reached; the state at the stop time
-    is appended as a final snapshot.
+    breaking threshold or the dt floor is reached, or when a step blows up
+    (BLOW_UP); the state at the stop time, the last finite one, is appended
+    as a final snapshot.
     """
     grid = initial.u.grid
     value_slope = _rhs_tables(grid.n_points, grid.length)["value_slope"]
@@ -157,7 +159,12 @@ def evolve(initial: State, config: SolverConfig) -> Trajectory:
                 stopped = True
                 break
             dt = min(dt_cfl, t_target - t)
-            uh = _rk4(uh, grid, dt)
+            try:
+                uh = _rk4(uh, grid, dt)
+            except BlowUpError:
+                termination = Termination.BLOW_UP
+                stopped = True
+                break
             t += dt
             # values for the next CFL step and the snapshot, slope for breaking
             values, ux = np.fft.irfft(value_slope * uh, grid.n_points)

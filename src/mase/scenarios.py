@@ -100,6 +100,12 @@ def _periodic_gaussian(grid: Grid, amplitude: float, center: float, width: float
     return amplitude * np.exp(-(d * d) / (2.0 * width * width))
 
 
+def _require_finite(**settings: float) -> None:
+    for key, value in settings.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"initial.{key} must be a finite number, got {value}")
+
+
 def build_initial_field(scenario: Scenario) -> Field:
     grid = scenario.grid
     ic = scenario.initial
@@ -113,6 +119,7 @@ def build_initial_field(scenario: Scenario) -> Field:
             center = float(ic.get("center", grid.length / 2))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"gaussian initial condition needs amplitude and width: {exc}")
+        _require_finite(amplitude=amplitude, width=width, center=center)
         if not 0 < width < grid.length:
             raise ConfigError(f"gaussian width {width} must lie in (0, length)")
         if not 0 <= center <= grid.length:
@@ -122,8 +129,9 @@ def build_initial_field(scenario: Scenario) -> Field:
         try:
             amplitude = float(ic["amplitude"])
             m = int(ic["wavenumber"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"mode initial condition needs amplitude and wavenumber: {exc}")
+        _require_finite(amplitude=amplitude)
         if not 1 <= m < grid.n_points // 3:
             raise ConfigError(f"wavenumber {m} outside the resolved band [1, {grid.n_points // 3})")
         k = 2.0 * np.pi * m / grid.length
@@ -131,10 +139,13 @@ def build_initial_field(scenario: Scenario) -> Field:
     if kind == "tw_profile":
         try:
             speed = float(ic["speed"])
+            center = float(ic.get("center", grid.length / 2))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"tw_profile initial condition needs a speed: {exc}")
-        profile = solitary_profile(speed)
-        return profile_to_field(profile, grid, center=float(ic.get("center", grid.length / 2)))
+            raise ConfigError(
+                f"tw_profile initial condition needs a numeric speed and center: {exc}"
+            )
+        _require_finite(speed=speed, center=center)
+        return profile_to_field(solitary_profile(speed), grid, center=center)
     if kind == "file":
         from .storage import read_columns_csv
 

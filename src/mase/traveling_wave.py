@@ -74,6 +74,7 @@ __all__ = [
 
 SINGULAR_GUARD = 1e-12
 PARAM_MATCH_TOL = 1e-10
+ROOT_BOUND = 10.0  # every root search covers [-ROOT_BOUND, ROOT_BOUND]
 # (U')^2 coefficient of the profile equation: d^2 [FLUX[2] U^2] carries
 # 2 FLUX[2] U'^2 beside its U U'' part (which joins D), and R adds SLOPE_SQ U'^2
 _SLOPE_SQ_COEFF = 2.0 * FLUX[2] + SLOPE_SQ
@@ -221,76 +222,51 @@ def slope_squared(u, params: TWParams):
     return level_polynomial(params)(u) / uxx_coeff_poly(params)(u)
 
 
-def _bisect(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
-    fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError("bisection bracket does not change sign")
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+def _real_roots(poly: Polynomial) -> list[float]:
+    """Real roots of poly in [-ROOT_BOUND, ROOT_BOUND], increasing, closer ones merged.
+
+    The roots are the eigenvalues of the companion matrix (Polynomial.roots)
+    with a small imaginary part, polished by two Newton steps kept only where
+    they shrink |poly| (so an exact zero stays exact and a double root is not
+    thrown off).  Roots within 1e-9 of each other count once.
+    """
+    z = poly.roots()
+    x = z.real[np.abs(z.imag) <= 1e-7 * np.maximum(1.0, np.abs(z))]
+    dpoly, p = poly.deriv(), poly(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a wild step is refused
+        for _ in range(2):
+            dp = dpoly(x)
+            step = x - np.divide(p, dp, out=np.zeros_like(x), where=dp != 0.0)
+            p_step = poly(step)
+            shrinks = np.abs(p_step) < np.abs(p)
+            x, p = np.where(shrinks, step, x), np.where(shrinks, p_step, p)
+    roots: list[float] = []
+    for r in np.sort(x[np.abs(x) <= ROOT_BOUND]).tolist():
+        if not roots or r - roots[-1] > 1e-9:
+            roots.append(r)
+    return roots
 
 
-def _scan_roots(poly: Polynomial, bracket: tuple[float, float], n_scan: int = 8001) -> list[float]:
-    lo, hi = bracket
-    grid = np.linspace(lo, hi, n_scan)
-    vals = poly(grid)
-    roots = grid[vals == 0.0].tolist()
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    for i in sign_change:
-        roots.append(_bisect(poly, float(grid[i]), float(grid[i + 1])))
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-    return deduped
-
-
-def level_tangencies(params: TWParams, bracket: tuple[float, float] = (-10.0, 10.0)) -> list[float]:
+def level_tangencies(params: TWParams) -> list[float]:
     """Elevations where the level just touches E - 2G = 0 (even-order roots).
 
-    These are equilibria (F = 0) whose potential level equals E; a sign scan
-    cannot see them, so they are isolated from the roots of F.
+    These are the equilibria (roots of F) whose potential level equals E.
     """
     p = level_polynomial(params)
     scale = max(1.0, abs(params.energy))
-    out = []
-    for r in _scan_roots(force_poly(params), bracket):
-        if abs(p(r)) <= 1e-10 * scale:
-            out.append(r)
-    return out
+    return [r for r in _real_roots(force_poly(params)) if abs(p(r)) <= 1e-10 * scale]
 
 
-def turning_points(
-    params: TWParams,
-    bracket: tuple[float, float] = (-10.0, 10.0),
-    tangencies: list[float] | None = None,
-) -> list[float]:
-    """All real roots of E - 2G(U) on the bracket, in increasing order.
+def turning_points(params: TWParams) -> list[float]:
+    """All real roots of E - 2G(U) in [-ROOT_BOUND, ROOT_BOUND], increasing.
 
-    Sign-change bisection to 1e-12 for simple roots; tangency (even-order)
-    roots are recovered from the equilibria of F and merged in.  A caller
-    that already holds ``level_tangencies(params, bracket)`` passes it as
-    ``tangencies`` to skip a second scan of F.
+    A tangency is reported once, exactly as level_tangencies gives it, in
+    place of the roots within 1e-6 of it (a double root splits in two).
     """
-    if tangencies is None:
-        tangencies = level_tangencies(params, bracket)
-    roots = _scan_roots(level_polynomial(params), bracket)
-    for r in tangencies:
-        if not any(abs(r - q) <= 1e-9 for q in roots):
-            roots.append(r)
-    return sorted(roots)
+    tangent = level_tangencies(params)
+    roots = [r for r in _real_roots(level_polynomial(params))
+             if all(abs(r - t) > 1e-6 for t in tangent)]
+    return sorted(roots + tangent)
 
 
 def integrate_orbit(
@@ -544,14 +520,15 @@ def _segment_knots(
     return xi_knots[good], u_knots[good], v_knots[good], slopes
 
 
-def _traversable(params: TWParams, lo: float, hi: float, n_probe: int) -> bool:
-    """Whether W > 0 and D keeps one sign at n_probe - 2 points inside (lo, hi)."""
-    probe = np.linspace(lo, hi, n_probe)[1:-1]
-    d_vals = uxx_coeff_poly(params)(probe)
-    return bool(
-        np.sign(d_vals.min()) == np.sign(d_vals.max())
-        and np.all(slope_squared(probe, params) > 0)
-    )
+def _traversable(params: TWParams, lo: float, hi: float, roots: Sequence[float]) -> bool:
+    """Whether W > 0 on (lo, hi), given every root of the level there.
+
+    W = (E - 2G)/D changes sign only at a root of the level or at U_s, so it
+    is positive throughout exactly when none lies strictly inside (more than
+    1e-9 from either end) and it is positive at the midpoint.
+    """
+    inside = [r for r in (*roots, singular_line(params)) if lo + 1e-9 < r < hi - 1e-9]
+    return not inside and bool(slope_squared(0.5 * (lo + hi), params) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +545,6 @@ def solitary_profile(
     n_points: int = 4096,
     window: float | None = None,
     branch: str = "auto",
-    bracket: float = 10.0,
 ) -> TWProfile:
     """Solitary wave of speed c by quadrature of the homoclinic level A = E = 0.
 
@@ -592,10 +568,10 @@ def solitary_profile(
     level = level_polynomial(params)
     q = Polynomial(level.coef[2:])
     u_singular = singular_line(params)
+    crests = _real_roots(q)
 
     def branch_outcome(sign: float):
-        roots = [r for r in _scan_roots(q, (0.0, bracket) if sign > 0 else (-bracket, 0.0))
-                 if r * sign > 1e-12]
+        roots = [r for r in crests if r * sign > 1e-12]
         first_root = min(roots, key=abs) if roots else None
         contact = None
         if sign * u_singular > 1e-12 and (
@@ -611,7 +587,7 @@ def solitary_profile(
             break
     else:
         raise NonexistenceError(
-            f"no admissible turning point on [{-bracket}, {bracket}] at speed {c}"
+            f"no admissible turning point on [{-ROOT_BOUND}, {ROOT_BOUND}] at speed {c}"
         )
 
     if contact is not None:
@@ -627,9 +603,8 @@ def solitary_profile(
         u_top = contact
         u_head, xi_head = _end_knots(num, den, contact, 0.5 * contact, 800)
     else:
-        u_top = (_bisect(q, first_root - 1e-6, first_root + 1e-6)
-                 if q(first_root) != 0 else first_root)
-        if not _traversable(params, *sorted((0.0, u_top)), 257):
+        u_top = first_root
+        if not _traversable(params, *sorted((0.0, u_top)), [0.0, u_top]):
             raise NonexistenceError(
                 f"level is not traversable between 0 and {u_top:.6g} at speed {c}"
             )
@@ -719,7 +694,6 @@ def periodic_profile(
     params: TWParams,
     pair: tuple[float, float] | None = None,
     n_points: int = 4096,
-    bracket: tuple[float, float] = (-10.0, 10.0),
 ) -> TWProfile:
     """Periodic wave between two adjacent simple turning points.
 
@@ -728,11 +702,11 @@ def periodic_profile(
     sits at xi = 0 and the sampled window covers one period.  A turning point
     on the singular line is a corner, so no smooth periodic wave exists there.
     """
+    roots = turning_points(params)
     if pair is None:
-        tangent = level_tangencies(params, bracket)
-        roots = turning_points(params, bracket, tangent)
+        tangent = level_tangencies(params)
         for u1, u2 in zip(roots, roots[1:]):
-            if u1 not in tangent and u2 not in tangent and _traversable(params, u1, u2, 129):
+            if u1 not in tangent and u2 not in tangent and _traversable(params, u1, u2, roots):
                 pair = (u1, u2)
                 break
         if pair is None:
@@ -747,7 +721,7 @@ def periodic_profile(
                 f"{singular_line(params) + 0.0:.12g}: the orbit has a corner there "
                 "(a peaked wave), not a smooth periodic one"
             )
-    if not _traversable(params, u1, u2, 513):
+    if not _traversable(params, u1, u2, roots):
         raise NonexistenceError(
             "the singular line crosses the requested orbit or the squared slope "
             "is not positive between the turning points"
@@ -961,7 +935,6 @@ def peaked_composite(
     speed: float,
     integration_constant: float,
     n_samples: int = 4097,
-    bracket: tuple[float, float] = (-10.0, 10.0),
 ) -> TWProfile:
     """Peaked periodic wave on the level through the singular line.
 
@@ -980,8 +953,9 @@ def peaked_composite(
     energy = float(2.0 * potential_poly(base)(u_s))
     params = TWParams(speed, integration_constant, energy)
 
-    roots = [r for r in turning_points(params, bracket) if abs(r - u_s) > 1e-8]
-    candidates = [r for r in roots if _traversable(params, *sorted((r, u_s)), 257)]
+    roots = turning_points(params)
+    candidates = [r for r in roots
+                  if abs(r - u_s) > 1e-8 and _traversable(params, *sorted((r, u_s)), roots)]
     if not candidates:
         raise NonexistenceError(
             "no turning point adjoins the singular contact on this level"

@@ -68,6 +68,25 @@ def test_step_signals_blowup(grid):
             s = step(s, 0.2)
 
 
+def test_evolve_ends_with_blow_up_and_the_last_finite_state(grid):
+    # steep data and a CFL number far beyond stability: evolve raises
+    # nothing, and the state before the failing step closes the trajectory
+    u = gaussian(grid, 1.0, 0.5)
+    cfg = SolverConfig(t_end=5.0, snapshot_interval=0.5, cfl=5.0, dt_max=0.2,
+                       breaking_slope_threshold=1e300)
+    traj = evolve(State(0.0, u), cfg)
+    assert traj.termination is Termination.BLOW_UP
+    last = traj.snapshots[-1]
+    assert 0.0 < last.time < cfg.t_end
+    assert np.all(np.isfinite(last.u.values))
+    # the step evolve takes next from there is the one that blows up
+    snap_times = cfg.snapshot_interval * np.arange(1, 11)
+    t_target = snap_times[snap_times > last.time + 1e-12][0]
+    dt = min(evolution._cfl_dt(last.u.values, grid, cfg), t_target - last.time)
+    with pytest.raises(BlowUpError):
+        step(last, dt)
+
+
 def test_global_order_four():
     grid = Grid(128, 40.0)
     u0 = gaussian(grid, 0.2, 3.0).values

@@ -285,6 +285,83 @@ def test_cli_non_finite_solver_setting_exits_2(tmp_path, scenario_file, capsys, 
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("settings", [
+    ["initial.amplitude=NaN"],
+    ["initial.amplitude=Infinity"],
+    ["initial.width=NaN"],
+    ["initial.center=-Infinity"],
+    ["initial.kind=mode", "initial.wavenumber=3", "initial.amplitude=NaN"],
+    ["initial.kind=tw_profile", "initial.speed=NaN"],
+    ["initial.kind=tw_profile", "initial.speed=1.2", "initial.center=NaN"],
+])
+def test_cli_non_finite_initial_setting_exits_2(tmp_path, scenario_file, capsys, settings):
+    run_dir = tmp_path / "run"
+    argv = ["simulate", "--config", str(scenario_file), "--out", str(run_dir)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    name = settings[-1].split("=")[0]
+    assert err.startswith(f"error: config: {name} must be a finite number")
+    assert len(err.splitlines()) == 1
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    ["initial.kind=mode", "initial.wavenumber=Infinity"],
+    ["initial.kind=tw_profile", "initial.speed=1.2", "initial.center=\"mid\""],
+])
+def test_cli_unparsable_initial_setting_exits_2(tmp_path, scenario_file, capsys, settings):
+    argv = ["simulate", "--config", str(scenario_file), "--out", str(tmp_path / "run")]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("tw", "--config"), ("tw", "--workers"), ("tw", "--set"),
+    ("symmetry", "--config"), ("symmetry", "--seed"), ("symmetry", "--workers"),
+    ("symmetry", "--set"),
+    ("weakform", "--config"), ("weakform", "--workers"), ("weakform", "--set"),
+    ("simulate", "--workers"),
+])
+def test_cli_rejects_flags_a_command_does_not_read(tmp_path, capsys, command, flag):
+    required = {
+        "tw": ["--speed", "1.2"],
+        "symmetry": ["--run", str(tmp_path)],
+        "weakform": [],
+        "simulate": ["--config", str(tmp_path / "s.json")],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main([command, *required, flag, "1", "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_blow_up_keeps_the_run(tmp_path, capsys):
+    # a CFL far beyond stability blows up within the first snapshot interval
+    doc = {
+        "grid": {"n_points": 256, "length": 40.0},
+        "initial": {"kind": "gaussian", "amplitude": 1.0, "width": 0.5},
+        "solver": {"t_end": 5.0, "snapshot_interval": 0.5, "cfl": 5,
+                   "dt_max": 0.2, "breaking_slope_threshold": 1e300},
+    }
+    cfg = tmp_path / "blow.json"
+    cfg.write_text(json.dumps(doc))
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    assert "termination: blow_up" in capsys.readouterr().out
+    traj, manifest = read_trajectory(run_dir)
+    assert manifest["termination"] == "blow_up"
+    assert traj.termination.value == "blow_up"
+    assert len(traj.snapshots) >= 2 and 0.0 < traj.times()[-1] < 0.5
+    assert all(np.all(np.isfinite(s.u.values)) for s in traj.snapshots)
+    assert verify_manifest(run_dir)
+
+
 @pytest.mark.parametrize("rows", [5, 1, 0])
 def test_truncated_snapshot_is_a_config_error(tmp_path, scenario_file, capsys, rows):
     run_dir = tmp_path / "cut"

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from mase.cli import main
 from mase.errors import (
     CompositionError,
     EnergyMismatchError,
@@ -36,7 +39,7 @@ from mase.traveling_wave import (
     solitary_profile,
     turning_points,
     uxx_coeff_poly,
-    _scan_roots,
+    _real_roots,
 )
 
 
@@ -45,7 +48,7 @@ SOLITARY = TWParams(1.2, 0.0, 0.0)
 
 def center_level_params(fraction=0.5):
     """Level between the center equilibrium and the homoclinic loop."""
-    uc = _scan_roots(force_poly(SOLITARY), (1e-3, 0.2))[0]
+    uc = [r for r in _real_roots(force_poly(SOLITARY)) if 1e-3 < r < 0.2][0]
     e_center = float(2.0 * potential_poly(SOLITARY)(uc))
     return TWParams(1.2, 0.0, fraction * e_center), uc
 
@@ -132,10 +135,9 @@ def test_turning_points_include_saddle_tangency():
     # A = 0, E = 0: the origin is an equilibrium sitting exactly on the level
     roots = turning_points(SOLITARY)
     assert any(abs(r) < 1e-9 for r in roots)
-    # F(0) = 0 exactly on a scan-grid point: the exact zero comes back as a float
+    # F(0) = 0 exactly: the exact zero comes back as a float
     tangencies = level_tangencies(SOLITARY)
     assert tangencies == [0.0] and type(tangencies[0]) is float
-    assert turning_points(SOLITARY, tangencies=tangencies) == roots
 
 
 def test_center_tangency_flagged():
@@ -283,6 +285,62 @@ def test_periodic_period_matches_adaptive_quadrature(periodic):
 def test_periodic_rejects_bad_level():
     with pytest.raises(NonexistenceError):
         periodic_profile(TWParams(1.2, 0.0, -1e6))
+
+
+def test_periodic_finds_the_root_next_to_an_exact_zero():
+    # E = 0 puts a root at exactly U = 0; the simple root 1.6e-3 below it
+    # is the crest (an 8001-point sign scan stepped over it)
+    params = TWParams(-5.524128231207979, 0.0053483021325377855, 0.0)
+    assert turning_points(params)[1] == pytest.approx(-0.0016404, abs=1e-7)
+    prof = periodic_profile(params)
+    assert prof.values.min() == pytest.approx(-1.26074, abs=1e-5)
+    assert prof.values.max() == pytest.approx(-0.0016404, abs=1e-7)
+    assert prof.period == pytest.approx(18.4453, abs=1e-4)
+    # the crest and trough samples are the roots themselves, where W is
+    # zero up to rounding (~1e-16); the missed root gave W down to -1e-6
+    assert slope_squared(prof.values, params).min() >= -1e-12
+
+
+def test_cli_tw_periodic_skips_a_pair_across_the_singular_line(tmp_path, capsys):
+    # U_s = -0.0067 lies inside the first pair (-1.026, 0), one coarse probe
+    # step from its end; the next pair (0, 0.7594) bounds a smooth orbit
+    argv = ["tw", "--speed", "-0.9062071017724973", "-A", "-1.2809563343891979",
+            "-E", "0", "--wave", "periodic", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert "smooth_periodic, period 6.27353" in capsys.readouterr().out
+    sidecar = json.loads(next(tmp_path.glob("*.json")).read_text())
+    assert sidecar["period"] == pytest.approx(6.27353, abs=1e-5)
+
+
+def test_roots_and_periodic_profiles_on_random_levels():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(
+        c=st.floats(-6.0, 4.0), a=st.floats(-2.0, 2.0), e=st.floats(-1.0, 1.0)
+    )
+    def check(c, a, e):
+        params = TWParams(c, a, e)
+        level = level_polynomial(params)
+        scale = max(1.0, abs(e))
+        roots = turning_points(params)
+        for r in roots:
+            assert abs(level(r)) <= 1e-10 * scale
+        # no root is missed: the level keeps one sign between reported roots
+        ends = [-10.0, *roots, 10.0]
+        for lo, hi in zip(ends, ends[1:]):
+            vals = level(np.linspace(lo, hi, 1001)[1:-1])
+            vals = vals[np.abs(vals) > 1e-10 * scale]
+            assert np.all(vals > 0) or np.all(vals < 0)
+        try:
+            prof = periodic_profile(params, n_points=256)
+        except NonexistenceError:
+            return
+        # W = U'^2 >= 0 at every sample, up to rounding at the turning points
+        assert slope_squared(prof.values, params).min() >= -1e-12
+
+    check()
 
 
 # ---------------------------------------------------------------------------
