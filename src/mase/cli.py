@@ -11,7 +11,9 @@ exit 4 and every other package error exit 5, each with a one-line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -100,7 +102,7 @@ def run_simulate(scenario: Scenario, run_dir: Path, seed: int = 0) -> dict:
         extra.append(p)
 
     wall = time.perf_counter() - t_start
-    write_trajectory(run_dir, traj, scenario.to_dict(), wall, extra)
+    write_trajectory(run_dir, traj, dataclasses.asdict(scenario), wall, extra)
 
     final = traj.snapshots[-1]
     from .evolution import _max_slope
@@ -132,6 +134,20 @@ def _unsteady_report(traj, seed: int, n_bumps: int = 5) -> ResidualReport:
     return ResidualReport(tuple(entries), mean_mass)
 
 
+def _steady_report(profile, seed: int, n_bumps: int = 5) -> ResidualReport:
+    """Steady residuals against random bumps inside the sampled window.
+
+    Widths lie in [max(span/24, 33 h), min(span/6, 512 h)] for sample spacing h.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = profile.xi[0], profile.xi[-1]
+    h = profile.xi[1] - profile.xi[0]
+    width_lo = max((hi - lo) / 24.0, 33 * h)
+    width_hi = min((hi - lo) / 6.0, 512 * h)
+    bumps = random_bumps(rng, n_bumps, (lo, hi), (width_lo, max(width_lo * 1.01, width_hi)))
+    return steady_residual_report(profile, bumps)
+
+
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config, args.set)
     run_dir = _resolve_out(args.out, "run")
@@ -150,7 +166,7 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
         speed = float(doc["speed"])
         a = float(doc.get("integration_constant", 0.0))
         e = float(doc.get("energy", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"tw needs a numeric speed, integration_constant and energy: {exc!r}")
     for name, value in (("speed", speed), ("integration_constant", a), ("energy", e)):
         if not np.isfinite(value):
@@ -158,6 +174,12 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
     wave = doc.get("wave", "auto")
     if wave == "auto":
         wave = "solitary" if (a == 0.0 and e == 0.0) else "periodic"
+    # the solitary wave fixes A = E = 0 and the peaked one fixes E
+    ignored = {"solitary": (("integration_constant", "-A", a), ("energy", "-E", e)),
+               "peaked": (("energy", "-E", e),)}.get(wave, ())
+    for name, flag, value in ignored:
+        if value != 0.0:
+            raise ConfigError(f"--wave {wave} ignores {name} ({flag}); got {value:g}, leave it 0")
     if wave == "solitary":
         profile = solitary_profile(speed)
     elif wave == "periodic":
@@ -168,13 +190,7 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
         raise ConfigError(f"unknown wave kind {wave!r}")
 
     params = profile.params
-    rng = np.random.default_rng(seed)
-    span = profile.xi[-1] - profile.xi[0]
-    width_hi = min(span / 6.0, 64 * (profile.xi[1] - profile.xi[0]) * 8)
-    width_lo = max(span / 24.0, 33 * (profile.xi[1] - profile.xi[0]))
-    bumps = random_bumps(rng, 5, (profile.xi[0], profile.xi[-1]),
-                         (width_lo, max(width_lo * 1.01, width_hi)))
-    report = steady_residual_report(profile, bumps)
+    report = _steady_report(profile, seed)
 
     extras = {
         "turning_points": turning_points(params),
@@ -244,12 +260,7 @@ def cmd_weakform(args) -> int:
     else:
         from .storage import read_profile
 
-        profile = read_profile(Path(args.profile))
-        rng = np.random.default_rng(args.seed)
-        span = profile.xi[-1] - profile.xi[0]
-        bumps = random_bumps(rng, args.n_bumps, (profile.xi[0], profile.xi[-1]),
-                             (span / 24.0, span / 6.0))
-        report = steady_residual_report(profile, bumps)
+        report = _steady_report(read_profile(Path(args.profile)), args.seed, args.n_bumps)
         out = Path(args.out) if args.out else Path(args.profile).parent / "residuals.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, residual_report_dict(report))
@@ -276,6 +287,13 @@ def _sweep_point(task) -> tuple[int, dict]:
     return index, stats
 
 
+def _is_finite_number(v: int | float) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
 def cmd_sweep(args) -> int:
     try:
         doc = json.loads(Path(args.config).read_text())
@@ -293,7 +311,7 @@ def cmd_sweep(args) -> int:
     for key, values in sweep.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep values for {key!r} must be a non-empty list")
-        if not all(np.isfinite(v) for v in values if isinstance(v, (int, float))):
+        if not all(_is_finite_number(v) for v in values if isinstance(v, (int, float))):
             raise ConfigError(f"sweep values for {key!r} must be finite")
 
     keys = sorted(sweep.keys())

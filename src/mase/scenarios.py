@@ -29,21 +29,6 @@ class Scenario:
     solver: SolverConfig
     analysis: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": {"n_points": self.grid.n_points, "length": self.grid.length},
-            "initial": dict(self.initial),
-            "solver": {
-                "t_end": self.solver.t_end,
-                "snapshot_interval": self.solver.snapshot_interval,
-                "cfl": self.solver.cfl,
-                "dt_max": self.solver.dt_max,
-                "dt_min": self.solver.dt_min,
-                "breaking_slope_threshold": self.solver.breaking_slope_threshold,
-            },
-            "analysis": dict(self.analysis),
-        }
-
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
@@ -100,10 +85,26 @@ def _periodic_gaussian(grid: Grid, amplitude: float, center: float, width: float
     return amplitude * np.exp(-(d * d) / (2.0 * width * width))
 
 
-def _require_finite(**settings: float) -> None:
-    for key, value in settings.items():
-        if not np.isfinite(value):
-            raise ConfigError(f"initial.{key} must be a finite number, got {value}")
+def _setting(ic: dict, key: str, default: float | None = None) -> float:
+    """initial.<key> as a finite float (``default`` when absent, if given).
+
+    A missing, non-numeric or non-finite value, or an integer beyond the
+    double range, raises ConfigError naming the setting.
+    """
+    if key not in ic and default is None:
+        raise ConfigError(f"{ic['kind']} initial condition needs initial.{key}")
+    raw = ic.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"initial.{key} must be a number, got {raw!r}") from None
+    except OverflowError:
+        raise ConfigError(
+            f"initial.{key} must be a finite number, got an integer beyond the double range"
+        ) from None
+    if not np.isfinite(value):
+        raise ConfigError(f"initial.{key} must be a finite number, got {value}")
+    return value
 
 
 def build_initial_field(scenario: Scenario) -> Field:
@@ -113,38 +114,27 @@ def build_initial_field(scenario: Scenario) -> Field:
     if kind == "zero":
         return Field(grid, np.zeros(grid.n_points))
     if kind == "gaussian":
-        try:
-            amplitude = float(ic["amplitude"])
-            width = float(ic["width"])
-            center = float(ic.get("center", grid.length / 2))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"gaussian initial condition needs amplitude and width: {exc}")
-        _require_finite(amplitude=amplitude, width=width, center=center)
+        amplitude = _setting(ic, "amplitude")
+        width = _setting(ic, "width")
+        center = _setting(ic, "center", grid.length / 2)
         if not 0 < width < grid.length:
             raise ConfigError(f"gaussian width {width} must lie in (0, length)")
         if not 0 <= center <= grid.length:
             raise ConfigError(f"gaussian center {center} outside the domain")
         return Field(grid, _periodic_gaussian(grid, amplitude, center, width))
     if kind == "mode":
-        try:
-            amplitude = float(ic["amplitude"])
-            m = int(ic["wavenumber"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"mode initial condition needs amplitude and wavenumber: {exc}")
-        _require_finite(amplitude=amplitude)
+        amplitude = _setting(ic, "amplitude")
+        wavenumber = _setting(ic, "wavenumber")
+        if not wavenumber.is_integer():
+            raise ConfigError(f"initial.wavenumber must be an integer, got {wavenumber}")
+        m = int(wavenumber)
         if not 1 <= m < grid.n_points // 3:
             raise ConfigError(f"wavenumber {m} outside the resolved band [1, {grid.n_points // 3})")
         k = 2.0 * np.pi * m / grid.length
         return Field(grid, amplitude * np.sin(k * grid.points))
     if kind == "tw_profile":
-        try:
-            speed = float(ic["speed"])
-            center = float(ic.get("center", grid.length / 2))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"tw_profile initial condition needs a numeric speed and center: {exc}"
-            )
-        _require_finite(speed=speed, center=center)
+        speed = _setting(ic, "speed")
+        center = _setting(ic, "center", grid.length / 2)
         return profile_to_field(solitary_profile(speed), grid, center=center)
     if kind == "file":
         from .storage import read_columns_csv

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +31,6 @@ from .traveling_wave import Regularity, TWParams, TWProfile
 from .weakform import ResidualReport
 
 FMT = "%.12g"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    scenario: dict
-    tool_version: str
-    wall_clock_seconds: float
-    termination: str
-    outputs: tuple[tuple[str, str], ...]  # (relative path, sha256)
 
 
 def sha256_file(path: Path) -> str:
@@ -100,7 +90,8 @@ def write_trajectory(
     scenario: dict,
     wall_clock: float = 0.0,
     extra_outputs: list[Path] | None = None,
-) -> RunManifest:
+) -> dict:
+    """Write the snapshots, diagnostics.csv, manifest.json and run.log; returns the manifest."""
     names = [snapshot_filename(s.time) for s in traj.snapshots]
     for a, b in zip(names, names[1:]):  # times increase, so a clash is adjacent
         if a == b:
@@ -124,20 +115,14 @@ def write_trajectory(
         run_dir / "diagnostics.csv", ["t", "mean", "sup_norm", "max_slope"],
         [times, means, sups, slopes])
 
-    manifest = RunManifest(
-        scenario=scenario,
-        tool_version=__version__,
-        wall_clock_seconds=wall_clock,
-        termination=traj.termination.value,
-        outputs=tuple(sorted(digests.items())),
-    )
-    write_json(run_dir / "manifest.json", {
+    manifest = {
         "schema": "mase/run/v1",
-        "scenario": manifest.scenario,
-        "tool_version": manifest.tool_version,
-        "termination": manifest.termination,
-        "outputs": [{"path": p, "sha256": d} for p, d in manifest.outputs],
-    })
+        "scenario": scenario,
+        "tool_version": __version__,
+        "termination": traj.termination.value,
+        "outputs": [{"path": p, "sha256": d} for p, d in sorted(digests.items())],
+    }
+    write_json(run_dir / "manifest.json", manifest)
     (run_dir / "run.log").write_text(
         f"tool_version={__version__}\nwall_clock_seconds={wall_clock:.3f}\n"
     )

@@ -326,18 +326,16 @@ class _PiecewiseCubic:
     """C1 cubic through values ``y`` with slopes ``dydx`` at knots ``x``.
 
     Row k of ``c`` multiplies (xi - x[i])^(3-k) on [x[i], x[i+1]); the end
-    intervals extend beyond the knots unless ``extrapolate`` is off, in which
-    case points outside give NaN (as NaN points always do).
+    intervals extend beyond the knots, and NaN points give NaN.
     """
 
-    def __init__(self, x, y, dydx, extrapolate: bool = True):
+    def __init__(self, x, y, dydx):
         x, y, dydx = _checked_knots(x, y, dydx)
         dx = np.diff(x)
         slope = np.diff(y) / dx
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
         self.x = x
         self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
-        self.extrapolate = extrapolate
 
     def __call__(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=np.float64)
@@ -349,8 +347,6 @@ class _PiecewiseCubic:
         for row in self.c[::-1]:
             res += row[i] * z
             z *= s
-        if not self.extrapolate:
-            res[~((self.x[0] <= xi) & (xi <= self.x[-1]))] = np.nan
         return res
 
     def derivative(self) -> "_PiecewiseCubic":
@@ -369,7 +365,7 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip(x, y, extrapolate: bool = True) -> _PiecewiseCubic:
+def _pchip(x, y) -> _PiecewiseCubic:
     """Monotone piecewise cubic through (x, y) (PCHIP, Fritsch & Carlson).
 
     The knot slope is zero at extrema and next to flat segments and the
@@ -380,7 +376,7 @@ def _pchip(x, y, extrapolate: bool = True) -> _PiecewiseCubic:
     h = x[1:] - x[:-1]
     m = (y[1:] - y[:-1]) / h
     if len(x) == 2:
-        return _PiecewiseCubic(x, y, np.array([m[0], m[0]]), extrapolate)
+        return _PiecewiseCubic(x, y, np.array([m[0], m[0]]))
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
@@ -390,7 +386,7 @@ def _pchip(x, y, extrapolate: bool = True) -> _PiecewiseCubic:
     d[1:-1][~flat] = 1.0 / whmean[~flat]
     d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
     d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return _PiecewiseCubic(x, y, d, extrapolate)
+    return _PiecewiseCubic(x, y, d)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +470,7 @@ def _end_knots(
     return end + step * s_knots**2, _cumulative(integrand, s_knots)
 
 
-def _segment_knots(
-    params: TWParams,
-    u_from: float,
-    u_to: float,
-    n_panels: int = 400,
-):
+def _segment_knots(params: TWParams, u_from: float, u_to: float):
     """Quadrature table (xi, U, V) for a monotone orbit piece on one level.
 
     Each end is a simple turning point, a singular contact with finite corner
@@ -507,8 +498,8 @@ def _segment_knots(
         return v
 
     mid = 0.5 * (u_from + u_to)
-    u_a, xi_a = _end_knots(num, den, u_from, mid, n_panels)
-    u_b, xi_b = _end_knots(num, den, u_to, mid, n_panels)
+    u_a, xi_a = _end_knots(num, den, u_from, mid, 600)
+    u_b, xi_b = _end_knots(num, den, u_to, mid, 600)
 
     # assemble: xi measured from u_from; the b-side runs backwards
     u_knots = np.concatenate([u_a, u_b[::-1][1:]])
@@ -535,17 +526,7 @@ def _traversable(params: TWParams, lo: float, hi: float, roots: Sequence[float])
 # profile constructors
 
 
-def _saddle_decay_rate(params: TWParams) -> float:
-    ratio = force_poly(params).deriv()(0.0) / uxx_coeff_poly(params)(0.0)
-    return float(np.sqrt(max(-ratio, 0.0)))
-
-
-def solitary_profile(
-    c: float,
-    n_points: int = 4096,
-    window: float | None = None,
-    branch: str = "auto",
-) -> TWProfile:
+def solitary_profile(c: float, branch: str = "auto") -> TWProfile:
     """Solitary wave of speed c by quadrature of the homoclinic level A = E = 0.
 
     The crest is the nearest simple root of -2G on the chosen branch
@@ -553,7 +534,7 @@ def solitary_profile(
     comes first: a cusped wave, or a peaked one if the level passes through
     it.  The head down to half the crest comes from _end_knots, the rest
     from _solitary_from_head.  The result is even about xi = 0 and sampled
-    uniformly over the window.
+    at 4096 points uniformly over the window.
     """
     params = TWParams(float(c), 0.0, 0.0)
     d0 = uxx_coeff_poly(params)(0.0)
@@ -610,9 +591,8 @@ def solitary_profile(
             )
         regularity = Regularity.SMOOTH_SOLITARY
         u_head, xi_head = _end_knots(level, uxx_coeff_poly(params), u_top, 0.5 * u_top, 320)
-    return _solitary_from_head(
-        params, u_top, xi_head, u_head, regularity, n_points, window
-    )
+    kappa = float(np.sqrt(-fprime0 / d0))  # saddle decay rate
+    return _solitary_from_head(params, u_top, xi_head, u_head, regularity, kappa)
 
 
 def _solitary_from_head(
@@ -621,18 +601,16 @@ def _solitary_from_head(
     xi_head: np.ndarray,
     u_head: np.ndarray,
     regularity: Regularity,
-    n_points: int,
-    window: float | None,
+    kappa: float,
 ) -> TWProfile:
     """Solitary profile from its tabulated head, crest ``u_top`` down to u_top/2.
 
     Appends the saddle tail U = (u_top/2) exp(-tau) down to 1e-9 |u_top|,
     interpolates (cubic Hermite on the exact slopes for smooth waves, PCHIP
     at a singular contact), continues analytically with the saddle decay rate
-    beyond the table, and samples n_points over a window whose edges sit
-    where the tail reaches 1e-7 |u_top| unless ``window`` is given.
+    ``kappa`` beyond the table, and samples 4096 points over a window whose
+    edges sit where the tail reaches 1e-7 |u_top|.
     """
-    kappa = _saddle_decay_rate(params)
     sign = np.sign(u_top)
     u_mid = 0.5 * u_top
     tail_rel = 1e-9
@@ -665,12 +643,10 @@ def _solitary_from_head(
         out[~inside] = u_cut * np.exp(-kappa * (s[~inside] - xi_cut))
         return out
 
-    if window is None:
-        # u_cut = 1e-9 |u_top| is below the target, so the edge is on the
-        # analytic continuation
-        target = 1e-7 * abs(u_top)
-        window = 2.0 * (xi_cut - np.log(target / abs(u_cut)) / kappa)
-    xi = (np.arange(n_points) - n_points // 2) * (window / n_points)
+    # u_cut = 1e-9 |u_top| is below the target, so the edge is on the
+    # analytic continuation
+    window = 2.0 * (xi_cut - np.log(1e-7 * abs(u_top) / abs(u_cut)) / kappa)
+    xi = (np.arange(4096) - 2048) * (window / 4096)
     values = evaluator(xi)
     # the slope is unbounded at a cusp contact; cap non-finite entries with
     # the interpolant's derivative there
@@ -727,7 +703,7 @@ def periodic_profile(
             "is not positive between the turning points"
         )
 
-    xi_k, u_k, v_k, _ = _segment_knots(params, u2, u1, n_panels=600)
+    xi_k, u_k, v_k, _ = _segment_knots(params, u2, u1)
     half = _PiecewiseCubic(xi_k, u_k, v_k)
     half_len = float(xi_k[-1])
     period = 2.0 * half_len
@@ -799,8 +775,8 @@ def mirror_profile(p: TWProfile) -> TWProfile:
         values=p.values[::-1].copy(),
         regularity=p.regularity,
         period=p.period,
-        slopes=None if p.slopes is None else -p.slopes[::-1].copy(),
-        evaluator=evaluator if base_eval else None,
+        slopes=-p.slopes[::-1].copy(),
+        evaluator=evaluator,
     )
 
 
@@ -817,10 +793,13 @@ def concatenate_segments_unchecked(segments: Sequence[TWProfile]) -> TWProfile:
 
     Exists so experiments can build deliberately inconsistent composites (for
     instance joining segments from different first-integral levels); regular
-    code should call compose_segments.
+    code should call compose_segments.  Every segment needs the slopes and
+    evaluator that orbit_segment and mirror_profile attach.
     """
     if not segments:
         raise ValueError("need at least one segment")
+    if any(seg.slopes is None or seg.evaluator is None for seg in segments):
+        raise ValueError("every segment needs slopes and an evaluator")
     offsets = [0.0]
     for seg in segments:
         offsets.append(offsets[-1] + float(seg.xi[-1] - seg.xi[0]))
@@ -829,11 +808,9 @@ def concatenate_segments_unchecked(segments: Sequence[TWProfile]) -> TWProfile:
     slope_parts = []
     for seg, off in zip(segments, offsets):
         rel = seg.xi - seg.xi[0] + off
-        sl = seg.slopes if seg.slopes is not None else np.gradient(seg.values, seg.xi)
+        vals, sl = seg.values, seg.slopes
         if xi_parts:
-            rel, vals, sl = rel[1:], seg.values[1:], sl[1:]
-        else:
-            vals = seg.values
+            rel, vals, sl = rel[1:], vals[1:], sl[1:]
         xi_parts.append(rel)
         val_parts.append(vals)
         slope_parts.append(sl)
@@ -849,15 +826,10 @@ def concatenate_segments_unchecked(segments: Sequence[TWProfile]) -> TWProfile:
         x = np.asarray(x, dtype=np.float64)
         out = np.empty_like(x)
         idx = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, len(segments) - 1)
-        for i, (ev, seg) in enumerate(zip(evals, segments)):
+        for i, ev in enumerate(evals):
             m = idx == i
-            if not np.any(m):
-                continue
-            local = x[m] - bounds[i] + starts[i]
-            if ev is not None:
-                out[m] = ev(local)
-            else:
-                out[m] = np.interp(local, seg.xi, seg.values)
+            if np.any(m):
+                out[m] = ev(x[m] - bounds[i] + starts[i])
         return out
 
     return TWProfile(
@@ -903,8 +875,7 @@ def compose_segments(segments: Sequence[TWProfile], params: TWParams) -> TWProfi
     offsets = np.concatenate([[0.0], np.cumsum(lengths)])
     peaked = False
     for i in range(1, len(segments)):
-        v_l = segments[i - 1].slopes[-1] if segments[i - 1].slopes is not None else 0.0
-        v_r = segments[i].slopes[0] if segments[i].slopes is not None else 0.0
+        v_l, v_r = segments[i - 1].slopes[-1], segments[i].slopes[0]
         if abs(v_l + v_r) <= 1e-8 * max(1.0, abs(v_l)) and abs(v_l) > 1e-8:
             peaked = True
         reach = min(lengths[i - 1], lengths[i])
@@ -917,16 +888,19 @@ def compose_segments(segments: Sequence[TWProfile], params: TWParams) -> TWProfi
                 f"composite is not symmetric about junction {i}: max gap {gap:.3e}"
             )
 
-    total = float(composite.xi[-1] - composite.xi[0])
+    n, period = len(composite.xi), None
     u_wrap = abs(float(composite.values[0]) - float(composite.values[-1]))
-    period = total if u_wrap <= 1e-8 * max(1.0, amp) else None
+    if u_wrap <= 1e-8 * max(1.0, amp):
+        # periodic: sample half-open, as periodic_profile does, so the last
+        # sample (a repeat of the first) does not lengthen the sampled period
+        n, period = n - 1, float(composite.xi[-1] - composite.xi[0])
     return TWProfile(
         params=params,
-        xi=composite.xi,
-        values=composite.values,
+        xi=composite.xi[:n],
+        values=composite.values[:n],
         regularity=Regularity.PEAKED if peaked else Regularity.COMPOSITE,
         period=period,
-        slopes=composite.slopes,
+        slopes=composite.slopes[:n],
         evaluator=composite.evaluator,
     )
 
@@ -941,7 +915,8 @@ def peaked_composite(
     The level E = 2 G(U_s) contains the singular elevation U_s with finite
     limiting slope sqrt(-F(U_s)/7) (requires F(U_s) < 0).  The wave is the
     segment from the nearest admissible turning point up to U_s, mirrored
-    about the corner; troughs sit at the periodic wrap.
+    about the corner; troughs sit at the periodic wrap, and the n_samples - 1
+    samples cover one period half-open.
     """
     base = TWParams(speed, integration_constant, 0.0)
     u_s = singular_line(base)
@@ -975,13 +950,13 @@ def peaked_composite(
 
 
 def evaluate_profile(profile: TWProfile, xi) -> np.ndarray:
-    """Profile elevation at arbitrary coordinates (evaluator or PCHIP fallback)."""
-    xi = np.asarray(xi, dtype=np.float64)
-    if profile.evaluator is not None:
-        return np.asarray(profile.evaluator(xi), dtype=np.float64)
-    interp = _pchip(profile.xi, profile.values, extrapolate=False)
-    out = interp(xi)
-    return np.where(np.isnan(out), 0.0, out)
+    """Profile elevation at arbitrary coordinates, from the constructor's evaluator.
+
+    A profile without one (read back from CSV, or built by hand) is refused.
+    """
+    if profile.evaluator is None:
+        raise ValueError("profile has no evaluator; only constructed profiles can be evaluated")
+    return np.asarray(profile.evaluator(np.asarray(xi, dtype=np.float64)), dtype=np.float64)
 
 
 def profile_to_field(profile: TWProfile, grid: Grid, center: float = 0.0) -> Field:

@@ -21,9 +21,7 @@ across widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from math import erf
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +32,6 @@ from .operators import FLUX, REACTION, SLOPE_SQ, helmholtz_inverse, reaction_ter
 from .traveling_wave import TWProfile
 
 __all__ = [
-    "BumpKind",
     "TestFunction",
     "ResidualReport",
     "steady_weak_residual",
@@ -44,59 +41,40 @@ __all__ = [
     "random_bumps",
 ]
 
-_GAUSS_SIGMA = 0.1  # in units of the half-width; edge value exp(-50) ~ 2e-22
-
-
-class BumpKind(str, Enum):
-    POLYNOMIAL = "polynomial_bump"
-    GAUSSIAN = "gaussian_bump_truncated"
+_BRACKET_OVERSAMPLE = 8  # fine-grid factor of the reflection bracket quadrature
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """Smooth compactly supported bump on [center - width, center + width].
 
-    The polynomial bump (1 - y^2)^4 vanishes with its first three derivatives
-    exactly at the support boundary; the truncated Gaussian does so to ~1e-16.
+    The bump (1 - y^2)^4, y = (x - center) / width, vanishes with its first
+    three derivatives exactly at the support boundary.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
     center: float
     width: float
-    kind: BumpKind = BumpKind.POLYNOMIAL
 
     def __post_init__(self):
         if not (np.isfinite(self.center) and np.isfinite(self.width)) or self.width <= 0:
             raise ValueError("test function needs finite center and positive width")
-        object.__setattr__(self, "kind", BumpKind(self.kind))
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.center - self.width, self.center + self.width)
 
     def _profile(self, y: np.ndarray, order: int) -> np.ndarray:
-        if self.kind is BumpKind.POLYNOMIAL:
-            q = 1.0 - y * y
-            if order == 0:
-                return q**4
-            if order == 1:
-                return -8.0 * y * q**3
-            if order == 2:
-                return q * q * (56.0 * y * y - 8.0)
-            if order == 3:
-                return 48.0 * y * q * (3.0 - 7.0 * y * y)
-        else:
-            s2 = _GAUSS_SIGMA**2
-            g = np.exp(-y * y / (2.0 * s2))
-            if order == 0:
-                return g
-            if order == 1:
-                return -(y / s2) * g
-            if order == 2:
-                return (y * y / s2**2 - 1.0 / s2) * g
-            if order == 3:
-                return (3.0 * y / s2**2 - y**3 / s2**3) * g
+        q = 1.0 - y * y
+        if order == 0:
+            return q**4
+        if order == 1:
+            return -8.0 * y * q**3
+        if order == 2:
+            return q * q * (56.0 * y * y - 8.0)
+        if order == 3:
+            return 48.0 * y * q * (3.0 - 7.0 * y * y)
         raise ValueError(f"derivative order must be 0..3, got {order}")
 
     def derivative(self, x, order: int = 0, period: float | None = None) -> np.ndarray:
@@ -114,19 +92,16 @@ class TestFunction:
 
     def mass(self) -> float:
         """Integral of |bump| (the bump is non-negative)."""
-        if self.kind is BumpKind.POLYNOMIAL:
-            return float(self.width * 256.0 / 315.0)
-        s = _GAUSS_SIGMA
-        return float(self.width * s * np.sqrt(2.0 * np.pi) * erf(1.0 / (s * np.sqrt(2.0))))
+        return float(self.width * 256.0 / 315.0)
 
     def reflected(self, axis: float, period: float | None = None) -> "TestFunction":
         center = 2.0 * axis - self.center
         if period is not None:
             center = float(np.mod(center, period))
-        return TestFunction(center, self.width, self.kind)
+        return TestFunction(center, self.width)
 
     def descriptor(self) -> dict:
-        return {"center": self.center, "width": self.width, "kind": self.kind.value}
+        return {"center": self.center, "width": self.width, "kind": "polynomial_bump"}
 
 
 @dataclass(frozen=True)
@@ -251,9 +226,7 @@ def unsteady_weak_residual(traj: Trajectory, phi: TestFunction, rho: TestFunctio
     return total / (phi.mass() * rho.mass())
 
 
-def reflection_bracket_check(
-    u: Field, lam: float, phi: TestFunction, oversample: int = 8
-) -> tuple[float, float]:
+def reflection_bracket_check(u: Field, lam: float, phi: TestFunction) -> tuple[float, float]:
     """Both sides of the reflection bracket identity, paired against phi_x.
 
     Returns (lhs, rhs) with
@@ -273,11 +246,11 @@ def reflection_bracket_check(
     p_lam = helmholtz_inverse(reaction_term(u_lam)).values
     p_u = helmholtz_inverse(reaction_term(u)).values
 
-    n_fine = oversample * grid.n_points
+    n_fine = _BRACKET_OVERSAMPLE * grid.n_points
     h_fine = grid.length / n_fine
     x_fine = np.arange(n_fine) * h_fine
-    p_lam_f = _oversample(p_lam, oversample)
-    p_u_f = _oversample(p_u, oversample)
+    p_lam_f = _oversample(p_lam, _BRACKET_OVERSAMPLE)
+    p_u_f = _oversample(p_u, _BRACKET_OVERSAMPLE)
 
     phi_x = phi.derivative(x_fine, 1, period=grid.length)
     # the bump is even about its center, so the reflected descriptor's own
@@ -303,7 +276,6 @@ def random_bumps(
     n: int,
     domain: tuple[float, float],
     width_range: tuple[float, float],
-    kind: BumpKind = BumpKind.POLYNOMIAL,
 ) -> list[TestFunction]:
     """Random test-function family with supports inside the given interval."""
     lo, hi = domain
@@ -311,5 +283,5 @@ def random_bumps(
     for _ in range(n):
         w = rng.uniform(*width_range)
         c = rng.uniform(lo + w, hi - w)
-        out.append(TestFunction(c, w, kind))
+        out.append(TestFunction(c, w))
     return out

@@ -104,10 +104,11 @@ def test_manifest_digests_are_the_bytes_on_disk(tmp_path):
     write_json(extra, {"detected": False})
     manifest = write_trajectory(tmp_path, traj, {}, extra_outputs=[extra])
     listed = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
-    assert [(e["path"], e["sha256"]) for e in listed] == list(manifest.outputs)
+    assert listed == manifest["outputs"]
     assert len(listed) == len(traj.snapshots) + 2
-    for name, digest in manifest.outputs:
-        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    for entry in manifest["outputs"]:
+        digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
+        assert entry["sha256"] == digest
 
 
 def test_round_trip_property(tmp_path_factory):

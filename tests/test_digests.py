@@ -40,9 +40,9 @@ DIGESTS = {
         'cusped/profile.csv': 'ada4ba61fc8f0cf76c026dc418c34de0fb3f5bd4598eecba1ea86862ee753065',
         'cusped/profile.json': '02e8a3b755e71c5fba8481e5821889376b01d78258a3d24a5bc0629920c531e1',
         'cusped/profile_residuals.json': '9cf81d50e876ed408133510441a32487466a7565689fc98b2657d2e8945869ba',
-        'peaked/profile.csv': 'da3e5a55f515b35318f5066e7e28a801fac1b9fafb21c65a09a5d02d0ec9301f',
-        'peaked/profile.json': 'ba2667f21c750b2a6a81a122b58e74c5aed71e29322fbe0854cbc70c5d7ffd0f',
-        'peaked/profile_residuals.json': '74c1dd4cfac992154e3b70f8b120118ae786dad7e8195440e2e11703ce3857b1',
+        'peaked/profile.csv': '3fc209ca4e4feed93aab7d48bb07f8904e264fc5faa2ddb33e34cd6d99d87e06',
+        'peaked/profile.json': '3bc84557629759aa301d78616761b4309f29ebd00330c446d52a899fbaab7352',
+        'peaked/profile_residuals.json': '38b3d502b43072a43a1017e872d2ba10622d732abeb391709d28faac74010055',
         'periodic/profile.csv': '61d275aca673581b58b468e71c9c430c0697ed4b1d87341188b8809862a624bd',
         'periodic/profile.json': 'e9352884d02b24cf686a74a529cc5af65f677ca75ceffd89afcf714ba7f76501',
         'periodic/profile_residuals.json': '83dc6b78c98e30d1afbea13d746100d5172da0deabcf7fea9bc5746da57b254b',

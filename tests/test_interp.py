@@ -33,16 +33,15 @@ def probe_points(rng, x):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("extrapolate", [True, False])
-def test_hermite_and_derivative_equal_scipy(seed, extrapolate):
+def test_hermite_and_derivative_equal_scipy(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 60))
     x = random_knots(rng, n)
     y = rng.normal(size=n)
     dydx = rng.normal(scale=10.0, size=n)
     pts = probe_points(rng, x)
-    ours = _PiecewiseCubic(x, y, dydx, extrapolate=extrapolate)
-    theirs = CubicHermiteSpline(x, y, dydx, extrapolate=extrapolate)
+    ours = _PiecewiseCubic(x, y, dydx)
+    theirs = CubicHermiteSpline(x, y, dydx)
     assert_bitwise(ours.c, theirs.c)
     assert_bitwise(ours(pts), theirs(pts))
     assert_bitwise(ours.derivative()(pts), theirs.derivative()(pts))
@@ -50,8 +49,7 @@ def test_hermite_and_derivative_equal_scipy(seed, extrapolate):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("extrapolate", [True, False])
-def test_pchip_equals_scipy(seed, extrapolate):
+def test_pchip_equals_scipy(seed):
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(3, 60))
     x = random_knots(rng, n)
@@ -59,8 +57,8 @@ def test_pchip_equals_scipy(seed, extrapolate):
     y = np.round(rng.normal(size=n), 1)
     y[n // 3 : n // 3 + 3] = y[n // 3]
     pts = probe_points(rng, x)
-    ours = _pchip(x, y, extrapolate=extrapolate)
-    theirs = PchipInterpolator(x, y, extrapolate=extrapolate)
+    ours = _pchip(x, y)
+    theirs = PchipInterpolator(x, y)
     assert_bitwise(ours.c, theirs.c)
     assert_bitwise(ours(pts), theirs(pts))
     assert_bitwise(ours.derivative()(pts), theirs.derivative()(pts))
@@ -96,15 +94,9 @@ def test_nan_points_give_nan():
     x = np.array([0.0, 1.0, 2.0, 4.0])
     y = np.array([0.0, 1.0, -1.0, 0.5])
     pts = np.array([np.nan, 0.5, np.nan, 4.0])
-    for extrapolate in (True, False):
-        assert_bitwise(
-            _pchip(x, y, extrapolate=extrapolate)(pts),
-            PchipInterpolator(x, y, extrapolate=extrapolate)(pts),
-        )
-        hermite = _PiecewiseCubic(x, y, np.ones(4), extrapolate=extrapolate)
-        assert_bitwise(
-            hermite(pts), CubicHermiteSpline(x, y, np.ones(4), extrapolate=extrapolate)(pts)
-        )
+    assert_bitwise(_pchip(x, y)(pts), PchipInterpolator(x, y)(pts))
+    hermite = _PiecewiseCubic(x, y, np.ones(4))
+    assert_bitwise(hermite(pts), CubicHermiteSpline(x, y, np.ones(4))(pts))
 
 
 @pytest.mark.parametrize(

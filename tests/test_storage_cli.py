@@ -30,6 +30,8 @@ from mase.storage import (
 from mase.traveling_wave import solitary_profile
 from mase.weakform import ResidualReport
 
+HUGE_INT = "9" * 400  # a JSON integer beyond the double range
+
 
 @pytest.fixture()
 def scenario_file(tmp_path):
@@ -156,6 +158,47 @@ def test_cli_tw_periodic_corner_exits_3(tmp_path, capsys):
     assert err.startswith("error: nonexistence: turning point U = 0 lies on the singular line")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "tw").exists()
+
+
+def test_cli_tw_peaked_is_sampled_over_one_period(tmp_path):
+    # a repeated end sample would lengthen the sampled period by one spacing
+    out = tmp_path / "tw"
+    argv = ["tw", "--speed", "-3", "-A", "-1", "--wave", "peaked", "--out", str(out)]
+    assert main(argv) == 0
+    sidecar = json.loads((out / "profile_c=-3.json").read_text())
+    assert sidecar["regularity"] == "peaked"
+    assert sidecar["max_steady_residual"] < 1e-6
+
+
+@pytest.mark.parametrize("wave, flag, value", [
+    ("solitary", "-A", "0.5"), ("solitary", "-E", "-1e-4"), ("peaked", "-E", "0.1"),
+])
+def test_cli_tw_flag_the_wave_ignores_exits_2(tmp_path, capsys, wave, flag, value):
+    speed = "1.2" if wave == "solitary" else "-3"
+    argv = ["tw", "--speed", speed, "-A=-1" if wave == "peaked" else "-A=0", f"{flag}={value}",
+            "--wave", wave, "--out", str(tmp_path / "tw")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: --wave {wave} ignores") and f"({flag})" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "tw").exists()
+
+
+def test_cli_tw_and_weakform_profile_draw_the_same_bumps(tmp_path):
+    tw_dir = tmp_path / "tw"
+    assert main(["tw", "--speed", "1.2", "--seed", "3", "--out", str(tw_dir)]) == 0
+    out = tmp_path / "steady.json"
+    assert main(["weakform", "--profile", str(tw_dir / "profile_c=1.2"), "--seed", "3",
+                 "--out", str(out)]) == 0
+    ours = json.loads(out.read_text())["per_test_function"]
+    theirs = json.loads((tw_dir / "profile_c=1.2_residuals.json").read_text())["per_test_function"]
+    assert len(ours) == len(theirs) == 5
+    # the profile is read back from 12-digit CSV, so the draws agree to rounding
+    for a, b in zip(ours, theirs):
+        a, b = a["test_function"], b["test_function"]
+        assert a["kind"] == b["kind"]
+        assert a["center"] == pytest.approx(b["center"], rel=1e-8)
+        assert a["width"] == pytest.approx(b["width"], rel=1e-8)
 
 
 def test_cli_symmetry_constant_run_exits_4(tmp_path, capsys):
@@ -293,6 +336,10 @@ def test_cli_non_finite_solver_setting_exits_2(tmp_path, scenario_file, capsys, 
     ["initial.kind=mode", "initial.wavenumber=3", "initial.amplitude=NaN"],
     ["initial.kind=tw_profile", "initial.speed=NaN"],
     ["initial.kind=tw_profile", "initial.speed=1.2", "initial.center=NaN"],
+    ["initial.amplitude=" + HUGE_INT],
+    ["initial.width=-" + HUGE_INT],
+    ["initial.center=" + HUGE_INT],
+    ["initial.kind=tw_profile", "initial.speed=" + HUGE_INT],
 ])
 def test_cli_non_finite_initial_setting_exits_2(tmp_path, scenario_file, capsys, settings):
     run_dir = tmp_path / "run"
@@ -310,6 +357,7 @@ def test_cli_non_finite_initial_setting_exits_2(tmp_path, scenario_file, capsys,
 @pytest.mark.parametrize("settings", [
     ["initial.kind=mode", "initial.wavenumber=Infinity"],
     ["initial.kind=tw_profile", "initial.speed=1.2", "initial.center=\"mid\""],
+    ["initial.kind=mode", "initial.wavenumber=2.5"],
 ])
 def test_cli_unparsable_initial_setting_exits_2(tmp_path, scenario_file, capsys, settings):
     argv = ["simulate", "--config", str(scenario_file), "--out", str(tmp_path / "run")]
@@ -318,6 +366,7 @@ def test_cli_unparsable_initial_setting_exits_2(tmp_path, scenario_file, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and len(err.splitlines()) == 1
+    assert settings[-1].split("=")[0] in err
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -595,6 +644,17 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"command": "simulate", "base": {}, "sweep": {}}))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("value", ["NaN", "-Infinity", HUGE_INT], ids=["nan", "-inf", "huge-int"])
+def test_sweep_non_finite_value_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text('{"base": {}, "sweep": {"initial.amplitude": [0.01, %s]}}' % value)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: sweep values for 'initial.amplitude' must be finite")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_simulate_degenerate_analysis_still_exits_0(tmp_path):

@@ -389,6 +389,14 @@ def test_peaked_composite_classification(peaked):
     assert peaked.values.max() == pytest.approx(u_s, abs=1e-10)
 
 
+def test_peaked_composite_is_sampled_half_open(peaked):
+    # the trough sits at both ends of the orbit; only the first end is sampled
+    assert len(peaked.xi) == 4096
+    assert peaked.xi[-1] < peaked.xi[0] + peaked.period
+    assert peaked.xi[-1] + (peaked.xi[1] - peaked.xi[0]) == pytest.approx(
+        peaked.xi[0] + peaked.period, rel=1e-12)
+
+
 def test_peaked_corner_slope(peaked):
     f_s = force_poly(peaked.params)(singular_line(peaked.params))
     expected = np.sqrt(-f_s / 7.0)

@@ -8,7 +8,6 @@ from mase.operators import helmholtz_inverse, random_band_limited, reaction_term
 from mase.symmetry import reflect
 from mase.traveling_wave import TWParams, TWProfile
 from mase.weakform import (
-    BumpKind,
     TestFunction,
     random_bumps,
     reflection_bracket_check,
@@ -22,9 +21,8 @@ from mase.weakform import (
 # test functions
 
 
-@pytest.mark.parametrize("kind", [BumpKind.POLYNOMIAL, BumpKind.GAUSSIAN])
-def test_bump_vanishes_at_support_ends(kind):
-    tf = TestFunction(0.0, 2.0, kind)
+def test_bump_vanishes_at_support_ends():
+    tf = TestFunction(0.0, 2.0)
     edges = np.array([-2.0, 2.0])
     for order in range(4):
         assert np.max(np.abs(tf.derivative(edges, order))) < 1e-12
@@ -41,9 +39,8 @@ def test_polynomial_bump_derivatives_match_finite_differences():
         assert np.max(np.abs(fd - tf.derivative(x, order))) < 1e-5
 
 
-@pytest.mark.parametrize("kind", [BumpKind.POLYNOMIAL, BumpKind.GAUSSIAN])
-def test_bump_mass_matches_quadrature(kind):
-    tf = TestFunction(0.0, 2.0, kind)
+def test_bump_mass_matches_quadrature():
+    tf = TestFunction(0.0, 2.0)
     x = np.linspace(-2.0, 2.0, 20001)
     quad = np.trapezoid(tf.value(x), x)
     assert quad == pytest.approx(tf.mass(), rel=1e-7)
