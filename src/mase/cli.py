@@ -66,9 +66,16 @@ def _resolve_out(out: str | None, default_name: str) -> Path:
 def run_simulate(scenario: Scenario, run_dir: Path, seed: int = 0) -> dict:
     """Evolve a scenario and write the full run directory; returns headline stats."""
     t_start = time.perf_counter()
-    u0 = build_initial_field(scenario)
-    traj = evolve(State(0.0, u0), scenario.solver)
+    traj = evolve([State(0.0, build_initial_field(scenario))], scenario.solver)[0]
+    return _write_run(scenario, traj, run_dir, seed, t_start)
 
+
+def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: float) -> dict:
+    """Run the scenario's analyses on its trajectory and write the run directory.
+
+    ``t_start`` is when the work on this run began; run.log records the wall
+    clock since then.
+    """
     run_dir.mkdir(parents=True, exist_ok=True)
     extra: list[Path] = []
     analysis = scenario.analysis
@@ -125,11 +132,9 @@ def _unsteady_report(traj, seed: int, n_bumps: int = 5) -> ResidualReport:
                          (grid.length / 16.0, grid.length / 10.0))
     t_lo, t_hi = times[1], times[-2]
     rho = TestFunction(0.5 * (t_lo + t_hi), 0.45 * (t_hi - t_lo))
-    entries = []
-    for phi in bumps:
-        res = unsteady_weak_residual(traj, phi, rho)
-        desc = {"phi": phi.descriptor(), "rho": rho.descriptor()}
-        entries.append((desc, res))
+    residuals = unsteady_weak_residual(traj, bumps, rho)
+    entries = [({"phi": phi.descriptor(), "rho": rho.descriptor()}, res)
+               for phi, res in zip(bumps, residuals)]
     mean_mass = float(np.mean([phi.mass() * rho.mass() for phi in bumps]))
     return ResidualReport(tuple(entries), mean_mass)
 
@@ -272,19 +277,46 @@ def cmd_weakform(args) -> int:
 # sweep
 
 
-def _sweep_point(task) -> tuple[int, dict]:
-    index, command, doc, out_dir, seed = task
-    try:
-        if command == "simulate":
-            stats = run_simulate(scenario_from_dict(doc), Path(out_dir), seed)
-        elif command == "tw":
-            stats = run_tw(doc, Path(out_dir) / "profile", seed)
-        else:
-            raise ConfigError(f"unknown sweep command {command!r}")
-        stats["status"] = "ok"
-    except MaseError as exc:
-        stats = {"status": "error", "error": str(exc).replace(",", ";").replace("\n", " ")}
-    return index, stats
+def _sweep_point(chunk) -> list[tuple[int, dict]]:
+    """Run one contiguous chunk of sweep points; the worker pool maps this.
+
+    ``chunk`` is a list of (index, command, doc, out_dir, seed) points.
+    Simulate points that share a grid and a solver evolve as one ensemble;
+    each point's analyses and writes then run on its own.  A point that
+    fails to parse or in its own analysis is recorded as that point's error.
+    """
+    results = []
+    groups: dict[tuple, list] = {}
+    for index, command, doc, out_dir, seed in chunk:
+        try:
+            if command == "simulate":
+                scenario = scenario_from_dict(doc)
+                groups.setdefault((scenario.grid, scenario.solver), []).append(
+                    (index, scenario, Path(out_dir), seed))
+            elif command == "tw":
+                results.append((index, _ok(run_tw(doc, Path(out_dir) / "profile", seed))))
+            else:
+                raise ConfigError(f"unknown sweep command {command!r}")
+        except MaseError as exc:
+            results.append((index, _failed(exc)))
+
+    for (_, solver), points in groups.items():
+        t_start = time.perf_counter()
+        initials = [State(0.0, build_initial_field(sc)) for _, sc, _, _ in points]
+        for (index, scenario, run_dir, seed), traj in zip(points, evolve(initials, solver)):
+            try:
+                results.append((index, _ok(_write_run(scenario, traj, run_dir, seed, t_start))))
+            except MaseError as exc:
+                results.append((index, _failed(exc)))
+    return results
+
+
+def _ok(stats: dict) -> dict:
+    return {**stats, "status": "ok"}
+
+
+def _failed(exc: MaseError) -> dict:
+    return {"status": "error", "error": str(exc).replace(",", ";").replace("\n", " ")}
 
 
 def _is_finite_number(v: int | float) -> bool:
@@ -325,15 +357,15 @@ def cmd_sweep(args) -> int:
         point_dir = sweep_dir / f"point_{i:04d}"
         tasks.append((i, command, point_doc, str(point_dir), args.seed))
 
-    results: dict[int, dict] = {}
-    if args.workers <= 1:
-        for task in tasks:
-            i, stats = _sweep_point(task)
-            results[i] = stats
+    n_chunks = max(1, min(args.workers, len(tasks)))
+    chunks = [tasks[len(tasks) * j // n_chunks:len(tasks) * (j + 1) // n_chunks]
+              for j in range(n_chunks)]
+    if n_chunks == 1:
+        done = [_sweep_point(chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for i, stats in pool.map(_sweep_point, tasks):
-                results[i] = stats
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            done = list(pool.map(_sweep_point, chunks))
+    results = {i: stats for chunk in done for i, stats in chunk}
 
     if command == "simulate":
         stat_cols = ["termination", "t_final", "sup_final", "max_slope_final", "mean_drift"]
@@ -390,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("tw", help="construct a traveling-wave profile")
+    # argparse's own rule (-2, -.5, -1.25) would read "-1.6e-4" as a flag
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     common(p)
     p.add_argument("--speed", "-c", type=float, required=True, help="wave speed c")
     p.add_argument("--integration-constant", "-A", type=float, default=0.0)

@@ -7,6 +7,7 @@ snapshot capture at a fixed cadence, and onset detection for wave breaking
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from numbers import Real
@@ -100,18 +101,21 @@ def _max_slope(values: np.ndarray, grid: Grid) -> float:
     return float(np.max(np.abs(ux)))
 
 
-def _rk4(uh: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
-    """One classical RK4 step of the spectrum uh = rfft(u)."""
-    # overflow in a stage is caught by the finiteness check below
+def _rk4(uh: np.ndarray, grid: Grid, dt) -> np.ndarray:
+    """One classical RK4 step of each spectrum uh = rfft(u) along the last axis.
+
+    ``dt`` is a float or an array that broadcasts against ``uh``, such as one
+    step size per row of a (B, n//2 + 1) stack; each row equals its own
+    one-row step bitwise.  The result is not checked: a step that overflows
+    returns non-finite entries, and the caller decides what that ends.
+    """
+    # overflow in a stage shows as non-finite output
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = _rhs_spectrum(uh, grid)
         k2 = _rhs_spectrum(uh + 0.5 * dt * k1, grid)
         k3 = _rhs_spectrum(uh + 0.5 * dt * k2, grid)
         k4 = _rhs_spectrum(uh + dt * k3, grid)
-        out = uh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(f"non-finite stage values at step of size {dt:.3e}")
-    return out
+        return uh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step(s: State, dt: float) -> State:
@@ -120,64 +124,97 @@ def step(s: State, dt: float) -> State:
         raise ValueError(f"dt must be a positive real, got {dt!r}")
     grid = s.u.grid
     uh = _rk4(np.fft.rfft(s.u.values), grid, dt)
+    if not np.all(np.isfinite(uh)):
+        raise BlowUpError(f"non-finite stage values at step of size {dt:.3e}")
     return State(s.time + dt, s.u.with_values(np.fft.irfft(uh, grid.n_points)))
 
 
-def _cfl_dt(values: np.ndarray, grid: Grid, config: SolverConfig) -> float:
+def _cfl_dt(values: np.ndarray, grid: Grid, config: SolverConfig) -> np.ndarray:
+    """CFL step of each row of ``values`` (last axis: the grid)."""
     # FLUX'(u) = FLUX[1] + 2 FLUX[2] u is the local advection speed
-    speed = 1.0 + float(np.max(np.abs(FLUX[1] + 2.0 * FLUX[2] * values)))
-    return min(config.dt_max, config.cfl * grid.spacing / speed)
+    speed = 1.0 + np.max(np.abs(FLUX[1] + 2.0 * FLUX[2] * values), axis=-1)
+    return np.minimum(config.dt_max, config.cfl * grid.spacing / speed)
 
 
-def evolve(initial: State, config: SolverConfig) -> Trajectory:
-    """Integrate to t_end, recording snapshots every snapshot_interval.
+def evolve(initials: Sequence[State], config: SolverConfig) -> list[Trajectory]:
+    """Integrate each initial state to t_end, recording snapshots every snapshot_interval.
+
+    The states must share one grid and one start time; they step together
+    as one (B, n//2 + 1) stack of spectra, so a step costs the same transform
+    calls for any B.  Each row takes its own CFL step, and a row that reaches
+    the current snapshot time waits until the others catch up.  Trajectory i
+    equals ``evolve([initials[i]], config)[0]`` bitwise.
 
     Snapshot times are hit exactly (the last step into a snapshot is
-    shortened).  Stops early with the matching termination code when the
-    breaking threshold or the dt floor is reached, or when a step blows up
-    (BLOW_UP); the state at the stop time, the last finite one, is appended
-    as a final snapshot.
+    shortened).  A row stops early with the matching termination code when
+    the breaking threshold or the dt floor is reached, or when its step blows
+    up (BLOW_UP); the state at the stop time, the last finite one, is
+    appended as its final snapshot.  The other rows go on.
     """
-    grid = initial.u.grid
+    if not initials:
+        raise ValueError("evolve needs at least one initial state")
+    grid = initials[0].u.grid
+    t0 = initials[0].time
+    if any(s.u.grid != grid or s.time != t0 for s in initials):
+        raise ValueError("the initial states must share one grid and one start time")
     value_slope = _rhs_tables(grid.n_points, grid.length)["value_slope"]
-    values = initial.u.values
+    values = np.stack([s.u.values for s in initials])
     uh = np.fft.rfft(values)
-    t = initial.time
-    snapshots = [initial]
-    n_snaps = int(round((config.t_end - initial.time) / config.snapshot_interval))
-    snap_times = initial.time + config.snapshot_interval * np.arange(1, n_snaps + 1)
+    t = np.full(len(initials), t0)
+    snapshots = [[s] for s in initials]
+    n_snaps = int(round((config.t_end - t0) / config.snapshot_interval))
+    snap_times = t0 + config.snapshot_interval * np.arange(1, n_snaps + 1)
     if len(snap_times) == 0 or snap_times[-1] < config.t_end - 1e-12:
         snap_times = np.append(snap_times, config.t_end)
 
-    termination = Termination.COMPLETED
+    done = np.zeros(len(initials), dtype=bool)
+    termination = [Termination.COMPLETED] * len(initials)
+
+    def stop(rows: np.ndarray, code: Termination) -> None:
+        done[rows] = True
+        for i in rows:
+            termination[i] = code
+
     for t_target in snap_times:
-        stopped = False
-        while t < t_target - 1e-12:
-            dt_cfl = _cfl_dt(values, grid, config)
-            if dt_cfl < config.dt_min:
-                termination = Termination.DT_UNDERFLOW
-                stopped = True
-                break
-            dt = min(dt_cfl, t_target - t)
-            try:
-                uh = _rk4(uh, grid, dt)
-            except BlowUpError:
-                termination = Termination.BLOW_UP
-                stopped = True
-                break
-            t += dt
+        live = np.flatnonzero(~done)
+        rows = live[t[live] < t_target - 1e-12]
+        while rows.size:
+            # a slice while every row steps: views instead of copies
+            at = slice(None) if rows.size == len(t) else rows
+            dt_cfl = _cfl_dt(values[at], grid, config)
+            under = dt_cfl < config.dt_min
+            if under.any():
+                stop(rows[under], Termination.DT_UNDERFLOW)
+                at = rows = rows[~under]
+                dt_cfl = dt_cfl[~under]
+                if not rows.size:
+                    break
+            dt = np.minimum(dt_cfl, t_target - t[at])
+            new = _rk4(uh[at], grid, dt[:, None])
+            finite = np.isfinite(new).all(axis=-1)
+            if not finite.all():
+                stop(rows[~finite], Termination.BLOW_UP)
+                at = rows = rows[finite]
+                dt, new = dt[finite], new[finite]
+                if not rows.size:
+                    break
+            uh[at] = new
+            t[at] += dt
             # values for the next CFL step and the snapshot, slope for breaking
-            values, ux = np.fft.irfft(value_slope * uh, grid.n_points)
-            if float(np.max(np.abs(ux))) >= config.breaking_slope_threshold:
-                termination = Termination.BREAKING_DETECTED
-                stopped = True
-                break
-        if t > snapshots[-1].time + 1e-12:
-            snapshots.append(State(t, Field(grid, values)))
-        if stopped:
+            both = np.fft.irfft(value_slope * new[:, None, :], grid.n_points)
+            values[at] = both[:, 0]
+            smooth = np.max(np.abs(both[:, 1]), axis=-1) < config.breaking_slope_threshold
+            go = smooth & (t[at] < t_target - 1e-12)
+            if not go.all():
+                stop(rows[~smooth], Termination.BREAKING_DETECTED)
+                rows = rows[go]
+        for i in live:
+            if t[i] > snapshots[i][-1].time + 1e-12:
+                snapshots[i].append(State(t[i], Field(grid, values[i])))
+        if done.all():
             break
 
-    return Trajectory(tuple(snapshots), config, termination)
+    return [Trajectory(tuple(s), config, code) for s, code in zip(snapshots, termination)]
 
 
 def detect_breaking(traj: Trajectory) -> BreakingReport:

@@ -222,24 +222,27 @@ def kernel_convolve(f: Field) -> Field:
 def _rhs_spectrum(uh: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectrum of the evolution right-hand side from the spectrum of u.
 
-    Five transforms in four calls: one stacked irfft of the kept band of u
-    and u_x, the rfft of u^2 and its irfft, and one rfft of the remaining
-    nonlinearity u^2 (r3 u + r4 u^2) + SLOPE_SQ u_x^2.  Each of its three
-    terms is a product of two kept-band factors, so the sum is alias-free in
-    the kept band, which is all that is kept of it.
+    Acts on the last axis, so a (B, n//2 + 1) stack of spectra costs the
+    same four transform calls as one spectrum, and each row equals its own
+    evaluation bitwise.  Five transforms in four calls: one stacked irfft of
+    the kept band of u and u_x, the rfft of u^2 and its irfft, and one rfft
+    of the remaining nonlinearity u^2 (r3 u + r4 u^2) + SLOPE_SQ u_x^2.  Each
+    of its three terms is a product of two kept-band factors, so the sum is
+    alias-free in the kept band, which is all that is kept of it.
     """
     t = _rhs_tables(grid.n_points, grid.length)
     n = grid.n_points
     quad, rest = t["quad"], t["rest"]
     band = len(quad)
-    ubh = uh[:band]
-    ub, ubx = np.fft.irfft(t["value_slope"][:, :band] * ubh, n)
-    u2h = np.fft.rfft(ub * ub)[:band]
+    ubh = uh[..., None, :band]
+    both = np.fft.irfft(t["value_slope"][:, :band] * ubh, n)
+    ub, ubx = both[..., 0, :], both[..., 1, :]
+    u2h = np.fft.rfft(ub * ub)[..., :band]
     u2 = np.fft.irfft(u2h, n)
     _, _, _, r3, r4 = REACTION
-    nlh = np.fft.rfft(u2 * (r3 * ub + r4 * u2) + SLOPE_SQ * (ubx * ubx))[:band]
+    nlh = np.fft.rfft(u2 * (r3 * ub + r4 * u2) + SLOPE_SQ * (ubx * ubx))[..., :band]
     out = t["lin"] * uh
-    out[:band] += quad * u2h + rest * nlh
+    out[..., :band] += quad * u2h + rest * nlh
     return out
 
 

@@ -37,6 +37,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import (
     CompositionError,
+    ConfigError,
     EnergyMismatchError,
     NonexistenceError,
     SingularLineError,
@@ -609,7 +610,8 @@ def _solitary_from_head(
     interpolates (cubic Hermite on the exact slopes for smooth waves, PCHIP
     at a singular contact), continues analytically with the saddle decay rate
     ``kappa`` beyond the table, and samples 4096 points over a window whose
-    edges sit where the tail reaches 1e-7 |u_top|.
+    edges sit where the tail reaches 1e-7 |u_top|.  A speed so large that
+    no positive window or no increasing knots exist is a ConfigError.
     """
     sign = np.sign(u_top)
     u_mid = 0.5 * u_top
@@ -626,14 +628,24 @@ def _solitary_from_head(
 
     xi_knots = np.concatenate([xi_head, xi_tail[1:]])
     u_knots = np.concatenate([u_head, u_tail[1:]])
+    xi_cut = float(xi_knots[-1])
+    u_cut = float(u_knots[-1])
+    # u_cut = 1e-9 |u_top| is below the target, so the edge is on the
+    # analytic continuation
+    window = 2.0 * (xi_cut - np.log(1e-7 * abs(u_top) / abs(u_cut)) / kappa)
+    # for |c| >~ 3e12 the tail is shorter than ln(100)/kappa, and for
+    # |c| >~ 1e66 its knots no longer increase in double precision
+    if not (window > 0 and np.all(np.diff(xi_knots) > 0)):
+        raise ConfigError(
+            f"speed {params.speed:g} is beyond the range where the solitary "
+            "profile can be sampled in double precision"
+        )
     if regularity is Regularity.SMOOTH_SOLITARY:
         v_knots = -sign * np.sqrt(np.abs(slope_squared(u_knots, params)))
         v_knots[0] = 0.0
         interp = _PiecewiseCubic(xi_knots, u_knots, v_knots)
     else:
         interp = _pchip(xi_knots, u_knots)
-    xi_cut = float(xi_knots[-1])
-    u_cut = float(u_knots[-1])
 
     def evaluator(x: np.ndarray) -> np.ndarray:
         s = np.abs(np.asarray(x, dtype=np.float64))
@@ -643,9 +655,6 @@ def _solitary_from_head(
         out[~inside] = u_cut * np.exp(-kappa * (s[~inside] - xi_cut))
         return out
 
-    # u_cut = 1e-9 |u_top| is below the target, so the edge is on the
-    # analytic continuation
-    window = 2.0 * (xi_cut - np.log(1e-7 * abs(u_top) / abs(u_cut)) / kappa)
     xi = (np.arange(4096) - 2048) * (window / 4096)
     values = evaluator(xi)
     # the slope is unbounded at a cusp contact; cap non-finite entries with

@@ -190,29 +190,33 @@ def steady_weak_residual(profile: TWProfile, psi: TestFunction) -> float:
     return float(grid.spacing * np.sum(integrand) / psi.mass())
 
 
-def unsteady_weak_residual(traj: Trajectory, phi: TestFunction, rho: TestFunction) -> float:
+def unsteady_weak_residual(
+    traj: Trajectory, phis: list[TestFunction], rho: TestFunction
+) -> list[float]:
     """Normalized space-time quadrature of the weak evolution identity.
 
-    ``phi`` is the spatial bump, ``rho`` the temporal one; the product test
-    function must be supported strictly inside the domain and the recorded
-    time window.
+    ``phis`` are the spatial bumps, ``rho`` the temporal one; each product
+    test function must be supported strictly inside the domain and the
+    recorded time window.  Returns one residual per bump.  The snapshot
+    terms u, the flux, P(R(u)) and rho, rho_t are formed once per snapshot
+    and paired with every bump.
     """
     grid = traj.grid
     times = traj.times()
-    lo, hi = phi.support
-    if lo < 0.0 or hi > grid.length:
-        raise SupportError("spatial test function leaves the domain")
+    for phi in phis:
+        lo, hi = phi.support
+        if lo < 0.0 or hi > grid.length:
+            raise SupportError("spatial test function leaves the domain")
     t_lo, t_hi = rho.support
     if t_lo <= times[0] or t_hi >= times[-1]:
         raise SupportError("temporal test function leaves the recorded window")
 
     x = grid.points
-    phi_v = phi.value(x)
-    phi_x = phi.derivative(x, 1)
-    slices = np.empty(len(times))
+    phi_v = [phi.value(x) for phi in phis]
+    phi_x = [phi.derivative(x, 1) for phi in phis]
+    slices = np.zeros((len(phis), len(times)))
     for i, s in enumerate(traj.snapshots):
         if times[i] < t_lo - 2 * rho.width or times[i] > t_hi + 2 * rho.width:
-            slices[i] = 0.0
             continue
         u = s.u.values
         r = _pointwise_reaction(u, spectral_derivative(s.u, 1).values)
@@ -220,10 +224,11 @@ def unsteady_weak_residual(traj: Trajectory, phi: TestFunction, rho: TestFunctio
         rho_v = float(rho.value(times[i]))
         rho_t = float(rho.derivative(times[i], 1))
         flux = FLUX[1] * u + FLUX[2] * u**2
-        integrand = u * phi_v * rho_t - flux * phi_x * rho_v + p * phi_x * rho_v
-        slices[i] = grid.spacing * np.sum(integrand)
-    total = float(np.trapezoid(slices, times))
-    return total / (phi.mass() * rho.mass())
+        for j in range(len(phis)):
+            integrand = u * phi_v[j] * rho_t - flux * phi_x[j] * rho_v + p * phi_x[j] * rho_v
+            slices[j, i] = grid.spacing * np.sum(integrand)
+    return [float(np.trapezoid(row, times)) / (phi.mass() * rho.mass())
+            for phi, row in zip(phis, slices)]
 
 
 def reflection_bracket_check(u: Field, lam: float, phi: TestFunction) -> tuple[float, float]:

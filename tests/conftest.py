@@ -29,7 +29,7 @@ def tw_trajectory(solitary_c12):
     grid = Grid(1024, 120.0)
     u0 = profile_to_field(solitary_c12, grid, center=60.0)
     cfg = SolverConfig(t_end=10.0, snapshot_interval=0.5)
-    return evolve(State(0.0, u0), cfg)
+    return evolve([State(0.0, u0)], cfg)[0]
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +40,7 @@ def gaussian_trajectory():
     w = grid.length / 20.0
     u0 = Field(grid, 0.1 * np.exp(-((x - grid.length / 2) ** 2) / (2 * w * w)))
     cfg = SolverConfig(t_end=20.0, snapshot_interval=0.25)
-    return evolve(State(0.0, u0), cfg)
+    return evolve([State(0.0, u0)], cfg)[0]
 
 
 @pytest.fixture(scope="session")
@@ -57,4 +57,4 @@ def breaking_trajectory():
     cfg = SolverConfig(
         t_end=60.0, snapshot_interval=0.6, breaking_slope_threshold=10.5 * s0
     )
-    return evolve(State(0.0, u0), cfg), s0
+    return evolve([State(0.0, u0)], cfg)[0], s0

@@ -100,7 +100,7 @@ def test_acceptance_03_integrator_order_and_mean():
 
     big = Grid(256, 40.0)
     u0f = Field(big, 0.1 * np.exp(-((big.points - 20.0) ** 2) / 8.0) + 0.02)
-    traj = evolve(State(0.0, u0f), SolverConfig(t_end=2.0, snapshot_interval=0.5))
+    traj = evolve([State(0.0, u0f)], SolverConfig(t_end=2.0, snapshot_interval=0.5))[0]
     means = [s.u.mean() for s in traj.snapshots]
     drift_per_time = max(abs(m - means[0]) for m in means) / 2.0
     assert drift_per_time < 1e-10
@@ -112,7 +112,7 @@ def test_acceptance_04_linear_dispersion():
     for m in (1, 2, 3):
         k = 2 * np.pi * m / grid.length
         u0 = Field(grid, 1e-5 * np.cos(k * grid.points))
-        traj = evolve(State(0.0, u0), SolverConfig(t_end=5.0, snapshot_interval=0.5))
+        traj = evolve([State(0.0, u0)], SolverConfig(t_end=5.0, snapshot_interval=0.5))[0]
         phases = np.unwrap([np.angle(np.fft.rfft(s.u.values)[m]) for s in traj.snapshots])
         slope = np.polyfit(traj.times(), phases, 1)[0]
         measured = -slope / k

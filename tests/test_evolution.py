@@ -15,6 +15,7 @@ from mase.evolution import (
     _rk4,
 )
 from mase.grid import Field, Grid, State, constant_field, zero_field
+from mase.operators import _rhs_spectrum
 
 
 @pytest.fixture()
@@ -74,7 +75,7 @@ def test_evolve_ends_with_blow_up_and_the_last_finite_state(grid):
     u = gaussian(grid, 1.0, 0.5)
     cfg = SolverConfig(t_end=5.0, snapshot_interval=0.5, cfl=5.0, dt_max=0.2,
                        breaking_slope_threshold=1e300)
-    traj = evolve(State(0.0, u), cfg)
+    traj = evolve([State(0.0, u)], cfg)[0]
     assert traj.termination is Termination.BLOW_UP
     last = traj.snapshots[-1]
     assert 0.0 < last.time < cfg.t_end
@@ -104,12 +105,56 @@ def test_global_order_four():
         assert 3.7 < order < 4.3
 
 
+def test_rhs_and_rk4_on_a_stack_equal_the_rows_bitwise(grid):
+    rows = np.stack([gaussian(grid, a, w).values for a, w in ((0.05, 2.0), (0.2, 1.0), (-0.1, 3.0))])
+    uh = np.fft.rfft(rows)
+    dt = np.array([0.01, 0.003, 0.02])
+    rhs = _rhs_spectrum(uh, grid)
+    stepped = _rk4(uh, grid, dt[:, None])
+    assert rhs.shape == stepped.shape == uh.shape
+    for i in range(len(rows)):
+        assert np.array_equal(rhs[i], _rhs_spectrum(uh[i], grid))
+        assert np.array_equal(stepped[i], _rk4(uh[i], grid, float(dt[i])))
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
 
+def test_evolve_batch_rows_equal_their_solo_runs(grid):
+    # one config, four endings: at cfl=5 the steep row of the blow-up test
+    # still overflows (its slope reaches 6.4e3 the step before), a 0.1-high
+    # row grows past the 1e4 slope threshold, and a 1e7-high row needs a
+    # step below dt_min at once
+    cfg = SolverConfig(t_end=5.0, snapshot_interval=0.5, cfl=5.0, dt_max=0.2,
+                       breaking_slope_threshold=1e4)
+    rows = [gaussian(grid, a, w) for a, w in ((0.02, 2.0), (0.1, 1.0), (1.0, 0.5), (1e7, 2.0))]
+    batch = evolve([State(0.0, u) for u in rows], cfg)
+    assert [traj.termination for traj in batch] == [
+        Termination.COMPLETED, Termination.BREAKING_DETECTED,
+        Termination.BLOW_UP, Termination.DT_UNDERFLOW,
+    ]
+    for u, traj in zip(rows, batch):
+        solo = evolve([State(0.0, u)], cfg)[0]
+        assert traj.termination is solo.termination
+        assert np.array_equal(traj.times(), solo.times())
+        for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
+            assert np.array_equal(a.u.values, b.u.values)
+
+
+def test_evolve_refuses_rows_on_different_grids_or_times(grid):
+    cfg = SolverConfig(t_end=1.0, snapshot_interval=0.5)
+    other = zero_field(Grid(128, 40.0))
+    with pytest.raises(ValueError):
+        evolve([State(0.0, zero_field(grid)), State(0.0, other)], cfg)
+    with pytest.raises(ValueError):
+        evolve([State(0.0, zero_field(grid)), State(0.5, zero_field(grid))], cfg)
+    with pytest.raises(ValueError):
+        evolve([], cfg)
+
+
 def test_evolve_zero_data(grid):
-    traj = evolve(State(0.0, zero_field(grid)), SolverConfig(t_end=1.0, snapshot_interval=0.25))
+    traj = evolve([State(0.0, zero_field(grid))], SolverConfig(t_end=1.0, snapshot_interval=0.25))[0]
     assert traj.termination is Termination.COMPLETED
     assert len(traj.snapshots) == 5
     assert all(s.u.sup_norm() == 0.0 for s in traj.snapshots)
@@ -117,21 +162,21 @@ def test_evolve_zero_data(grid):
 
 
 def test_evolve_snapshot_times_exact(grid):
-    traj = evolve(State(0.0, gaussian(grid, 0.05, 3.0)),
-                  SolverConfig(t_end=1.0, snapshot_interval=0.2))
+    traj = evolve([State(0.0, gaussian(grid, 0.05, 3.0))],
+                  SolverConfig(t_end=1.0, snapshot_interval=0.2))[0]
     assert np.allclose(traj.times(), [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
 
 
 def test_evolve_mean_preserved(grid):
     u0 = Field(grid, gaussian(grid, 0.1, 3.0).values + 0.02)
-    traj = evolve(State(0.0, u0), SolverConfig(t_end=2.0, snapshot_interval=0.5))
+    traj = evolve([State(0.0, u0)], SolverConfig(t_end=2.0, snapshot_interval=0.5))[0]
     means = [s.u.mean() for s in traj.snapshots]
     assert max(abs(m - means[0]) for m in means) < 1e-10 * 2.0
 
 
 def test_evolve_dt_underflow(grid):
     cfg = SolverConfig(t_end=1.0, snapshot_interval=0.5, dt_min=1.0, dt_max=2.0)
-    traj = evolve(State(0.0, gaussian(grid, 0.1, 3.0)), cfg)
+    traj = evolve([State(0.0, gaussian(grid, 0.1, 3.0))], cfg)[0]
     assert traj.termination is Termination.DT_UNDERFLOW
 
 
@@ -165,7 +210,7 @@ def test_small_mode_travels_at_linear_speed(grid):
     m = 2
     k = 2 * np.pi * m / grid.length
     u0 = Field(grid, 1e-5 * np.cos(k * grid.points))
-    traj = evolve(State(0.0, u0), SolverConfig(t_end=5.0, snapshot_interval=0.5))
+    traj = evolve([State(0.0, u0)], SolverConfig(t_end=5.0, snapshot_interval=0.5))[0]
     phases = np.unwrap([np.angle(np.fft.rfft(s.u.values)[m]) for s in traj.snapshots])
     slope = np.polyfit(traj.times(), phases, 1)[0]
     measured = -slope / k
@@ -177,7 +222,7 @@ def test_small_mode_travels_at_linear_speed(grid):
 
 
 def test_detect_breaking_negative_on_zero(grid):
-    traj = evolve(State(0.0, zero_field(grid)), SolverConfig(t_end=1.0, snapshot_interval=0.25))
+    traj = evolve([State(0.0, zero_field(grid))], SolverConfig(t_end=1.0, snapshot_interval=0.25))[0]
     rep = detect_breaking(traj)
     assert not rep.detected
     assert len(rep.max_slope_history) == len(traj.snapshots)
@@ -221,9 +266,9 @@ def test_evolve_breaking_check_trips_where_max_slope_does(monkeypatch):
 
     monkeypatch.setattr(evolution, "_rk4", recording)
     cfg = SolverConfig(t_end=60.0, snapshot_interval=5.0, breaking_slope_threshold=threshold)
-    traj = evolve(State(0.0, u0), cfg)
+    traj = evolve([State(0.0, u0)], cfg)[0]
     assert traj.termination is Termination.BREAKING_DETECTED
-    states = [np.fft.irfft(uh, grid.n_points) for uh in spectra]
+    states = [np.fft.irfft(uh[0], grid.n_points) for uh in spectra]
     slopes = [_max_slope(v, grid) for v in states]
     assert max(slopes[:-1]) < threshold <= slopes[-1]
     assert np.array_equal(traj.snapshots[-1].u.values, states[-1])

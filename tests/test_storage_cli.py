@@ -54,7 +54,7 @@ def test_trajectory_round_trip(tmp_path):
     grid = Grid(64, 20.0)
     x = grid.points
     u0 = Field(grid, 0.05 * np.exp(-((x - 10.0) ** 2) / 4.0))
-    traj = evolve(State(0.0, u0), SolverConfig(t_end=0.5, snapshot_interval=0.25))
+    traj = evolve([State(0.0, u0)], SolverConfig(t_end=0.5, snapshot_interval=0.25))[0]
     scenario = {"solver": {"t_end": 0.5, "snapshot_interval": 0.25}}
     write_trajectory(tmp_path, traj, scenario)
     assert verify_manifest(tmp_path)
@@ -74,8 +74,8 @@ def test_snapshot_filename_format():
 
 def test_manifest_detects_tampering(tmp_path):
     grid = Grid(64, 20.0)
-    traj = evolve(State(0.0, Field(grid, np.zeros(64))),
-                  SolverConfig(t_end=0.5, snapshot_interval=0.25))
+    traj = evolve([State(0.0, Field(grid, np.zeros(64)))],
+                  SolverConfig(t_end=0.5, snapshot_interval=0.25))[0]
     write_trajectory(tmp_path, traj, {})
     target = tmp_path / "diagnostics.csv"
     target.write_text(target.read_text() + "tampered\n")
@@ -260,6 +260,27 @@ def test_cli_tw_non_finite_arguments_exit_2(tmp_path, capsys, flag, value):
     assert err.startswith("error: config:") and "must be finite" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "tw").exists()
+
+
+@pytest.mark.parametrize("speed", ["5e12", "-5e12"])
+def test_cli_tw_speed_beyond_the_sampled_range_exits_2(tmp_path, capsys, speed):
+    # the solitary window 2 (xi_cut - ln(100)/kappa) is negative there
+    assert main(["tw", "--speed", speed, "--out", str(tmp_path / "tw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: speed") and "beyond the range" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "tw").exists()
+
+
+def test_cli_tw_takes_negative_values_in_exponent_notation_after_a_space(tmp_path):
+    out = tmp_path / "tw"
+    argv = ["tw", "--speed", "1.2", "--energy", "-1.6e-4", "--wave", "periodic", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "profile_c=1.2.json").read_text())["energy"] == -1.6e-4
+    assert main(["tw", "-c", "-3E0", "-A", "-1e0", "-E", "0", "--wave", "peaked",
+                 "--out", str(out)]) == 0
+    sidecar = json.loads((out / "profile_c=-3.json").read_text())
+    assert (sidecar["speed"], sidecar["integration_constant"]) == (-3.0, -1.0)
 
 
 @pytest.mark.parametrize(
@@ -610,6 +631,35 @@ def test_sweep_deterministic_across_workers(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(d1), "--workers", "1"]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(d4), "--workers", "4"]) == 0
     assert _tree_digest(d1) == _tree_digest(d4)
+
+
+def test_sweep_batches_each_grid_and_records_invalid_points_for_any_workers(tmp_path):
+    doc = json.loads(_sweep_config(tmp_path).read_text())
+    doc["sweep"] = {"grid.n_points": [128, 256], "initial.amplitude": [0.02, 0.08],
+                    "initial.width": [2.0, 40.0]}
+    cfg = tmp_path / "grids.json"
+    cfg.write_text(json.dumps(doc))
+    trees = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        trees.append(_tree_digest(out))
+    assert trees[0] == trees[1] == trees[2]
+    rows = [line.split(",") for line in (out / "aggregate.csv").read_text().splitlines()]
+    status = rows[0].index("status")
+    assert [r[status] for r in rows[1:]] == ["ok", "error"] * 4
+    assert "gaussian width 40.0 must lie in (0; length)" in rows[2][-1]
+
+    # point 6 (N=256, amplitude 0.08) shares a batch with point 4 for
+    # --workers 1 and 2 and runs alone for 3; it equals its plain run
+    plain = tmp_path / "plain"
+    sc = tmp_path / "plain.json"
+    point = dict(doc["base"], grid={"n_points": 256, "length": 40.0},
+                 initial=dict(doc["base"]["initial"], amplitude=0.08))
+    sc.write_text(json.dumps(point))
+    assert main(["simulate", "--config", str(sc), "--out", str(plain)]) == 0
+    assert _tree_digest(out / "point_0006") == _tree_digest(plain)
 
 
 def test_sweep_tw_existence_table(tmp_path):

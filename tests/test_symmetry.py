@@ -184,7 +184,7 @@ def test_verify_theorem_on_constructed_wave(tw_trajectory):
 
 def test_verify_theorem_constant_trajectory_rejected(grid):
     cfg = SolverConfig(t_end=1.0, snapshot_interval=0.25)
-    traj = evolve(State(0.0, zero_field(grid)), cfg)
+    traj = evolve([State(0.0, zero_field(grid))], cfg)[0]
     with pytest.raises(ConstantFieldError):
         verify_theorem(traj)
 

@@ -136,49 +136,49 @@ def smooth_run():
     x = grid.points
     u0 = Field(grid, 0.05 * np.exp(-((x - 20.0) ** 2) / 8.0))
     cfg = SolverConfig(t_end=3.0, snapshot_interval=0.01)
-    return evolve(State(0.0, u0), cfg)
+    return evolve([State(0.0, u0)], cfg)[0]
 
 
 def test_unsteady_residual_zero_trajectory():
     grid = Grid(256, 40.0)
     cfg = SolverConfig(t_end=2.0, snapshot_interval=0.05)
-    traj = evolve(State(0.0, zero_field(grid)), cfg)
-    res = unsteady_weak_residual(traj, TestFunction(20.0, 5.0), TestFunction(1.0, 0.5))
+    traj = evolve([State(0.0, zero_field(grid))], cfg)[0]
+    res = unsteady_weak_residual(traj, [TestFunction(20.0, 5.0)], TestFunction(1.0, 0.5))[0]
     assert res == 0.0
 
 
 def test_unsteady_residual_small_on_resolved_run(smooth_run):
     phi = TestFunction(22.0, 5.0)
     rho = TestFunction(1.5, 1.0)
-    res = unsteady_weak_residual(smooth_run, phi, rho)
+    res = unsteady_weak_residual(smooth_run, [phi], rho)[0]
     assert abs(res) < 1e-4
 
 
 def test_unsteady_residual_detects_corruption(smooth_run):
     phi = TestFunction(22.0, 5.0)
     rho = TestFunction(1.5, 1.0)
-    clean = abs(unsteady_weak_residual(smooth_run, phi, rho))
+    clean = abs(unsteady_weak_residual(smooth_run, [phi], rho)[0])
     snaps = list(smooth_run.snapshots)
     mid = len(snaps) // 2
     bad = State(snaps[mid].time, snaps[mid].u.with_values(1.1 * snaps[mid].u.values))
     corrupted = Trajectory(tuple(snaps[:mid] + [bad] + snaps[mid + 1:]),
                            smooth_run.config, Termination.COMPLETED)
-    dirty = abs(unsteady_weak_residual(corrupted, phi, rho))
+    dirty = abs(unsteady_weak_residual(corrupted, [phi], rho)[0])
     assert dirty >= 10.0 * clean
 
 
 def test_unsteady_residual_support_checks(smooth_run):
     with pytest.raises(SupportError):
-        unsteady_weak_residual(smooth_run, TestFunction(39.0, 5.0), TestFunction(1.5, 1.0))
+        unsteady_weak_residual(smooth_run, [TestFunction(39.0, 5.0)], TestFunction(1.5, 1.0))
     with pytest.raises(SupportError):
-        unsteady_weak_residual(smooth_run, TestFunction(20.0, 5.0), TestFunction(0.1, 0.5))
+        unsteady_weak_residual(smooth_run, [TestFunction(20.0, 5.0)], TestFunction(0.1, 0.5))
 
 
 def test_unsteady_residual_stable_under_rho_narrowing(smooth_run):
     # narrowing the temporal bump toward a time slice keeps the residual
     # small: the single-narrow-rho stand-in for the delta-sequence argument
     phi = TestFunction(22.0, 5.0)
-    vals = [abs(unsteady_weak_residual(smooth_run, phi, TestFunction(1.5, w)))
+    vals = [abs(unsteady_weak_residual(smooth_run, [phi], TestFunction(1.5, w))[0])
             for w in (1.2, 0.6, 0.3)]
     assert all(v < 1e-4 for v in vals)
 
@@ -200,8 +200,8 @@ def test_unsteady_residual_quadrature_rate():
         return Trajectory(snaps, cfg, Termination.COMPLETED)
 
     rho = TestFunction(1.5, 1.2)
-    vals = [unsteady_weak_residual(synthetic(dt), phi, rho) for dt in (0.1, 0.05, 0.025)]
-    ref = unsteady_weak_residual(synthetic(0.003125), phi, rho)
+    vals = [unsteady_weak_residual(synthetic(dt), [phi], rho)[0] for dt in (0.1, 0.05, 0.025)]
+    ref = unsteady_weak_residual(synthetic(0.003125), [phi], rho)[0]
     errs = [abs(v - ref) for v in vals]
     order = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
