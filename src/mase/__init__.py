@@ -10,10 +10,7 @@ __version__ = "0.1.0"
 from .evolution import SolverConfig, Termination, Trajectory, detect_breaking, evolve, step
 from .grid import Field, Grid, State, constant_field, zero_field
 from .operators import (
-    evolution_rhs,
     helmholtz_inverse,
-    kernel_convolve,
-    local_form_residual,
     reaction_term,
     spectral_derivative,
 )
@@ -47,10 +44,7 @@ __all__ = [
     "evolve",
     "step",
     "detect_breaking",
-    "evolution_rhs",
     "helmholtz_inverse",
-    "kernel_convolve",
-    "local_form_residual",
     "reaction_term",
     "spectral_derivative",
     "detect_axis",

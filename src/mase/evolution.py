@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BlowUpError
 from .grid import Field, Grid, State
-from .operators import FLUX, REACTION, _rhs_spectrum, _rhs_tables, _spectral_tables
+from .operators import FLUX, _rhs_spectrum, _rhs_tables, _spectral_tables
 
 __all__ = [
     "SolverConfig",
@@ -26,7 +26,6 @@ __all__ = [
     "step",
     "evolve",
     "detect_breaking",
-    "linear_phase_speed",
 ]
 
 
@@ -241,8 +240,3 @@ def detect_breaking(traj: Trajectory) -> BreakingReport:
             break
     return BreakingReport(detected, t_detect, tuple(slopes), tuple(sups))
 
-
-def linear_phase_speed(k: float) -> float:
-    """Phase speed (1 - k^2)/(1 + k^2) = 2/(1 + k^2) - 1 of the linearized equation."""
-    k = float(k)
-    return REACTION[1] / (1.0 + k * k) - FLUX[1]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, NonFiniteFieldError
+from .errors import NonFiniteFieldError
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,6 @@ def zero_field(grid: Grid) -> Field:
 
 def constant_field(grid: Grid, value: float) -> Field:
     return Field(grid, np.full(grid.n_points, float(value)))
-
-
-def require_same_grid(a: Field, b: Field) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError(
-            f"fields live on different grids: {a.grid} vs {b.grid}"
-        )
 
 
 @dataclass(frozen=True)

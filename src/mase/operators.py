@@ -18,15 +18,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DerivativeOrderError, NonFiniteFieldError
-from .grid import Field, Grid, State, require_same_grid
+from .errors import DerivativeOrderError
+from .grid import Field, Grid
 
 # Coefficients of the nonlocal form, in ascending powers of u:
 #   u_t = d/dx FLUX(u) - d/dx (1 - d^2/dx^2)^{-1} R(u),
 #   FLUX(u) = sum_j FLUX[j] u^j,  R(u) = sum_j REACTION[j] u^j + SLOPE_SQ u_x^2.
 # Constant terms drop out of every x-derivative; they are kept so the tuples
-# read as polynomials.  local_form_residual keeps its own hand-derived
-# coefficients on purpose: it is the independent oracle for this record.
+# read as polynomials.  The test oracles (tests/oracles.py: the local form,
+# the dispersion law) keep their own hand-derived coefficients on purpose, so
+# they check this record independently.
 FLUX = (0.0, 1.0, 7.0)
 REACTION = (0.0, 2.0, 10.0, -2.0, 3.0)
 SLOPE_SQ = -7.0
@@ -103,9 +104,10 @@ def _nonlinear_spectra(values: np.ndarray, grid: Grid) -> dict:
 
     Returns the full spectrum ``uh`` plus band-truncated spectra of u^2, u^3,
     u^4 and u_x^2, and the physical-space truncated factors used to build
-    them.  reaction_term and local_form_residual draw from it; the evolution
-    right-hand side (_rhs_spectrum) fuses the same products into fewer
-    transforms, so the local-form oracle checks it from separate code.
+    them.  reaction_term and the local-form oracle of the tests
+    (tests/oracles.py) draw from it; the evolution right-hand side
+    (_rhs_spectrum) fuses the same products into fewer transforms, so the
+    oracle checks it from separate code.
     """
     t = _spectral_tables(grid.n_points, grid.length)
     n = grid.n_points
@@ -143,11 +145,6 @@ def _reaction_spectrum(parts: dict) -> np.ndarray:
     )
 
 
-def _require_finite(f: Field) -> None:
-    if not np.all(np.isfinite(f.values)):
-        raise NonFiniteFieldError("operation requires finite field values")
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -163,60 +160,16 @@ def spectral_derivative(u: Field, order: int) -> Field:
 
 def reaction_term(u: Field) -> Field:
     """R(u) = 2u + 10u^2 - 2u^3 + 3u^4 - 7u_x^2 with dealiased products."""
-    _require_finite(u)
     parts = _nonlinear_spectra(u.values, u.grid)
     return u.with_values(np.fft.irfft(_reaction_spectrum(parts), u.grid.n_points))
 
 
 def helmholtz_inverse(f: Field) -> Field:
     """Solve (1 - d^2/dx^2) P = f on the periodic grid (multiplier 1/(1+k^2))."""
-    _require_finite(f)
     t = _spectral_tables(f.grid.n_points, f.grid.length)
     return f.with_values(
         np.fft.irfft(t["helmholtz"] * np.fft.rfft(f.values), f.grid.n_points)
     )
-
-
-@lru_cache(maxsize=16)
-def _kernel_matrix(n_points: int, length: float) -> np.ndarray:
-    """Quadrature matrix of the periodized kernel (1/2) sum_m exp(-|d + mL|).
-
-    The image sum is geometric; for |d| <= L it equals
-    cosh(|d| - L/2) / (2 sinh(L/2)), evaluated here in the overflow-free form
-    (exp(-|d|) + exp(|d| - L)) / (2 (1 - exp(-L))).
-    """
-    h = length / n_points
-    x = np.arange(n_points) * h
-    d = np.abs(x[:, None] - x[None, :])
-    kern = h * (np.exp(-d) + np.exp(d - length)) / (-2.0 * np.expm1(-length))
-    kern.setflags(write=False)
-    return kern
-
-
-def _second_difference(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order central difference for f'' on the periodic grid."""
-    f1 = np.roll(values, -1)
-    f_1 = np.roll(values, 1)
-    f2 = np.roll(values, -2)
-    f_2 = np.roll(values, 2)
-    return (-f2 + 16.0 * f1 - 30.0 * values + 16.0 * f_1 - f_2) / (12.0 * h * h)
-
-
-def kernel_convolve(f: Field) -> Field:
-    """Direct quadrature of the periodized-kernel convolution.
-
-    Trapezoid sum of (1/2) sum_m int exp(-|x - y + mL|) f(y) dy over the
-    period, plus Euler-Maclaurin endpoint corrections for the kernel's kink
-    at y = x (the kink sits on a quadrature node, so plain trapezoid is only
-    second-order accurate; the h^2 and h^4 jump terms restore ~h^6).  Serves
-    as the FFT-free oracle for helmholtz_inverse.
-    """
-    _require_finite(f)
-    h = f.grid.spacing
-    quad = _kernel_matrix(f.grid.n_points, f.grid.length) @ f.values
-    fpp = _second_difference(f.values, h)
-    corr = -(h**2 / 12.0) * f.values + (h**4 / 720.0) * (f.values + 3.0 * fpp)
-    return f.with_values(quad + corr)
 
 
 def _rhs_spectrum(uh: np.ndarray, grid: Grid) -> np.ndarray:
@@ -244,81 +197,3 @@ def _rhs_spectrum(uh: np.ndarray, grid: Grid) -> np.ndarray:
     out = t["lin"] * uh
     out[..., :band] += quad * u2h + rest * nlh
     return out
-
-
-def _rhs_values(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Evolution right-hand side at the grid points."""
-    return np.fft.irfft(_rhs_spectrum(np.fft.rfft(values), grid), grid.n_points)
-
-
-def evolution_rhs(s: State) -> Field:
-    """Value of u_t: d/dx (u + 7u^2) - d/dx (1-d^2/dx^2)^{-1} R(u)."""
-    _require_finite(s.u)
-    return s.u.with_values(_rhs_values(s.u.values, s.u.grid))
-
-
-def local_form_residual(u: Field, ut: Field) -> Field:
-    """Pointwise left side of the local form of the equation.
-
-    u_t + u_x + 6uu_x - 6u^2 u_x + 12u^3 u_x + u_xxx - u_xxt
-    + 14u u_xxx + 28 u_x u_xx, assembled from the same dealiased products as
-    the nonlocal right-hand side.  Consistency oracle, not a solver.
-    """
-    require_same_grid(u, ut)
-    _require_finite(u)
-    _require_finite(ut)
-    grid = u.grid
-    n = grid.n_points
-    parts = _nonlinear_spectra(u.values, grid)
-    t = parts["tables"]
-    keep = t["keep"]
-    ub, ubx = parts["ub"], parts["ubx"]
-    ubxx = np.fft.irfft(t["d2"] * parts["ubh"], n)
-    ubxxx = np.fft.irfft(t["d3"] * parts["ubh"], n)
-    u2 = parts["u2"]
-    u3 = np.fft.irfft(parts["u3h"], n)
-    uth = np.fft.rfft(ut.values)
-    res = (
-        uth
-        + t["d1"] * parts["uh"]
-        + t["d3"] * parts["uh"]
-        - t["d2"] * uth
-        + 6.0 * _product_spectrum(ub, ubx, keep)
-        - 6.0 * _product_spectrum(u2, ubx, keep)
-        + 12.0 * _product_spectrum(u3, ubx, keep)
-        + 14.0 * _product_spectrum(ub, ubxxx, keep)
-        + 28.0 * _product_spectrum(ubx, ubxx, keep)
-    )
-    return u.with_values(np.fft.irfft(res, n))
-
-
-# ---------------------------------------------------------------------------
-# band-limited sample data
-
-
-def random_band_limited(
-    grid: Grid,
-    rng: np.random.Generator,
-    amplitude: float = 0.1,
-    max_mode: int | None = None,
-) -> Field:
-    """Random real field with spectrum confined to modes 1..max_mode.
-
-    Coefficients decay exponentially toward max_mode (default n/8), keeping
-    cubic and quartic products far below the dealiasing cutoff.
-    """
-    n = grid.n_points
-    if max_mode is None:
-        max_mode = n // 8
-    if not 1 <= max_mode <= n // 2:
-        raise ValueError(f"max_mode must be in [1, {n // 2}], got {max_mode}")
-    mode = np.arange(n // 2 + 1)
-    spec = np.zeros(n // 2 + 1, dtype=complex)
-    live = (mode >= 1) & (mode <= max_mode)
-    decay = np.exp(-3.0 * mode[live] / max_mode)
-    spec[live] = (rng.standard_normal(live.sum()) + 1j * rng.standard_normal(live.sum())) * decay
-    vals = np.fft.irfft(spec, n)
-    sup = np.max(np.abs(vals))
-    if sup > 0:
-        vals *= amplitude / sup
-    return Field(grid, vals)

@@ -40,28 +40,22 @@ from .errors import (
     ConfigError,
     EnergyMismatchError,
     NonexistenceError,
-    SingularLineError,
 )
 from .grid import Field, Grid
-from .operators import FLUX, REACTION, SLOPE_SQ
+from .operators import FLUX, REACTION
 
 __all__ = [
     "TWParams",
-    "PhasePoint",
     "Regularity",
     "TWProfile",
     "uxx_coeff_poly",
     "force_poly",
     "potential_poly",
     "level_polynomial",
-    "planar_field",
-    "first_integral",
-    "first_integral_uv",
     "singular_line",
     "turning_points",
     "level_tangencies",
     "slope_squared",
-    "integrate_orbit",
     "solitary_profile",
     "periodic_profile",
     "orbit_segment",
@@ -76,9 +70,6 @@ __all__ = [
 SINGULAR_GUARD = 1e-12
 PARAM_MATCH_TOL = 1e-10
 ROOT_BOUND = 10.0  # every root search covers [-ROOT_BOUND, ROOT_BOUND]
-# (U')^2 coefficient of the profile equation: d^2 [FLUX[2] U^2] carries
-# 2 FLUX[2] U'^2 beside its U U'' part (which joins D), and R adds SLOPE_SQ U'^2
-_SLOPE_SQ_COEFF = 2.0 * FLUX[2] + SLOPE_SQ
 
 
 @dataclass(frozen=True)
@@ -95,16 +86,6 @@ class TWParams:
             if not np.isfinite(val):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, val)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    elevation: float
-    slope: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.elevation) and np.isfinite(self.slope)):
-            raise ValueError("phase point must be finite")
 
 
 class Regularity(str, Enum):
@@ -195,28 +176,6 @@ def singular_line(params: TWParams) -> float:
     return -(params.speed + FLUX[1]) / (2.0 * FLUX[2])
 
 
-def planar_field(p: PhasePoint, params: TWParams) -> PhasePoint:
-    """Tangent vector (U', V') = (V, -(7V^2 + F(U)) / D(U)) of the planar system."""
-    d = uxx_coeff_poly(params)(p.elevation)
-    if abs(d) <= SINGULAR_GUARD:
-        raise SingularLineError(
-            f"elevation {p.elevation!r} is within {SINGULAR_GUARD} of the singular line"
-        )
-    f = force_poly(params)(p.elevation)
-    return PhasePoint(p.slope, -(_SLOPE_SQ_COEFF * p.slope**2 + f) / d)
-
-
-def first_integral_uv(u, v, params: TWParams):
-    """H(U, V) = D(U) V^2 + 2 G(U), vectorized over arrays."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return uxx_coeff_poly(params)(u) * (v * v) + 2.0 * potential_poly(params)(u)
-
-
-def first_integral(p: PhasePoint, params: TWParams) -> float:
-    return float(first_integral_uv(p.elevation, p.slope, params))
-
-
 def slope_squared(u, params: TWParams):
     """Squared profile slope W(U) = (E - 2G(U)) / D(U) on the level set."""
     u = np.asarray(u, dtype=np.float64)
@@ -233,8 +192,11 @@ def _real_roots(poly: Polynomial) -> list[float]:
     """
     z = poly.roots()
     x = z.real[np.abs(z.imag) <= 1e-7 * np.maximum(1.0, np.abs(z))]
-    dpoly, p = poly.deriv(), poly(x)
-    with np.errstate(over="ignore", invalid="ignore"):  # a wild step is refused
+    dpoly = poly.deriv()
+    # a wild step is refused, and so is a root whose value overflows (far
+    # beyond ROOT_BOUND, when a coefficient nears the double range)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = poly(x)
         for _ in range(2):
             dp = dpoly(x)
             step = x - np.divide(p, dp, out=np.zeros_like(x), where=dp != 0.0)
@@ -268,36 +230,6 @@ def turning_points(params: TWParams) -> list[float]:
     roots = [r for r in _real_roots(level_polynomial(params))
              if all(abs(r - t) > 1e-6 for t in tangent)]
     return sorted(roots + tangent)
-
-
-def integrate_orbit(
-    start: PhasePoint,
-    params: TWParams,
-    step_size: float,
-    n_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 integration of the planar system; conservation oracle."""
-    d_poly = uxx_coeff_poly(params)
-    f_poly = force_poly(params)
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        d = d_poly(y[0])
-        if abs(d) <= SINGULAR_GUARD:
-            raise SingularLineError("orbit reached the singular line")
-        return np.array([y[1], -(_SLOPE_SQ_COEFF * y[1] ** 2 + f_poly(y[0])) / d])
-
-    y = np.array([start.elevation, start.slope], dtype=np.float64)
-    us = np.empty(n_steps + 1)
-    vs = np.empty(n_steps + 1)
-    us[0], vs[0] = y
-    for i in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * step_size * k1)
-        k3 = rhs(y + 0.5 * step_size * k2)
-        k4 = rhs(y + step_size * k3)
-        y = y + (step_size / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        us[i + 1], vs[i + 1] = y
-    return us, vs
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +505,9 @@ def solitary_profile(c: float, branch: str = "auto") -> TWProfile:
         )
 
     if contact is not None:
+        with np.errstate(over="ignore"):  # for |c| >~ 8e62 the level overflows at U_s
+            if not np.isfinite(level(contact)):
+                raise _beyond_double_range(params.speed)
         num, den = _slope_sq_parts(params, (contact,))
         if _is_root(level, contact):  # the level passes through: a corner
             if force_poly(params)(contact) >= 0:
@@ -594,6 +529,11 @@ def solitary_profile(c: float, branch: str = "auto") -> TWProfile:
         u_head, xi_head = _end_knots(level, uxx_coeff_poly(params), u_top, 0.5 * u_top, 320)
     kappa = float(np.sqrt(-fprime0 / d0))  # saddle decay rate
     return _solitary_from_head(params, u_top, xi_head, u_head, regularity, kappa)
+
+
+def _beyond_double_range(speed: float) -> ConfigError:
+    return ConfigError(f"speed {speed:g} is beyond the range where the solitary "
+                       "profile can be sampled in double precision")
 
 
 def _solitary_from_head(
@@ -636,10 +576,7 @@ def _solitary_from_head(
     # for |c| >~ 3e12 the tail is shorter than ln(100)/kappa, and for
     # |c| >~ 1e66 its knots no longer increase in double precision
     if not (window > 0 and np.all(np.diff(xi_knots) > 0)):
-        raise ConfigError(
-            f"speed {params.speed:g} is beyond the range where the solitary "
-            "profile can be sampled in double precision"
-        )
+        raise _beyond_double_range(params.speed)
     if regularity is Regularity.SMOOTH_SOLITARY:
         v_knots = -sign * np.sqrt(np.abs(slope_squared(u_knots, params)))
         v_knots[0] = 0.0

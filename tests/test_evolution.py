@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import linear_phase_speed
 
 from mase import evolution
 from mase.errors import BlowUpError
@@ -9,7 +10,6 @@ from mase.evolution import (
     Trajectory,
     detect_breaking,
     evolve,
-    linear_phase_speed,
     step,
     _max_slope,
     _rk4,

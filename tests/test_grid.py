@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from oracles import require_same_grid
 
 from mase.errors import GridMismatchError, NonFiniteFieldError
-from mase.grid import Field, Grid, State, constant_field, require_same_grid, zero_field
+from mase.grid import Field, Grid, State, constant_field, zero_field
 
 
 def test_grid_basic():

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from oracles import (
+    _rhs_values,
+    evolution_rhs,
+    kernel_convolve,
+    local_form_residual,
+    random_band_limited,
+)
 
 from mase.errors import DerivativeOrderError, GridMismatchError, NonFiniteFieldError
 from mase.grid import Field, Grid, State, constant_field, zero_field
 from mase.operators import (
     _nonlinear_spectra,
-    _rhs_values,
-    evolution_rhs,
     helmholtz_inverse,
-    kernel_convolve,
-    local_form_residual,
-    random_band_limited,
     reaction_term,
     spectral_derivative,
 )

@@ -262,7 +262,7 @@ def test_cli_tw_non_finite_arguments_exit_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "tw").exists()
 
 
-@pytest.mark.parametrize("speed", ["5e12", "-5e12"])
+@pytest.mark.parametrize("speed", ["5e12", "-5e12", "1e70", "-1e70"])
 def test_cli_tw_speed_beyond_the_sampled_range_exits_2(tmp_path, capsys, speed):
     # the solitary window 2 (xi_cut - ln(100)/kappa) is negative there
     assert main(["tw", "--speed", speed, "--out", str(tmp_path / "tw")]) == 2

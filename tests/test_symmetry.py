@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from oracles import random_band_limited
 
 from mase.errors import ConstantFieldError
 from mase.evolution import SolverConfig, Termination, Trajectory, evolve
 from mase.grid import Field, Grid, State, constant_field, zero_field
-from mase.operators import random_band_limited
 from mase.symmetry import (
     Verdict,
     detect_axis,

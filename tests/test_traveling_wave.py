@@ -3,6 +3,13 @@ import json
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from oracles import (
+    PhasePoint,
+    first_integral,
+    first_integral_uv,
+    integrate_orbit,
+    planar_field,
+)
 from scipy.optimize import brentq
 
 from mase.cli import main
@@ -14,24 +21,19 @@ from mase.errors import (
 )
 from mase.grid import Grid
 from mase.traveling_wave import (
-    PhasePoint,
     Regularity,
     TWParams,
     TWProfile,
     compose_segments,
     concatenate_segments_unchecked,
     evaluate_profile,
-    first_integral,
-    first_integral_uv,
     force_poly,
-    integrate_orbit,
     level_polynomial,
     level_tangencies,
     mirror_profile,
     orbit_segment,
     peaked_composite,
     periodic_profile,
-    planar_field,
     potential_poly,
     profile_to_field,
     singular_line,

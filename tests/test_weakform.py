@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from oracles import random_band_limited
 
 from mase.errors import SupportError
 from mase.evolution import SolverConfig, Termination, Trajectory, evolve
 from mase.grid import Field, Grid, State, zero_field
-from mase.operators import helmholtz_inverse, random_band_limited, reaction_term
+from mase.operators import helmholtz_inverse, reaction_term
 from mase.symmetry import reflect
 from mase.traveling_wave import TWParams, TWProfile
 from mase.weakform import (
