@@ -42,12 +42,14 @@ class SolverConfig:
 
     dt follows min(dt_max, cfl * h / (1 + max|1 + 14u|)); the run stops early
     when max|u_x| crosses breaking_slope_threshold, the step would fall
-    below dt_min or a step produces non-finite values.
+    below dt_min or a step produces non-finite values.  cfl = 0.9 keeps
+    dt times the frozen-coefficient spectral radius, at most cfl * pi, inside
+    classical RK4's imaginary-axis stability interval |z| <= 2 sqrt(2).
     """
 
     t_end: float
     snapshot_interval: float
-    cfl: float = 0.3
+    cfl: float = 0.9
     dt_max: float = 0.1
     dt_min: float = 1e-8
     breaking_slope_threshold: float = 1e3

@@ -866,12 +866,14 @@ def peaked_composite(
     """
     base = TWParams(speed, integration_constant, 0.0)
     u_s = singular_line(base)
-    f_s = force_poly(base)(u_s)
-    if f_s >= 0:
+    # for |c| >~ 1e79 F(U_s) overflows to +inf, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_s = force_poly(base)(u_s)
+        energy = float(2.0 * potential_poly(base)(u_s))
+    if not f_s < 0:
         raise NonexistenceError(
             f"F(U_s) = {f_s:.3g} >= 0: the singular line carries no real corner slope"
         )
-    energy = float(2.0 * potential_poly(base)(u_s))
     params = TWParams(speed, integration_constant, energy)
 
     roots = turning_points(params)

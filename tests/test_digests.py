@@ -46,16 +46,16 @@ DIGESTS = {
         'periodic/profile.csv': '61d275aca673581b58b468e71c9c430c0697ed4b1d87341188b8809862a624bd',
         'periodic/profile.json': 'e9352884d02b24cf686a74a529cc5af65f677ca75ceffd89afcf714ba7f76501',
         'periodic/profile_residuals.json': '83dc6b78c98e30d1afbea13d746100d5172da0deabcf7fea9bc5746da57b254b',
-        'simulate/breaking.json': '84723f5e1cad63c5f3136d0e3726e45724ece08368570ca46dbe345774eab7bd',
-        'simulate/diagnostics.csv': '882a2754154e91d6a66d2707e7584f8512dc1d89ed3eae3aa80fe8e534677d31',
-        'simulate/manifest.json': 'e3919311ea4d6760b9821d862e99ccfe11ec28169cdad56a7745f901e1a3fef1',
-        'simulate/residuals.json': '883eb5444c6ef1e3b8fdf3c1acf05c4f3c0037b027e269a96a6172e5a7635965',
-        'simulate/symmetry.json': '545553bffc8a16f07d0a0cca1520baaf3dd30c69800d02fc4a0433f03dc86388',
+        'simulate/breaking.json': 'f751b1bcf302c110f0bd36f7e5c9c3dc9169ee6229c501de54020b431d106ddb',
+        'simulate/diagnostics.csv': '90d53b43db5208427ab73628ea46f1edeb3768f1566b20958262e1cca9aaa594',
+        'simulate/manifest.json': 'bfe8b76dc42ca084f9bf2ce9b56167daee34bde37395e785e80b2a3d37ebafd2',
+        'simulate/residuals.json': 'febe31093ee96bed8d632ff5103e80c308f914e19c8af359d0f0a9b5a2669090',
+        'simulate/symmetry.json': '60c6a3039e0be0c7e54ce0fc9996cba512ed4d43de33dcf00add08433494abcd',
         'simulate/t=0.000000.csv': '6ef248a45aac4bee66d2e2cdb49eb619f6b82454b83063415663a370877e4d13',
-        'simulate/t=0.250000.csv': '40fea9446a455cfeb7e8cf8f47cb1ac364717a57ed16c281f69142d6eba73d6c',
-        'simulate/t=0.500000.csv': '8a6cf23416f7a3be4b9ac2fe39115debd80cb561fd1615292a16f58fab3917af',
-        'simulate/t=0.750000.csv': '5c2e259e96193c6822cb0111663a442228394ba4a8516bffd7be9581abe7bff4',
-        'simulate/t=1.000000.csv': '424246bfd320241c0bab6307bec5c934d3cfcb16be02920b782565797184a5e5',
+        'simulate/t=0.250000.csv': '1f1c3908ebc4fae748fd12f91af309ae0f5d86948320e3b62ba4656b2eae85a1',
+        'simulate/t=0.500000.csv': '08044e45980195a534cb06b7570e80f6d7fe2f61506a1b93a53529e5060382cb',
+        'simulate/t=0.750000.csv': '1ee6d986e13666eb679a6232c06fc9c6642169b6a90953a25e2171ee0bd79f95',
+        'simulate/t=1.000000.csv': '40970f9a8c18197304c7dde7ab55f4615d59489edda390a4d9fb99c5f0c8bcbc',
         'solitary/profile.csv': '5d8ab4b0c233650d5aa3a71eef89e0f911e0a5ee6afae86ed699472e7a37ae17',
         'solitary/profile.json': '7f6ee6f8261f7abce4e8f940a438fcc5995046385400b018845145f4ad174691',
         'solitary/profile_residuals.json': '18fc8a05ff95da4a2a981b2e6d6b5d620ed5c32b7fd6e0874b5aceecc232a147',

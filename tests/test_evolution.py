@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import linear_phase_speed
@@ -88,6 +90,28 @@ def test_evolve_ends_with_blow_up_and_the_last_finite_state(grid):
         step(last, dt)
 
 
+@pytest.mark.parametrize("n, length", [(128, 40.0), (256, 40.0), (512, 40.0),
+                                       (1024, 120.0), (1024, 300.0)])
+def test_default_cfl_keeps_frozen_coefficient_modes_in_the_rk4_stability_interval(n, length):
+    # A constant state u = a is translation-invariant, so the linearised RHS
+    # is diagonal in k: one central difference of _rhs_spectrum along every
+    # mode at once gives each eigenvalue.  They are imaginary, and classical
+    # RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt(2).  The
+    # sharp case is a = -1/14, where FLUX'(a) = 0 and dt = cfl h.
+    grid = Grid(n, length)
+    config = SolverConfig(t_end=1.0, snapshot_interval=1.0)
+    eps = 1e-6 * n
+    probe = np.ones(n // 2 + 1)
+    probe[0] = 0.0
+    for a in np.append(np.linspace(-1.0, 1.0, 41), -1.0 / 14.0):
+        u = np.full(n, a)
+        uh = np.fft.rfft(u)
+        lam = (_rhs_spectrum(uh + eps * probe, grid) - _rhs_spectrum(uh - eps * probe, grid)) / (2 * eps)
+        z = evolution._cfl_dt(u, grid, config) * lam
+        assert np.max(np.abs(z)) <= 2.0 * np.sqrt(2.0)
+        assert np.max(np.abs(z.real)) < 1e-12
+
+
 def test_global_order_four():
     grid = Grid(128, 40.0)
     u0 = gaussian(grid, 0.2, 3.0).values
@@ -140,6 +164,19 @@ def test_evolve_batch_rows_equal_their_solo_runs(grid):
         assert np.array_equal(traj.times(), solo.times())
         for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
             assert np.array_equal(a.u.values, b.u.values)
+
+
+def test_default_cfl_gaussian_run_matches_a_4x_refined_run(gaussian_trajectory):
+    # the default step is set by stability, not accuracy: quartering cfl and
+    # dt_max moves no snapshot by more than 1e-7 of max|u| (measured 1.5e-8)
+    cfg = gaussian_trajectory.config
+    fine_cfg = replace(cfg, cfl=cfg.cfl / 4, dt_max=cfg.dt_max / 4)
+    fine = evolve([gaussian_trajectory.snapshots[0]], fine_cfg)[0]
+    assert np.array_equal(fine.times(), gaussian_trajectory.times())
+    scale = max(s.u.sup_norm() for s in fine.snapshots)
+    gap = max(np.max(np.abs(a.u.values - b.u.values))
+              for a, b in zip(gaussian_trajectory.snapshots, fine.snapshots, strict=True))
+    assert gap <= 1e-7 * scale
 
 
 def test_evolve_refuses_rows_on_different_grids_or_times(grid):

@@ -149,6 +149,17 @@ def test_cli_tw_nonexistence_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: nonexistence:")
 
 
+@pytest.mark.parametrize("speed", ["1e78", "1e79", "1e300"])
+def test_cli_tw_peaked_at_huge_speed_exits_3(tmp_path, capsys, speed):
+    # from about 1e79 F(U_s) overflows; the refusal must not warn on the way
+    argv = ["tw", "--wave", "peaked", "--speed", speed, "--out", str(tmp_path / "tw")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: nonexistence: F(U_s) =")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "tw").exists()
+
+
 def test_cli_tw_periodic_corner_exits_3(tmp_path, capsys):
     # c = -1 puts the singular line at U = 0, which is also a turning point
     argv = ["tw", "--speed", "-1", "-A", "-0.05", "-E", "0", "--wave", "periodic",
