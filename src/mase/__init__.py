@@ -18,7 +18,6 @@ from .symmetry import detect_axis, reflect, track_axis, verify_theorem
 from .traveling_wave import (
     TWParams,
     TWProfile,
-    compose_segments,
     peaked_composite,
     periodic_profile,
     profile_to_field,
@@ -53,7 +52,6 @@ __all__ = [
     "verify_theorem",
     "TWParams",
     "TWProfile",
-    "compose_segments",
     "peaked_composite",
     "periodic_profile",
     "profile_to_field",

@@ -33,20 +33,6 @@ class NonexistenceError(MaseError, ValueError):
     """
 
 
-class EnergyMismatchError(MaseError, ValueError):
-    """Wave segments on different first-integral levels cannot be composed."""
-
-    def __init__(self, delta_e: float):
-        self.delta_e = float(delta_e)
-        super().__init__(
-            f"segments lie on different first-integral levels: |dE| = {self.delta_e:.3e}"
-        )
-
-
-class CompositionError(MaseError, ValueError):
-    """Segments do not join continuously, or the composite fails symmetry checks."""
-
-
 class ConstantFieldError(MaseError, ValueError):
     """The symmetry axis of a (numerically) constant field is undefined."""
 

@@ -35,12 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import (
-    CompositionError,
-    ConfigError,
-    EnergyMismatchError,
-    NonexistenceError,
-)
+from .errors import ConfigError, NonexistenceError
 from .grid import Field, Grid
 from .operators import FLUX, REACTION
 
@@ -58,17 +53,12 @@ __all__ = [
     "slope_squared",
     "solitary_profile",
     "periodic_profile",
-    "orbit_segment",
-    "mirror_profile",
-    "compose_segments",
-    "concatenate_segments_unchecked",
     "peaked_composite",
     "evaluate_profile",
     "profile_to_field",
 ]
 
 SINGULAR_GUARD = 1e-12
-PARAM_MATCH_TOL = 1e-10
 ROOT_BOUND = 10.0  # every root search covers [-ROOT_BOUND, ROOT_BOUND]
 
 
@@ -417,7 +407,7 @@ def _segment_knots(params: TWParams, u_from: float, u_to: float):
     if _is_root(den, u_from) or _is_root(den, u_to):
         raise NonexistenceError(
             "segment endpoint reaches the singular line off the level (cusp); "
-            "unbounded-slope segments are not composable"
+            "an unbounded end slope has no quadrature table here"
         )
     direction = 1.0 if u_to > u_from else -1.0
     turning = (_is_root(num, u_from), _is_root(num, u_to))
@@ -621,8 +611,9 @@ def periodic_profile(
 
     With ``pair`` unset, the first adjacent root pair with positive squared
     slope in between and a sign-definite U'' coefficient is used.  The crest
-    sits at xi = 0 and the sampled window covers one period.  A turning point
-    on the singular line is a corner, so no smooth periodic wave exists there.
+    sits at xi = 0 and the n_points samples cover one period [-P/2, P/2)
+    half-open (_periodic_wave).  A turning point on the singular line is a
+    corner, so no smooth periodic wave exists there: see peaked_composite.
     """
     roots = turning_points(params)
     if pair is None:
@@ -649,220 +640,21 @@ def periodic_profile(
             "is not positive between the turning points"
         )
 
-    xi_k, u_k, v_k, _ = _segment_knots(params, u2, u1)
-    half = _PiecewiseCubic(xi_k, u_k, v_k)
-    half_len = float(xi_k[-1])
-    period = 2.0 * half_len
-
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        s = np.mod(np.asarray(x, dtype=np.float64), period)
-        s = np.where(s > half_len, period - s, s)
-        return half(s)
-
-    xi = (np.arange(n_points) - n_points // 2) * (period / n_points)
-    values = evaluator(xi)
-    slopes = -np.sign(np.mod(xi + 0.5 * period, period) - 0.5 * period) * np.sqrt(
-        np.maximum(slope_squared(values, params), 0.0)
-    )
-    return TWProfile(
-        params=params,
-        xi=xi,
-        values=values,
-        regularity=Regularity.SMOOTH_PERIODIC,
-        period=period,
-        slopes=slopes,
-        evaluator=evaluator,
-    )
-
-
-# ---------------------------------------------------------------------------
-# wave segments and composition
-
-
-def orbit_segment(
-    params: TWParams,
-    u_from: float,
-    u_to: float,
-    n_samples: int = 2049,
-) -> TWProfile:
-    """Monotone wave segment between two elevations on one level set.
-
-    Endpoints may be simple turning points or regular points with positive
-    squared slope (for instance the singular-line contact of a peaked wave).
-    """
-    xi_k, u_k, v_k, slopes = _segment_knots(params, u_from, u_to)
-    spline = _PiecewiseCubic(xi_k, u_k, v_k)
-    xi = np.linspace(xi_k[0], xi_k[-1], n_samples)
-    values = spline(xi)
-    return TWProfile(
-        params=params,
-        xi=xi,
-        values=values,
-        regularity=Regularity.COMPOSITE,
-        period=None,
-        slopes=slopes(values),
-        evaluator=spline,
-    )
-
-
-def mirror_profile(p: TWProfile) -> TWProfile:
-    """Reflection of a segment in xi (slopes change sign)."""
-    length = p.xi[-1] - p.xi[0]
-    xi = p.xi[0] + (length - (p.xi[::-1] - p.xi[0]))
-    base_eval = p.evaluator
-    lo, hi = p.xi[0], p.xi[-1]
-
-    def evaluator(x):
-        return base_eval(hi - (np.asarray(x, dtype=np.float64) - lo))
-
-    return TWProfile(
-        params=p.params,
-        xi=xi,
-        values=p.values[::-1].copy(),
-        regularity=p.regularity,
-        period=p.period,
-        slopes=-p.slopes[::-1].copy(),
-        evaluator=evaluator,
-    )
-
-
-def _params_gap(a: TWParams, b: TWParams) -> float:
-    return max(
-        abs(a.speed - b.speed),
-        abs(a.integration_constant - b.integration_constant),
-        abs(a.energy - b.energy),
-    )
-
-
-def concatenate_segments_unchecked(segments: Sequence[TWProfile]) -> TWProfile:
-    """Raw concatenation of segments, continuity assumed but not enforced.
-
-    Exists so experiments can build deliberately inconsistent composites (for
-    instance joining segments from different first-integral levels); regular
-    code should call compose_segments.  Every segment needs the slopes and
-    evaluator that orbit_segment and mirror_profile attach.
-    """
-    if not segments:
-        raise ValueError("need at least one segment")
-    if any(seg.slopes is None or seg.evaluator is None for seg in segments):
-        raise ValueError("every segment needs slopes and an evaluator")
-    offsets = [0.0]
-    for seg in segments:
-        offsets.append(offsets[-1] + float(seg.xi[-1] - seg.xi[0]))
-    xi_parts = []
-    val_parts = []
-    slope_parts = []
-    for seg, off in zip(segments, offsets):
-        rel = seg.xi - seg.xi[0] + off
-        vals, sl = seg.values, seg.slopes
-        if xi_parts:
-            rel, vals, sl = rel[1:], vals[1:], sl[1:]
-        xi_parts.append(rel)
-        val_parts.append(vals)
-        slope_parts.append(sl)
-    xi = np.concatenate(xi_parts)
-    values = np.concatenate(val_parts)
-    slopes = np.concatenate(slope_parts)
-
-    bounds = np.array(offsets)
-    evals = [seg.evaluator for seg in segments]
-    starts = [seg.xi[0] for seg in segments]
-
-    def evaluator(x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty_like(x)
-        idx = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, len(segments) - 1)
-        for i, ev in enumerate(evals):
-            m = idx == i
-            if np.any(m):
-                out[m] = ev(x[m] - bounds[i] + starts[i])
-        return out
-
-    return TWProfile(
-        params=segments[0].params,
-        xi=xi,
-        values=values,
-        regularity=Regularity.COMPOSITE,
-        period=None,
-        slopes=slopes,
-        evaluator=evaluator,
-    )
-
-
-def compose_segments(segments: Sequence[TWProfile], params: TWParams) -> TWProfile:
-    """Join same-level wave segments into a continuous composite profile.
-
-    All segments must share (c, A, E) with ``params`` to 1e-10 and join
-    continuously in U.  Junctions where the slope flips sign on the same
-    level are corners (peaked waves); the composite is checked to be even
-    about every junction, which is exactly what staying on one level set
-    guarantees.
-    """
-    if not segments:
-        raise ValueError("need at least one segment")
-    for seg in segments:
-        gap = _params_gap(seg.params, params)
-        if gap > PARAM_MATCH_TOL:
-            if abs(seg.params.energy - params.energy) > PARAM_MATCH_TOL:
-                raise EnergyMismatchError(abs(seg.params.energy - params.energy))
-            raise CompositionError(
-                f"segment parameters differ from the composite's by {gap:.3e}"
-            )
-    amp = max(max(np.max(np.abs(s.values)) for s in segments), 1e-30)
-    for left, right in zip(segments, segments[1:]):
-        jump = abs(float(left.values[-1]) - float(right.values[0]))
-        if jump > 1e-8 * max(1.0, amp):
-            raise CompositionError(f"segments do not join continuously: |dU| = {jump:.3e}")
-
-    composite = concatenate_segments_unchecked(segments)
-
-    # junction classification and evenness check
-    lengths = [float(s.xi[-1] - s.xi[0]) for s in segments]
-    offsets = np.concatenate([[0.0], np.cumsum(lengths)])
-    peaked = False
-    for i in range(1, len(segments)):
-        v_l, v_r = segments[i - 1].slopes[-1], segments[i].slopes[0]
-        if abs(v_l + v_r) <= 1e-8 * max(1.0, abs(v_l)) and abs(v_l) > 1e-8:
-            peaked = True
-        reach = min(lengths[i - 1], lengths[i])
-        s = np.linspace(0.0, reach, 65)[1:]
-        left_vals = composite.evaluator(offsets[i] - s)
-        right_vals = composite.evaluator(offsets[i] + s)
-        gap = float(np.max(np.abs(left_vals - right_vals)))
-        if gap > 1e-8 * max(1.0, amp):
-            raise CompositionError(
-                f"composite is not symmetric about junction {i}: max gap {gap:.3e}"
-            )
-
-    n, period = len(composite.xi), None
-    u_wrap = abs(float(composite.values[0]) - float(composite.values[-1]))
-    if u_wrap <= 1e-8 * max(1.0, amp):
-        # periodic: sample half-open, as periodic_profile does, so the last
-        # sample (a repeat of the first) does not lengthen the sampled period
-        n, period = n - 1, float(composite.xi[-1] - composite.xi[0])
-    return TWProfile(
-        params=params,
-        xi=composite.xi[:n],
-        values=composite.values[:n],
-        regularity=Regularity.PEAKED if peaked else Regularity.COMPOSITE,
-        period=period,
-        slopes=composite.slopes[:n],
-        evaluator=composite.evaluator,
-    )
+    return _periodic_wave(params, u2, u1, n_points, Regularity.SMOOTH_PERIODIC)
 
 
 def peaked_composite(
     speed: float,
     integration_constant: float,
-    n_samples: int = 4097,
+    n_points: int = 4096,
 ) -> TWProfile:
     """Peaked periodic wave on the level through the singular line.
 
     The level E = 2 G(U_s) contains the singular elevation U_s with finite
     limiting slope sqrt(-F(U_s)/7) (requires F(U_s) < 0).  The wave is the
-    segment from the nearest admissible turning point up to U_s, mirrored
-    about the corner; troughs sit at the periodic wrap, and the n_samples - 1
-    samples cover one period half-open.
+    periodic orbit between U_s and the nearest admissible turning point, with
+    a corner at U_s: sampled as periodic_profile samples, over one period
+    [-P/2, P/2) with the corner at xi = 0.
     """
     base = TWParams(speed, integration_constant, 0.0)
     u_s = singular_line(base)
@@ -887,10 +679,50 @@ def peaked_composite(
     below = [r for r in candidates if r < u_s]
     pool = below if below else candidates
     u_t = min(pool, key=lambda r: abs(r - u_s))
+    return _periodic_wave(params, u_s, u_t, n_points, Regularity.PEAKED)
 
-    rise = orbit_segment(params, u_t, u_s, n_samples=(n_samples + 1) // 2)
-    fall = mirror_profile(rise)
-    return compose_segments([rise, fall], params)
+
+def _periodic_wave(
+    params: TWParams,
+    u_mid: float,
+    u_end: float,
+    n_points: int,
+    regularity: Regularity,
+) -> TWProfile:
+    """Periodic wave from the half-orbit u_mid -> u_end, mirrored about u_mid.
+
+    u_mid sits at xi = 0 and u_end at xi = +-P/2; the n_points samples cover
+    [-P/2, P/2) half-open.  The slopes come from the squared slope with a
+    corner canceled (_slope_sq_parts), and a peaked wave's corner sample
+    takes the slope of its left limit.
+    """
+    xi_k, u_k, v_k, _ = _segment_knots(params, u_mid, u_end)
+    half = _PiecewiseCubic(xi_k, u_k, v_k)
+    half_len = float(xi_k[-1])
+    period = 2.0 * half_len
+
+    def evaluator(x: np.ndarray) -> np.ndarray:
+        s = np.mod(np.asarray(x, dtype=np.float64), period)
+        s = np.where(s > half_len, period - s, s)
+        return half(s)
+
+    xi = (np.arange(n_points) - n_points // 2) * (period / n_points)
+    values = evaluator(xi)
+    num, den = _slope_sq_parts(params, (u_mid, u_end))
+    direction = np.sign(u_mid - u_end)  # of the slope on [-P/2, 0), toward u_mid
+    side = -np.sign(np.mod(xi + 0.5 * period, period) - 0.5 * period)
+    if regularity is Regularity.PEAKED:
+        side[n_points // 2] = 1.0  # the corner takes its left-limit slope
+    slopes = direction * side * np.sqrt(np.maximum(num(values) / den(values), 0.0))
+    return TWProfile(
+        params=params,
+        xi=xi,
+        values=values,
+        regularity=regularity,
+        period=period,
+        slopes=slopes,
+        evaluator=evaluator,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ shared by both sides:
 - ``planar_field``, ``first_integral_uv`` and ``integrate_orbit``, the
   planar system of the traveling waves and its conserved quantity
   (acceptance 5);
+- ``orbit_segment``, ``mirror_profile`` and
+  ``concatenate_segments_unchecked``, waves composed from half-orbit
+  segments: the reference a periodic or peaked profile is checked against,
+  and the mismatched-level composites of acceptance 11;
 - ``random_band_limited``, sample data whose products stay below the
   dealiasing cutoff.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +36,11 @@ from mase.grid import Field, Grid, State
 from mase.operators import _nonlinear_spectra, _product_spectrum, _rhs_spectrum
 from mase.traveling_wave import (
     SINGULAR_GUARD,
+    Regularity,
     TWParams,
+    TWProfile,
+    _PiecewiseCubic,
+    _segment_knots,
     force_poly,
     potential_poly,
     uxx_coeff_poly,
@@ -239,3 +248,111 @@ def integrate_orbit(
         y = y + (step_size / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         us[i + 1], vs[i + 1] = y
     return us, vs
+
+
+# ---------------------------------------------------------------------------
+# waves composed from segments
+
+
+def orbit_segment(
+    params: TWParams,
+    u_from: float,
+    u_to: float,
+    n_samples: int = 2049,
+) -> TWProfile:
+    """Monotone wave segment between two elevations on one level set.
+
+    Endpoints may be simple turning points or regular points with positive
+    squared slope (for instance the singular-line contact of a peaked wave).
+    xi runs from 0 at ``u_from``; the package's own quadrature table
+    (``_segment_knots``) supplies the knots.
+    """
+    xi_k, u_k, v_k, slopes = _segment_knots(params, u_from, u_to)
+    spline = _PiecewiseCubic(xi_k, u_k, v_k)
+    xi = np.linspace(xi_k[0], xi_k[-1], n_samples)
+    values = spline(xi)
+    return TWProfile(
+        params=params,
+        xi=xi,
+        values=values,
+        regularity=Regularity.COMPOSITE,
+        period=None,
+        slopes=slopes(values),
+        evaluator=spline,
+    )
+
+
+def mirror_profile(p: TWProfile) -> TWProfile:
+    """Reflection of a segment in xi (slopes change sign)."""
+    length = p.xi[-1] - p.xi[0]
+    xi = p.xi[0] + (length - (p.xi[::-1] - p.xi[0]))
+    base_eval = p.evaluator
+    lo, hi = p.xi[0], p.xi[-1]
+
+    def evaluator(x):
+        return base_eval(hi - (np.asarray(x, dtype=np.float64) - lo))
+
+    return TWProfile(
+        params=p.params,
+        xi=xi,
+        values=p.values[::-1].copy(),
+        regularity=p.regularity,
+        period=p.period,
+        slopes=-p.slopes[::-1].copy(),
+        evaluator=evaluator,
+    )
+
+
+def concatenate_segments_unchecked(segments: Sequence[TWProfile]) -> TWProfile:
+    """Raw concatenation of segments, continuity assumed but not enforced.
+
+    Builds deliberately inconsistent composites (for instance segments from
+    different first-integral levels) as well as the same-level reference for
+    the package's periodic waves.  Every segment needs the slopes and
+    evaluator that orbit_segment and mirror_profile attach.
+    """
+    if not segments:
+        raise ValueError("need at least one segment")
+    if any(seg.slopes is None or seg.evaluator is None for seg in segments):
+        raise ValueError("every segment needs slopes and an evaluator")
+    offsets = [0.0]
+    for seg in segments:
+        offsets.append(offsets[-1] + float(seg.xi[-1] - seg.xi[0]))
+    xi_parts = []
+    val_parts = []
+    slope_parts = []
+    for seg, off in zip(segments, offsets):
+        rel = seg.xi - seg.xi[0] + off
+        vals, sl = seg.values, seg.slopes
+        if xi_parts:
+            rel, vals, sl = rel[1:], vals[1:], sl[1:]
+        xi_parts.append(rel)
+        val_parts.append(vals)
+        slope_parts.append(sl)
+    xi = np.concatenate(xi_parts)
+    values = np.concatenate(val_parts)
+    slopes = np.concatenate(slope_parts)
+
+    bounds = np.array(offsets)
+    evals = [seg.evaluator for seg in segments]
+    starts = [seg.xi[0] for seg in segments]
+
+    def evaluator(x):
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+        idx = np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, len(segments) - 1)
+        for i, ev in enumerate(evals):
+            m = idx == i
+            if np.any(m):
+                out[m] = ev(x[m] - bounds[i] + starts[i])
+        return out
+
+    return TWProfile(
+        params=segments[0].params,
+        xi=xi,
+        values=values,
+        regularity=Regularity.COMPOSITE,
+        period=None,
+        slopes=slopes,
+        evaluator=evaluator,
+    )

