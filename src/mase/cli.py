@@ -41,12 +41,11 @@ from .symmetry import verify_theorem
 from .traveling_wave import (
     Regularity,
     TWParams,
-    level_tangencies,
+    _level_roots,
     peaked_composite,
     periodic_profile,
     singular_line,
     solitary_profile,
-    turning_points,
 )
 from .weakform import ResidualReport, TestFunction, random_bumps, steady_residual_report, unsteady_weak_residual
 
@@ -112,13 +111,11 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
     write_trajectory(run_dir, traj, dataclasses.asdict(scenario), wall, extra)
 
     final = traj.snapshots[-1]
-    from .evolution import _max_slope
-
     return {
         "termination": traj.termination.value,
         "t_final": final.time,
         "sup_final": final.u.sup_norm(),
-        "max_slope_final": _max_slope(final.u.values, traj.grid),
+        "max_slope_final": float(traj.max_slopes[-1]),
         "mean_drift": abs(final.u.mean() - traj.snapshots[0].u.mean()),
     }
 
@@ -196,10 +193,10 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
 
     params = profile.params
     report = _steady_report(profile, seed)
-
+    roots, tangent = _level_roots(params)
     extras = {
-        "turning_points": turning_points(params),
-        "tangencies": level_tangencies(params),
+        "turning_points": list(roots),
+        "tangencies": list(tangent),
         "singular_line": singular_line(params),
         "max_steady_residual": report.max_residual(),
     }

@@ -7,9 +7,10 @@ snapshot capture at a fixed cadence, and onset detection for wave breaking
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -87,6 +88,14 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.snapshots])
 
+    @cached_property
+    def max_slopes(self) -> np.ndarray:
+        """max|u_x| of every snapshot, formed once and shared by the breaking
+        check, diagnostics.csv and the run's headline stats (read-only)."""
+        out = _series(self.snapshots, lambda values: _max_slope(values, self.grid))
+        out.setflags(write=False)
+        return out
+
 
 @dataclass(frozen=True)
 class BreakingReport:
@@ -96,10 +105,45 @@ class BreakingReport:
     sup_norm_history: tuple[tuple[float, float], ...]
 
 
-def _max_slope(values: np.ndarray, grid: Grid) -> float:
+_BLOCK_VALUES = 4096  # snapshot values per stack of a trajectory analysis
+
+
+def _block_rows(n_points: int) -> int:
+    """Snapshots per stack on an n_points grid: 16 at N = 256, 4 at N = 1024."""
+    return max(1, _BLOCK_VALUES // n_points)
+
+
+def _value_blocks(states: Sequence[State]) -> Iterator[tuple[slice, np.ndarray]]:
+    """Successive (rows, values) blocks of the states, _block_rows at a time.
+
+    ``values`` is the (b, n) stack of the states ``states[rows]``.  Analyses
+    of a trajectory run on these stacks with transforms and reductions
+    along the last axis, so each row equals its one-row evaluation bitwise.
+    The block keeps each of their temporaries near 4,096 values (32 KB, a
+    spectrum about as much) whatever N and the number of snapshots.
+    """
+    if not states:
+        return
+    size = _block_rows(states[0].u.grid.n_points)
+    for start in range(0, len(states), size):
+        rows = slice(start, start + size)
+        yield rows, np.stack([s.u.values for s in states[rows]])
+
+
+def _series(states: Sequence[State], fn) -> np.ndarray:
+    """One value per state: ``fn`` maps each block of _value_blocks to its row values."""
+    return np.concatenate([fn(values) for _, values in _value_blocks(states)])
+
+
+def _sup_norms(values: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(values), axis=-1)
+
+
+def _max_slope(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """max|u_x| of each row of ``values`` (a scalar for one row)."""
     t = _spectral_tables(grid.n_points, grid.length)
     ux = np.fft.irfft(t["d1"] * np.fft.rfft(values), grid.n_points)
-    return float(np.max(np.abs(ux)))
+    return np.max(np.abs(ux), axis=-1)
 
 
 def _rk4(uh: np.ndarray, grid: Grid, dt) -> np.ndarray:
@@ -227,18 +271,12 @@ def detect_breaking(traj: Trajectory) -> BreakingReport:
     """
     if not traj.snapshots:
         raise ValueError("trajectory has no snapshots")
-    slopes = []
-    sups = []
-    for s in traj.snapshots:
-        slopes.append((s.time, _max_slope(s.u.values, s.u.grid)))
-        sups.append((s.time, s.u.sup_norm()))
-    sup0 = sups[0][1]
-    detected = False
-    t_detect = float("nan")
-    for (t, slope), (_, sup) in zip(slopes, sups):
-        if slope >= traj.config.breaking_slope_threshold and sup <= 2.0 * max(sup0, 1e-300):
-            detected = True
-            t_detect = t
-            break
-    return BreakingReport(detected, t_detect, tuple(slopes), tuple(sups))
-
+    times = traj.times().tolist()
+    slopes = traj.max_slopes
+    sups = _series(traj.snapshots, _sup_norms)
+    bounded = sups <= 2.0 * max(float(sups[0]), 1e-300)
+    hits = np.flatnonzero((slopes >= traj.config.breaking_slope_threshold) & bounded)
+    detected = bool(hits.size)
+    t_detect = times[hits[0]] if detected else float("nan")
+    return BreakingReport(detected, t_detect, tuple(zip(times, slopes.tolist())),
+                          tuple(zip(times, sups.tolist())))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .evolution import SolverConfig, Termination, Trajectory
+from .evolution import SolverConfig, Termination, Trajectory, _series, _sup_norms
 from .grid import Field, Grid, State
 from .symmetry import SymmetryReport
 from .traveling_wave import Regularity, TWParams, TWProfile
@@ -43,13 +43,18 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _write_text(path: Path, text: str) -> str:
+    """Write text without newline translation; returns the sha256 of the bytes written."""
+    path.write_text(text, encoding="utf-8", newline="")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:
     """Write equal-length columns as CSV; returns the sha256 of the bytes written."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     row = ",".join([FMT] * table.shape[1]) + "\n"
-    text = ",".join(header) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
-    path.write_text(text, encoding="utf-8", newline="")
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _write_text(path, ",".join(header) + "\n"
+                       + (row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def read_columns_csv(path: Path, require: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
@@ -101,19 +106,16 @@ def write_trajectory(
             )
     run_dir.mkdir(parents=True, exist_ok=True)
     digests = {p.name: sha256_file(p) for p in extra_outputs or []}
-    x = traj.grid.points
+    # every snapshot shares the x column: it is formatted once, into the
+    # row template that each snapshot's u values fill
+    template = "x,u\n" + "".join([f"{FMT % x},{FMT}\n" for x in traj.grid.points.tolist()])
     for name, s in zip(names, traj.snapshots):
-        digests[name] = write_columns_csv(run_dir / name, ["x", "u"], [x, s.u.values])
+        digests[name] = _write_text(run_dir / name, template % tuple(s.u.values.tolist()))
 
-    from .evolution import _max_slope
-
-    times = traj.times()
-    means = np.array([s.u.mean() for s in traj.snapshots])
-    sups = np.array([s.u.sup_norm() for s in traj.snapshots])
-    slopes = np.array([_max_slope(s.u.values, traj.grid) for s in traj.snapshots])
+    means = _series(traj.snapshots, lambda values: np.mean(values, axis=-1))
     digests["diagnostics.csv"] = write_columns_csv(
         run_dir / "diagnostics.csv", ["t", "mean", "sup_norm", "max_slope"],
-        [times, means, sups, slopes])
+        [traj.times(), means, _series(traj.snapshots, _sup_norms), traj.max_slopes])
 
     manifest = {
         "schema": "mase/run/v1",
@@ -156,6 +158,9 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
     for a, b in zip(snaps, snaps[1:]):
         if not a.time < b.time:
             raise ConfigError(f"run lists snapshot time {b.time:.6f} more than once")
+        if a.u.grid != b.u.grid:
+            raise ConfigError(
+                f"snapshots t={a.time:.6f} and t={b.time:.6f} do not share one grid")
     return Trajectory(tuple(snaps), config, termination), manifest
 
 

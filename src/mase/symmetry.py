@@ -9,6 +9,13 @@ On a periodic domain the reflections about lambda and lambda + L/2 are the
 same map, so an axis is determined modulo L/2; the reported representative is
 the one nearest the strongest deviation from the mean, and genuinely tied
 candidates are flagged as ambiguous.
+
+A trajectory is analysed as stacks of snapshot rows (evolution._value_blocks):
+the correlation spectra, the Newton polish of every grid peak, the
+reflections behind the asymmetry and the shifts behind the travel error each
+act on a whole stack along its last axis, and every row equals its one-row
+evaluation bitwise.  detect_axis, reflect and shift_field are the one-row
+cases.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstantFieldError
-from .evolution import Trajectory
-from .grid import Field
+from .evolution import Trajectory, _value_blocks
+from .grid import Field, Grid
 
 __all__ = [
     "AxisFit",
@@ -80,63 +87,178 @@ class SymmetryReport:
 
 # ---------------------------------------------------------------------------
 # reflection and shifting
+#
+# Each operation acts on a stack of rows along the last axis; a row of the
+# result equals the one-row evaluation bitwise.  Grid-aligned moves are
+# exact permutations, the others band-limited interpolation (the Nyquist
+# mode of an even grid is not representable under fractional moves).
+
+
+def _whole_steps(moves: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which moves are whole grid steps (to 1e-9 of a step), and those steps."""
+    steps = moves / h
+    whole = np.abs(steps - np.round(steps)) < 1e-9
+    return whole, np.round(steps[whole]).astype(np.int64)
+
+
+def _band_limited(spectra: np.ndarray, n: int) -> np.ndarray:
+    if n % 2 == 0:
+        spectra[..., -1] = 0.0
+    return np.fft.irfft(spectra, n)
+
+
+def _shifted(values: np.ndarray, grid: Grid, shifts: np.ndarray) -> np.ndarray:
+    """Samples of x -> u(x - s) of one row ``values``, a (len(shifts), n) stack."""
+    n = grid.n_points
+    whole, m = _whole_steps(shifts, grid.spacing)
+    out = np.empty((len(shifts), n))
+    out[whole] = values[(np.arange(n) - m[:, None]) % n]
+    if not whole.all():
+        k = grid.wavenumbers()
+        wh = np.fft.rfft(values) * np.exp(-1j * k * shifts[~whole, None])
+        out[~whole] = _band_limited(wh, n)
+    return out
+
+
+def _reflected(values: np.ndarray, grid: Grid, axes: np.ndarray) -> np.ndarray:
+    """Samples of x -> u(2a - x) of each row u of a (B, n) stack and its axis a."""
+    n = grid.n_points
+    shift = 2.0 * axes
+    whole, m = _whole_steps(shift, grid.spacing)
+    out = np.empty_like(values)
+    out[whole] = np.take_along_axis(values[whole], (m[:, None] - np.arange(n)) % n, axis=-1)
+    if not whole.all():
+        k = grid.wavenumbers()
+        wh = np.conj(np.fft.rfft(values[~whole])) * np.exp(-1j * k * shift[~whole, None])
+        out[~whole] = _band_limited(wh, n)
+    return out
 
 
 def shift_field(u: Field, s: float) -> Field:
     """Samples of x -> u(x - s), band-limited interpolation for off-grid s."""
-    n = u.grid.n_points
-    h = u.grid.spacing
-    steps = s / h
-    if abs(steps - round(steps)) < 1e-9:
-        return u.with_values(np.roll(u.values, int(round(steps)) % n))
-    uh = np.fft.rfft(u.values)
-    k = u.grid.wavenumbers()
-    wh = uh * np.exp(-1j * k * s)
-    if n % 2 == 0:
-        wh[-1] = 0.0  # Nyquist mode is not representable under fractional shifts
-    return u.with_values(np.fft.irfft(wh, n))
+    return u.with_values(_shifted(u.values, u.grid, np.array([s], dtype=np.float64))[0])
 
 
 def reflect(u: Field, axis: float) -> Field:
     """Samples of x -> u(2*axis - x); exact permutation for grid-aligned axes."""
-    n = u.grid.n_points
-    h = u.grid.spacing
-    shift = 2.0 * axis
-    steps = shift / h
-    if abs(steps - round(steps)) < 1e-9:
-        m = int(round(steps)) % n
-        idx = (m - np.arange(n)) % n
-        return u.with_values(u.values[idx])
-    uh = np.fft.rfft(u.values)
-    k = u.grid.wavenumbers()
-    wh = np.conj(uh) * np.exp(-1j * k * shift)
-    if n % 2 == 0:
-        wh[-1] = 0.0
-    return u.with_values(np.fft.irfft(wh, n))
+    axes = np.array([axis], dtype=np.float64)
+    return u.with_values(_reflected(u.values[None, :], u.grid, axes)[0])
 
 
 # ---------------------------------------------------------------------------
 # axis detection
 
 
-def _correlation_spectrum(values: np.ndarray) -> np.ndarray:
-    """Spectrum A with C(delta) = <u, u(2a - .)>, delta = 2a, via irfft(A)."""
-    n = len(values)
-    flip = values[(-np.arange(n)) % n]
-    return np.fft.rfft(values) * np.conj(np.fft.rfft(flip))
+def _correlation_spectra(dev: np.ndarray) -> np.ndarray:
+    """Spectra A with C(delta) = <u, u(2a - .)>, delta = 2a, via irfft(A), per row."""
+    n = dev.shape[-1]
+    flip = dev[..., (-np.arange(n)) % n]
+    return np.fft.rfft(dev) * np.conj(np.fft.rfft(flip))
 
 
-def _corr_value(A: np.ndarray, k: np.ndarray, n: int, delta: float, order: int = 0):
-    """C^(order)(delta) from the correlation spectrum (direct mode sum)."""
-    mult = (1j * k) ** order if order else np.ones_like(k)
-    phases = np.exp(1j * k * delta)
-    terms = A * mult * phases
-    total = np.real(terms[0]) + 2.0 * np.real(np.sum(terms[1:-1]))
+def _mode_sum(terms: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) sum over all modes of the real series whose rfft half is ``terms``, per row."""
+    total = np.real(terms[..., 0]) + 2.0 * np.real(np.sum(terms[..., 1:-1], axis=-1))
     if n % 2 == 0:
-        total += np.real(terms[-1])
+        total += np.real(terms[..., -1])
     else:
-        total += 2.0 * np.real(terms[-1])
+        total += 2.0 * np.real(terms[..., -1])
     return total / n
+
+
+def _grid_peaks(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and index of one grid peak per circular run of near-maximal samples.
+
+    A sample is near-maximal within 1e-9 of its row's span of the maximum.
+    Each run contributes its largest sample, the first one met walking right
+    from the run's start; a run through index n - 1 continues at index 0.
+    """
+    n = C.shape[-1]
+    c_max = np.max(C, axis=-1)
+    span = np.maximum(c_max - np.min(C, axis=-1), 1e-300)
+    rows, cols = np.nonzero(C >= (c_max - 1e-9 * span)[:, None])
+    new_row = np.ones(len(rows), dtype=bool)
+    new_row[1:] = rows[1:] != rows[:-1]
+    new_run = new_row.copy()
+    new_run[1:] |= cols[1:] - cols[:-1] > 1
+    run = np.cumsum(new_run) - 1
+    # a row's last run joins its first one when it wraps around the end
+    first = np.flatnonzero(new_row)
+    last = np.append(first[1:], len(rows)) - 1
+    wraps = (cols[first] == 0) & (cols[last] == n - 1) & (run[first] != run[last])
+    tail = np.isin(run, run[last[wraps]])
+    key = np.where(tail, cols - n, cols)  # walking order within a run
+    label = np.arange(run[-1] + 1)
+    label[run[last[wraps]]] = run[first[wraps]]
+    run = label[run]
+    order = np.lexsort((key, -C[rows, cols], run))
+    pick = order[np.append(True, run[order[1:]] != run[order[:-1]])]
+    return rows[pick], cols[pick]
+
+
+def _polished_peaks(C: np.ndarray, A: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Row and refined correlation shift delta in [0, L) of every grid peak.
+
+    Parabolic interpolation through the peak and its neighbours, then up to
+    three Newton steps on C'(delta) = 0 evaluated by direct mode sums, each
+    capped at one grid step; a peak stops where C'' is not negative.
+    """
+    n, h = grid.n_points, grid.spacing
+    rows, m = _grid_peaks(C)
+    cm1, c0, cp1 = C[rows, (m - 1) % n], C[rows, m], C[rows, (m + 1) % n]
+    denom = cm1 - 2.0 * c0 + cp1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = np.where(denom != 0, 0.5 * (cm1 - cp1) / denom, 0.0)
+    delta = (m + off) * h
+
+    k = grid.wavenumbers()
+    ik = 1j * k
+    slope_terms, curve_terms = A[rows] * ik, A[rows] * ik**2
+    live = np.ones(len(rows), dtype=bool)
+    for _ in range(3):
+        phases = np.exp(1j * k * delta[:, None])
+        d1 = _mode_sum(slope_terms * phases, n)
+        d2 = _mode_sum(curve_terms * phases, n)
+        live &= (d2 < 0) & np.isfinite(d2)
+        if not live.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = d1 / d2
+        step = np.where(np.abs(step) > h, np.sign(step) * h, step)
+        delta = np.where(live, delta - step, delta)
+    return rows, np.mod(delta, grid.length)
+
+
+def _detect_axes(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axis, asymmetry and ambiguity of each row of a (B, n) stack (see detect_axis)."""
+    n, L, h = grid.n_points, grid.length, grid.spacing
+    dev = values - np.mean(values, axis=-1, keepdims=True)
+    nrm = np.sqrt(np.sum(dev**2, axis=-1))
+    if np.any(nrm * np.sqrt(h) <= 1e-12):
+        raise ConstantFieldError("symmetry axis of a constant field is undefined")
+
+    A = _correlation_spectra(dev)
+    rows, deltas = _polished_peaks(np.fft.irfft(A, n), A, grid)
+    halves = np.mod(deltas / 2.0, L / 2.0)
+    first = np.flatnonzero(np.append(True, rows[1:] != rows[:-1]))
+    base = np.minimum.reduceat(halves, first)
+    gap = np.abs(halves - base[rows])
+    multi_peak = np.maximum.reduceat(np.minimum(gap, L / 2 - gap) > 1e-6 * L, first)
+
+    # the reflections about base and base + L/2 coincide; label the axis by
+    # whichever representative carries the stronger deviation from the mean,
+    # and flag a tie (pure modes have equal crest and trough) as ambiguous;
+    # several distinct peaks keep the smallest axis, base
+    reps = np.stack((base, base + L / 2.0), axis=-1)
+    scores = np.abs(np.take_along_axis(dev, np.rint(reps / h).astype(np.int64) % n, axis=-1))
+    tie = np.abs(scores[:, 0] - scores[:, 1]) <= 1e-9 * np.maximum(
+        np.max(np.abs(dev), axis=-1), 1e-300)
+    upper = ~(tie | multi_peak) & (scores[:, 1] > scores[:, 0])
+    axes = np.where(upper, reps[:, 1], base)
+
+    refl = _reflected(values, grid, axes)
+    asymmetry = np.sqrt(np.sum((values - refl) ** 2, axis=-1)) / nrm
+    return np.mod(axes, L), asymmetry, multi_peak | tie
 
 
 def detect_axis(u: Field) -> AxisFit:
@@ -147,72 +269,8 @@ def detect_axis(u: Field) -> AxisFit:
     and a short Newton polish on the same correlation function.  Asymmetry is
     the relative reflection residual ||u - reflect(u, axis)|| / ||u - mean||.
     """
-    n = u.grid.n_points
-    L = u.grid.length
-    h = u.grid.spacing
-    dev = u.values - np.mean(u.values)
-    nrm = np.sqrt(np.sum(dev**2))
-    if nrm * np.sqrt(h) <= 1e-12:
-        raise ConstantFieldError("symmetry axis of a constant field is undefined")
-
-    A = _correlation_spectrum(dev)
-    k = u.grid.wavenumbers()
-    C = np.fft.irfft(A, n)
-
-    c_max, c_min = float(np.max(C)), float(np.min(C))
-    span = max(c_max - c_min, 1e-300)
-    peak_mask = C >= c_max - 1e-9 * span
-    # cluster adjacent grid peaks (circularly)
-    idx = np.nonzero(peak_mask)[0]
-    clusters = []
-    for i in idx:
-        if clusters and (i - clusters[-1][-1]) % n <= 1:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    if len(clusters) > 1 and (clusters[0][0] - clusters[-1][-1]) % n <= 1:
-        clusters[0] = clusters.pop() + clusters[0]
-
-    def refine(m: int) -> float:
-        cm1, c0, cp1 = C[(m - 1) % n], C[m], C[(m + 1) % n]
-        denom = cm1 - 2.0 * c0 + cp1
-        off = 0.5 * (cm1 - cp1) / denom if denom != 0 else 0.0
-        delta = (m + off) * h
-        for _ in range(3):
-            d1 = _corr_value(A, k, n, delta, 1)
-            d2 = _corr_value(A, k, n, delta, 2)
-            if d2 >= 0 or not np.isfinite(d2):
-                break
-            step = d1 / d2
-            if abs(step) > h:
-                step = np.sign(step) * h
-            delta -= step
-        return float(np.mod(delta, L))
-
-    deltas = sorted(refine(cl[np.argmax(C[cl])]) for cl in clusters)
-    half_axes = sorted({float(np.mod(d / 2.0, L / 2.0)) for d in deltas})
-    multi_peak = False
-    if len(half_axes) > 1:
-        ref = half_axes[0]
-        multi_peak = any(
-            min(abs(a - ref), L / 2 - abs(a - ref)) > 1e-6 * L for a in half_axes[1:]
-        )
-
-    base = half_axes[0]
-    # the reflections about base and base + L/2 coincide; label the axis by
-    # whichever representative carries the stronger deviation from the mean,
-    # and flag a tie (pure modes have equal crest and trough) as ambiguous
-    reps = [base, base + L / 2.0]
-    scores = [abs(dev[int(round(r / h)) % n]) for r in reps]
-    tie = abs(scores[0] - scores[1]) <= 1e-9 * max(np.max(np.abs(dev)), 1e-300)
-    axis = min(reps) if tie else reps[int(np.argmax(scores))]
-    ambiguous = bool(multi_peak or tie)
-    if multi_peak:
-        axis = min(a for a in half_axes)  # smallest axis in [0, L)
-
-    refl = reflect(u, axis)
-    asymmetry = float(np.sqrt(np.sum((u.values - refl.values) ** 2)) / nrm)
-    return AxisFit(float(np.mod(axis, L)), asymmetry, ambiguous)
+    axes, asymmetry, ambiguous = _detect_axes(u.values[None, :], u.grid)
+    return AxisFit(float(axes[0]), float(asymmetry[0]), bool(ambiguous[0]))
 
 
 def _unwrap(axes: np.ndarray, period: float) -> np.ndarray:
@@ -224,18 +282,18 @@ def _unwrap(axes: np.ndarray, period: float) -> np.ndarray:
 
 
 def track_axis(traj: Trajectory) -> AxisSeries:
-    """Per-snapshot axis detection with nearest-branch unwrapping."""
+    """Axis of every snapshot with nearest-branch unwrapping.
+
+    The snapshots are detected a block of rows at a time (_value_blocks),
+    each row as detect_axis gives it.
+    """
     if len(traj.snapshots) < 3:
         raise ValueError("need at least 3 snapshots to track an axis")
     L = traj.grid.length
-    times, axes, asym = [], [], []
-    for s in traj.snapshots:
-        fit = detect_axis(s.u)
-        times.append(s.time)
-        axes.append(fit.axis)
-        asym.append(fit.asymmetry)
-    unwrapped = _unwrap(np.array(axes), L)
-    return AxisSeries(np.array(times), np.mod(unwrapped, L), np.array(asym))
+    fits = [_detect_axes(block, traj.grid) for _, block in _value_blocks(traj.snapshots)]
+    axes = np.concatenate([axes for axes, _, _ in fits])
+    asymmetry = np.concatenate([asym for _, asym, _ in fits])
+    return AxisSeries(traj.times(), np.mod(_unwrap(axes, L), L), asymmetry)
 
 
 def verify_theorem(
@@ -259,14 +317,15 @@ def verify_theorem(
     # reflecting u(t, x) = U(x - c t) about its crest gives axis = c t + const
     speed = lambda_dot
 
-    u0 = traj.snapshots[0].u
-    t0 = traj.snapshots[0].time
-    nrm0 = np.sqrt(np.sum(u0.values**2))
+    u0 = traj.snapshots[0].u.values
+    nrm0 = np.sqrt(np.sum(u0**2))
+    later = traj.snapshots[1:]
+    shifts = speed * (series.times[1:] - series.times[0])
     travel_error = 0.0
-    for s in traj.snapshots[1:]:
-        moved = shift_field(u0, speed * (s.time - t0))
-        err = np.sqrt(np.sum((s.u.values - moved.values) ** 2)) / nrm0
-        travel_error = max(travel_error, float(err))
+    for rows, block in _value_blocks(later):
+        moved = _shifted(u0, traj.grid, shifts[rows])
+        err = np.sqrt(np.sum((block - moved) ** 2, axis=-1)) / nrm0
+        travel_error = max(travel_error, float(np.max(err)))
 
     if np.max(series.asymmetry) > symmetry_tol:
         verdict = Verdict.NOT_SYMMETRIC

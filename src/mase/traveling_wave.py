@@ -28,8 +28,10 @@ square-root substitution and tabulates any other end plainly in U.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -200,14 +202,32 @@ def _real_roots(poly: Polynomial) -> list[float]:
     return roots
 
 
+def _level_roots(params: TWParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Turning points and tangencies of a level; see the two public functions.
+
+    Each of force_poly and level_polynomial is solved once per level: the
+    result is cached, so a constructor and the caller that reports its roots
+    share the solve.  The key adds the sign of E, since E = -0.0 equals 0.0
+    but gives level_polynomial a -0.0 constant term.
+    """
+    return _solve_level(params, math.copysign(1.0, params.energy))
+
+
+@lru_cache(maxsize=16)
+def _solve_level(params: TWParams, energy_sign: float):
+    level = level_polynomial(params)
+    scale = max(1.0, abs(params.energy))
+    tangent = [r for r in _real_roots(force_poly(params)) if abs(level(r)) <= 1e-10 * scale]
+    roots = [r for r in _real_roots(level) if all(abs(r - t) > 1e-6 for t in tangent)]
+    return tuple(sorted(roots + tangent)), tuple(tangent)
+
+
 def level_tangencies(params: TWParams) -> list[float]:
     """Elevations where the level just touches E - 2G = 0 (even-order roots).
 
     These are the equilibria (roots of F) whose potential level equals E.
     """
-    p = level_polynomial(params)
-    scale = max(1.0, abs(params.energy))
-    return [r for r in _real_roots(force_poly(params)) if abs(p(r)) <= 1e-10 * scale]
+    return list(_level_roots(params)[1])
 
 
 def turning_points(params: TWParams) -> list[float]:
@@ -216,10 +236,7 @@ def turning_points(params: TWParams) -> list[float]:
     A tangency is reported once, exactly as level_tangencies gives it, in
     place of the roots within 1e-6 of it (a double root splits in two).
     """
-    tangent = level_tangencies(params)
-    roots = [r for r in _real_roots(level_polynomial(params))
-             if all(abs(r - t) > 1e-6 for t in tangent)]
-    return sorted(roots + tangent)
+    return list(_level_roots(params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +632,8 @@ def periodic_profile(
     half-open (_periodic_wave).  A turning point on the singular line is a
     corner, so no smooth periodic wave exists there: see peaked_composite.
     """
-    roots = turning_points(params)
+    roots, tangent = _level_roots(params)
     if pair is None:
-        tangent = level_tangencies(params)
         for u1, u2 in zip(roots, roots[1:]):
             if u1 not in tangent and u2 not in tangent and _traversable(params, u1, u2, roots):
                 pair = (u1, u2)
@@ -668,7 +684,7 @@ def peaked_composite(
         )
     params = TWParams(speed, integration_constant, energy)
 
-    roots = turning_points(params)
+    roots, _ = _level_roots(params)
     candidates = [r for r in roots
                   if abs(r - u_s) > 1e-8 and _traversable(params, *sorted((r, u_s)), roots)]
     if not candidates:

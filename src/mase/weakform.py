@@ -17,6 +17,13 @@ reflection_bracket_check.
 Test functions are compactly supported bumps with closed-form derivatives;
 residuals are normalized by the test-function mass so tolerances compare
 across widths.
+
+Each field term is formed once and paired with every bump: the steady
+bracket (c + 1) U + 7 U^2 - P(R(U)) once per profile, and u, the flux and
+P(R(u)) once per stack of snapshot rows (evolution._value_blocks), with one
+derivative and one Helmholtz solve per stack.  Rows and row sums equal their
+one-snapshot evaluations bitwise; the temporal factors rho and rho_t are
+evaluated per snapshot time.
 """
 
 from __future__ import annotations
@@ -26,9 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportError
-from .evolution import Trajectory
+from .evolution import Trajectory, _value_blocks
 from .grid import Field, Grid
-from .operators import FLUX, REACTION, SLOPE_SQ, helmholtz_inverse, reaction_term, spectral_derivative
+from .operators import (
+    FLUX,
+    REACTION,
+    SLOPE_SQ,
+    _spectral_tables,
+    helmholtz_inverse,
+    reaction_term,
+    spectral_derivative,
+)
 from .traveling_wave import TWProfile
 
 __all__ = [
@@ -163,31 +178,38 @@ def _oversample(values: np.ndarray, factor: int) -> np.ndarray:
 # residual operations
 
 
-def steady_weak_residual(profile: TWProfile, psi: TestFunction) -> float:
-    """Normalized quadrature of the steady traveling-wave identity.
+def _steady_residuals(profile: TWProfile, psis: list[TestFunction]) -> list[float]:
+    """Normalized quadrature of the steady traveling-wave identity, per bump.
 
     Trapezoid rule on the profile's own grid; the nonlocal term uses the
     Helmholtz multiplier, and R(U) uses the profile's phase-plane slopes when
-    available (spectral differentiation otherwise).
+    available (spectral differentiation otherwise).  The bracket
+    (c + 1) U + 7 U^2 - P(R(U)) is formed once and paired with every bump.
     """
     grid, x0 = _profile_grid(profile)
-    lo, hi = psi.support
-    if lo < profile.xi[0] or hi > profile.xi[-1]:
-        raise SupportError(
-            f"test function support [{lo:.3g}, {hi:.3g}] exceeds the sampled window "
-            f"[{profile.xi[0]:.3g}, {profile.xi[-1]:.3g}]"
-        )
-    if grid.spacing > psi.width / 32.0:
-        raise ValueError(
-            f"profile spacing {grid.spacing:.3g} too coarse for width {psi.width:.3g}"
-        )
+    for psi in psis:
+        lo, hi = psi.support
+        if lo < profile.xi[0] or hi > profile.xi[-1]:
+            raise SupportError(
+                f"test function support [{lo:.3g}, {hi:.3g}] exceeds the sampled window "
+                f"[{profile.xi[0]:.3g}, {profile.xi[-1]:.3g}]"
+            )
+        if grid.spacing > psi.width / 32.0:
+            raise ValueError(
+                f"profile spacing {grid.spacing:.3g} too coarse for width {psi.width:.3g}"
+            )
     u = profile.values
     r = _profile_reaction(profile, grid)
     p = helmholtz_inverse(Field(grid, r)).values
     c = profile.params.speed
-    psi_x = psi.derivative(profile.xi, 1)
-    integrand = ((c + FLUX[1]) * u + FLUX[2] * u**2 - p) * psi_x
-    return float(grid.spacing * np.sum(integrand) / psi.mass())
+    bracket = (c + FLUX[1]) * u + FLUX[2] * u**2 - p
+    return [float(grid.spacing * np.sum(bracket * psi.derivative(profile.xi, 1)) / psi.mass())
+            for psi in psis]
+
+
+def steady_weak_residual(profile: TWProfile, psi: TestFunction) -> float:
+    """Steady residual of one bump; steady_residual_report pairs many at once."""
+    return _steady_residuals(profile, [psi])[0]
 
 
 def unsteady_weak_residual(
@@ -197,9 +219,11 @@ def unsteady_weak_residual(
 
     ``phis`` are the spatial bumps, ``rho`` the temporal one; each product
     test function must be supported strictly inside the domain and the
-    recorded time window.  Returns one residual per bump.  The snapshot
-    terms u, the flux, P(R(u)) and rho, rho_t are formed once per snapshot
-    and paired with every bump.
+    recorded time window.  Returns one residual per bump.  The snapshots
+    near rho's support are taken a block of rows at a time (_value_blocks):
+    one derivative and one Helmholtz solve per block give u, the flux and
+    P(R(u)) of every row, which are paired with every bump.  rho and rho_t
+    are evaluated per snapshot time.
     """
     grid = traj.grid
     times = traj.times()
@@ -211,22 +235,23 @@ def unsteady_weak_residual(
     if t_lo <= times[0] or t_hi >= times[-1]:
         raise SupportError("temporal test function leaves the recorded window")
 
+    tables = _spectral_tables(grid.n_points, grid.length)
+    n = grid.n_points
     x = grid.points
     phi_v = [phi.value(x) for phi in phis]
     phi_x = [phi.derivative(x, 1) for phi in phis]
+    near = np.flatnonzero((times >= t_lo - 2 * rho.width) & (times <= t_hi + 2 * rho.width))
     slices = np.zeros((len(phis), len(times)))
-    for i, s in enumerate(traj.snapshots):
-        if times[i] < t_lo - 2 * rho.width or times[i] > t_hi + 2 * rho.width:
-            continue
-        u = s.u.values
-        r = _pointwise_reaction(u, spectral_derivative(s.u, 1).values)
-        p = helmholtz_inverse(Field(grid, r)).values
-        rho_v = float(rho.value(times[i]))
-        rho_t = float(rho.derivative(times[i], 1))
+    for rows, u in _value_blocks([traj.snapshots[i] for i in near]):
+        at = near[rows]
+        ux = np.fft.irfft(tables["d1"] * np.fft.rfft(u), n)
+        p = np.fft.irfft(tables["helmholtz"] * np.fft.rfft(_pointwise_reaction(u, ux)), n)
+        rho_v = np.array([float(rho.value(times[i])) for i in at])[:, None]
+        rho_t = np.array([float(rho.derivative(times[i], 1)) for i in at])[:, None]
         flux = FLUX[1] * u + FLUX[2] * u**2
         for j in range(len(phis)):
             integrand = u * phi_v[j] * rho_t - flux * phi_x[j] * rho_v + p * phi_x[j] * rho_v
-            slices[j, i] = grid.spacing * np.sum(integrand)
+            slices[j, at] = grid.spacing * np.sum(integrand, axis=-1)
     return [float(np.trapezoid(row, times)) / (phi.mass() * rho.mass())
             for phi, row in zip(phis, slices)]
 
@@ -269,9 +294,8 @@ def reflection_bracket_check(u: Field, lam: float, phi: TestFunction) -> tuple[f
 
 
 def steady_residual_report(profile: TWProfile, psis: list[TestFunction]) -> ResidualReport:
-    entries = tuple(
-        (psi.descriptor(), steady_weak_residual(profile, psi)) for psi in psis
-    )
+    residuals = _steady_residuals(profile, psis)
+    entries = tuple((psi.descriptor(), res) for psi, res in zip(psis, residuals))
     mean_mass = float(np.mean([psi.mass() for psi in psis]))
     return ResidualReport(entries, mean_mass)
 

@@ -20,7 +20,12 @@ shared by both sides:
   segments: the reference a periodic or peaked profile is checked against,
   and the mismatched-level composites of acceptance 11;
 - ``random_band_limited``, sample data whose products stay below the
-  dealiasing cutoff.
+  dealiasing cutoff;
+- ``detect_axis_loop``, ``track_axis_loop``, ``travel_error_loop``,
+  ``max_slope_loop``, ``unsteady_residual_loop`` and
+  ``steady_residual_loop`` (with ``reflect_loop`` and ``shift_field_loop``),
+  the analyses one snapshot or one bump at a time: the bitwise reference for
+  the package's stacked analyses.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mase.errors import GridMismatchError, SingularLineError
+from mase.errors import ConstantFieldError, GridMismatchError, SingularLineError
 from mase.grid import Field, Grid, State
 from mase.operators import _nonlinear_spectra, _product_spectrum, _rhs_spectrum
 from mase.traveling_wave import (
@@ -356,3 +361,174 @@ def concatenate_segments_unchecked(segments: Sequence[TWProfile]) -> TWProfile:
         slopes=slopes,
         evaluator=evaluator,
     )
+
+
+# ---------------------------------------------------------------------------
+# per-snapshot analyses
+#
+# The package analyses a trajectory as stacks of snapshot rows.  These are
+# the loops it replaced, one transform chain per snapshot or bump, kept as
+# the bitwise reference for the stacked code.
+
+
+def shift_field_loop(u: Field, s: float) -> Field:
+    """Samples of x -> u(x - s), band-limited interpolation for off-grid s."""
+    n = u.grid.n_points
+    steps = s / u.grid.spacing
+    if abs(steps - round(steps)) < 1e-9:
+        return u.with_values(np.roll(u.values, int(round(steps)) % n))
+    wh = np.fft.rfft(u.values) * np.exp(-1j * u.grid.wavenumbers() * s)
+    if n % 2 == 0:
+        wh[-1] = 0.0
+    return u.with_values(np.fft.irfft(wh, n))
+
+
+def reflect_loop(u: Field, axis: float) -> Field:
+    """Samples of x -> u(2*axis - x); exact permutation for grid-aligned axes."""
+    n = u.grid.n_points
+    shift = 2.0 * axis
+    steps = shift / u.grid.spacing
+    if abs(steps - round(steps)) < 1e-9:
+        m = int(round(steps)) % n
+        return u.with_values(u.values[(m - np.arange(n)) % n])
+    wh = np.conj(np.fft.rfft(u.values)) * np.exp(-1j * u.grid.wavenumbers() * shift)
+    if n % 2 == 0:
+        wh[-1] = 0.0
+    return u.with_values(np.fft.irfft(wh, n))
+
+
+def _corr_value(A: np.ndarray, k: np.ndarray, n: int, delta: float, order: int) -> float:
+    terms = A * (1j * k) ** order * np.exp(1j * k * delta)
+    total = np.real(terms[0]) + 2.0 * np.real(np.sum(terms[1:-1]))
+    if n % 2 == 0:
+        total += np.real(terms[-1])
+    else:
+        total += 2.0 * np.real(terms[-1])
+    return total / n
+
+
+def detect_axis_loop(u: Field) -> tuple[float, float, bool]:
+    """(axis, asymmetry, ambiguous) of one field, clustering its peaks in Python."""
+    n, L, h = u.grid.n_points, u.grid.length, u.grid.spacing
+    dev = u.values - np.mean(u.values)
+    nrm = np.sqrt(np.sum(dev**2))
+    if nrm * np.sqrt(h) <= 1e-12:
+        raise ConstantFieldError("symmetry axis of a constant field is undefined")
+    flip = dev[(-np.arange(n)) % n]
+    A = np.fft.rfft(dev) * np.conj(np.fft.rfft(flip))
+    k = u.grid.wavenumbers()
+    C = np.fft.irfft(A, n)
+
+    c_max, c_min = float(np.max(C)), float(np.min(C))
+    span = max(c_max - c_min, 1e-300)
+    clusters: list[list[int]] = []
+    for i in np.nonzero(C >= c_max - 1e-9 * span)[0]:
+        if clusters and (i - clusters[-1][-1]) % n <= 1:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    if len(clusters) > 1 and (clusters[0][0] - clusters[-1][-1]) % n <= 1:
+        clusters[0] = clusters.pop() + clusters[0]
+
+    def refine(m: int) -> float:
+        cm1, c0, cp1 = C[(m - 1) % n], C[m], C[(m + 1) % n]
+        denom = cm1 - 2.0 * c0 + cp1
+        off = 0.5 * (cm1 - cp1) / denom if denom != 0 else 0.0
+        delta = (m + off) * h
+        for _ in range(3):
+            d1 = _corr_value(A, k, n, delta, 1)
+            d2 = _corr_value(A, k, n, delta, 2)
+            if d2 >= 0 or not np.isfinite(d2):
+                break
+            step = d1 / d2
+            if abs(step) > h:
+                step = np.sign(step) * h
+            delta -= step
+        return float(np.mod(delta, L))
+
+    deltas = sorted(refine(cl[np.argmax(C[cl])]) for cl in clusters)
+    half_axes = sorted({float(np.mod(d / 2.0, L / 2.0)) for d in deltas})
+    ref = half_axes[0]
+    multi_peak = any(min(abs(a - ref), L / 2 - abs(a - ref)) > 1e-6 * L for a in half_axes[1:])
+    reps = [ref, ref + L / 2.0]
+    scores = [abs(dev[int(round(r / h)) % n]) for r in reps]
+    tie = abs(scores[0] - scores[1]) <= 1e-9 * max(np.max(np.abs(dev)), 1e-300)
+    axis = min(reps) if tie else reps[int(np.argmax(scores))]
+    if multi_peak:
+        axis = ref
+    refl = reflect_loop(u, axis)
+    asymmetry = float(np.sqrt(np.sum((u.values - refl.values) ** 2)) / nrm)
+    return float(np.mod(axis, L)), asymmetry, bool(multi_peak or tie)
+
+
+def track_axis_loop(snapshots: Sequence[State]) -> tuple[np.ndarray, np.ndarray]:
+    """Unwrapped-then-wrapped axes and asymmetries, one detect_axis_loop per snapshot."""
+    L = snapshots[0].u.grid.length
+    fits = [detect_axis_loop(s.u) for s in snapshots]
+    axes = np.array([f[0] for f in fits])
+    for i in range(1, len(axes)):
+        axes[i] -= L * np.round((axes[i] - axes[i - 1]) / L)
+    return np.mod(axes, L), np.array([f[1] for f in fits])
+
+
+def travel_error_loop(snapshots: Sequence[State], speed: float) -> float:
+    """Worst relative gap between each snapshot and the shifted first one."""
+    u0, t0 = snapshots[0].u, snapshots[0].time
+    nrm0 = np.sqrt(np.sum(u0.values**2))
+    worst = 0.0
+    for s in snapshots[1:]:
+        moved = shift_field_loop(u0, speed * (s.time - t0))
+        worst = max(worst, float(np.sqrt(np.sum((s.u.values - moved.values) ** 2)) / nrm0))
+    return worst
+
+
+def max_slope_loop(u: Field) -> float:
+    """max|u_x| of one field by its own transform pair."""
+    k = u.grid.wavenumbers()
+    d1 = 1j * k
+    if u.grid.n_points % 2 == 0:
+        d1[-1] = 0.0
+    return float(np.max(np.abs(np.fft.irfft(d1 * np.fft.rfft(u.values), u.grid.n_points))))
+
+
+def unsteady_residual_loop(snapshots: Sequence[State], phis, rho) -> list[float]:
+    """Space-time weak residual with one derivative and Helmholtz solve per snapshot."""
+    grid = snapshots[0].u.grid
+    times = np.array([s.time for s in snapshots])
+    t_lo, t_hi = rho.support
+    x = grid.points
+    k = grid.wavenumbers()
+    d1 = 1j * k
+    if grid.n_points % 2 == 0:
+        d1[-1] = 0.0
+    helm = 1.0 / (1.0 + k**2)
+    slices = np.zeros((len(phis), len(times)))
+    for i, s in enumerate(snapshots):
+        if times[i] < t_lo - 2 * rho.width or times[i] > t_hi + 2 * rho.width:
+            continue
+        u = s.u.values
+        ux = np.fft.irfft(d1 * np.fft.rfft(u), grid.n_points)
+        r = 2.0 * u + 10.0 * u**2 - 2.0 * u**3 + 3.0 * u**4 - 7.0 * ux**2
+        p = np.fft.irfft(helm * np.fft.rfft(r), grid.n_points)
+        rho_v = float(rho.value(times[i]))
+        rho_t = float(rho.derivative(times[i], 1))
+        flux = 1.0 * u + 7.0 * u**2
+        for j, phi in enumerate(phis):
+            phi_v, phi_x = phi.value(x), phi.derivative(x, 1)
+            integrand = u * phi_v * rho_t - flux * phi_x * rho_v + p * phi_x * rho_v
+            slices[j, i] = grid.spacing * np.sum(integrand)
+    return [float(np.trapezoid(row, times)) / (phi.mass() * rho.mass())
+            for phi, row in zip(phis, slices)]
+
+
+def steady_residual_loop(profile: TWProfile, psi) -> float:
+    """Steady weak residual of one bump, forming R(U) and P(R(U)) for it alone."""
+    u = profile.values
+    n = len(u)
+    h = float(np.mean(np.diff(profile.xi))) * n / n  # the spacing of the profile's grid
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
+    r = 2.0 * u + 10.0 * u**2 - 2.0 * u**3 + 3.0 * u**4 - 7.0 * profile.slopes**2
+    p = np.fft.irfft((1.0 / (1.0 + k**2)) * np.fft.rfft(r), n)
+    c = profile.params.speed
+    integrand = ((c + 1.0) * u + 7.0 * u**2 - p) * psi.derivative(profile.xi, 1)
+    return float(h * np.sum(integrand) / psi.mass())
