@@ -41,6 +41,7 @@ from .symmetry import verify_theorem
 from .traveling_wave import (
     Regularity,
     TWParams,
+    _beyond_double_range,
     _level_roots,
     peaked_composite,
     periodic_profile,
@@ -192,7 +193,11 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
         raise ConfigError(f"unknown wave kind {wave!r}")
 
     params = profile.params
-    report = _steady_report(profile, seed)
+    # its sums can overflow where the wave itself does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _steady_report(profile, seed)
+    if not np.all(np.isfinite([r for _, r in report.per_test_function])):
+        raise _beyond_double_range(params)
     roots, tangent = _level_roots(params)
     extras = {
         "turning_points": list(roots),

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstantFieldError
+from .errors import ConstantFieldError, NonFiniteFieldError
 from .evolution import Trajectory, _value_blocks
 from .grid import Field, Grid
 
@@ -201,7 +201,8 @@ def _polished_peaks(C: np.ndarray, A: np.ndarray, grid: Grid) -> tuple[np.ndarra
 
     Parabolic interpolation through the peak and its neighbours, then up to
     three Newton steps on C'(delta) = 0 evaluated by direct mode sums, each
-    capped at one grid step; a peak stops where C'' is not negative.
+    capped at one grid step; a peak stops where C'' is not negative or a
+    mode sum is not finite.
     """
     n, h = grid.n_points, grid.spacing
     rows, m = _grid_peaks(C)
@@ -213,19 +214,20 @@ def _polished_peaks(C: np.ndarray, A: np.ndarray, grid: Grid) -> tuple[np.ndarra
 
     k = grid.wavenumbers()
     ik = 1j * k
-    slope_terms, curve_terms = A[rows] * ik, A[rows] * ik**2
     live = np.ones(len(rows), dtype=bool)
-    for _ in range(3):
-        phases = np.exp(1j * k * delta[:, None])
-        d1 = _mode_sum(slope_terms * phases, n)
-        d2 = _mode_sum(curve_terms * phases, n)
-        live &= (d2 < 0) & np.isfinite(d2)
-        if not live.any():
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # near the double range a mode sum can overflow; that peak stops there
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slope_terms, curve_terms = A[rows] * ik, A[rows] * ik**2
+        for _ in range(3):
+            phases = np.exp(1j * k * delta[:, None])
+            d1 = _mode_sum(slope_terms * phases, n)
+            d2 = _mode_sum(curve_terms * phases, n)
+            live &= (d2 < 0) & np.isfinite(d1) & np.isfinite(d2)
+            if not live.any():
+                break
             step = d1 / d2
-        step = np.where(np.abs(step) > h, np.sign(step) * h, step)
-        delta = np.where(live, delta - step, delta)
+            step = np.where(np.abs(step) > h, np.sign(step) * h, step)
+            delta = np.where(live, delta - step, delta)
     return rows, np.mod(delta, grid.length)
 
 
@@ -233,12 +235,17 @@ def _detect_axes(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray
     """Axis, asymmetry and ambiguity of each row of a (B, n) stack (see detect_axis)."""
     n, L, h = grid.n_points, grid.length, grid.spacing
     dev = values - np.mean(values, axis=-1, keepdims=True)
-    nrm = np.sqrt(np.sum(dev**2, axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = np.sqrt(np.sum(dev**2, axis=-1))
+        A = _correlation_spectra(dev)
+        C = np.fft.irfft(A, n)
+        # the asymmetry below squares up to twice the deviation
+        finite = np.all(np.isfinite(C)) and np.all(np.isfinite((2.0 * nrm) ** 2))
     if np.any(nrm * np.sqrt(h) <= 1e-12):
         raise ConstantFieldError("symmetry axis of a constant field is undefined")
-
-    A = _correlation_spectra(dev)
-    rows, deltas = _polished_peaks(np.fft.irfft(A, n), A, grid)
+    if not finite:
+        raise NonFiniteFieldError("the field's deviation overflows when squared or correlated")
+    rows, deltas = _polished_peaks(C, A, grid)
     halves = np.mod(deltas / 2.0, L / 2.0)
     first = np.flatnonzero(np.append(True, rows[1:] != rows[:-1]))
     base = np.minimum.reduceat(halves, first)

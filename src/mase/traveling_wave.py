@@ -28,7 +28,6 @@ square-root substitution and tabulates any other end plainly in U.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -61,12 +60,11 @@ __all__ = [
 ]
 
 SINGULAR_GUARD = 1e-12
-ROOT_BOUND = 10.0  # every root search covers [-ROOT_BOUND, ROOT_BOUND]
 
 
 @dataclass(frozen=True)
 class TWParams:
-    """Speed c, integration constant A and first-integral level E."""
+    """Speed c, integration constant A and first-integral level E; -0.0 is stored as 0.0."""
 
     speed: float
     integration_constant: float = 0.0
@@ -74,7 +72,7 @@ class TWParams:
 
     def __post_init__(self):
         for name in ("speed", "integration_constant", "energy"):
-            val = float(getattr(self, name))
+            val = float(getattr(self, name)) + 0.0
             if not np.isfinite(val):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, val)
@@ -158,7 +156,8 @@ def potential_poly(params: TWParams) -> Polynomial:
 
 def level_polynomial(params: TWParams) -> Polynomial:
     """E - 2 G(U); its simple roots are the turning points of the level."""
-    coef = -2.0 * potential_poly(params).coef
+    with np.errstate(over="ignore"):  # |A| > 9e307; _solve refuses it
+        coef = -2.0 * potential_poly(params).coef
     coef[0] += params.energy
     return Polynomial(coef)
 
@@ -175,7 +174,7 @@ def slope_squared(u, params: TWParams):
 
 
 def _real_roots(poly: Polynomial) -> list[float]:
-    """Real roots of poly in [-ROOT_BOUND, ROOT_BOUND], increasing, closer ones merged.
+    """Real roots of poly, increasing, closer ones merged.
 
     The roots are the eigenvalues of the companion matrix (Polynomial.roots)
     with a small imaginary part, polished by two Newton steps kept only where
@@ -185,8 +184,7 @@ def _real_roots(poly: Polynomial) -> list[float]:
     z = poly.roots()
     x = z.real[np.abs(z.imag) <= 1e-7 * np.maximum(1.0, np.abs(z))]
     dpoly = poly.deriv()
-    # a wild step is refused, and so is a root whose value overflows (far
-    # beyond ROOT_BOUND, when a coefficient nears the double range)
+    # a wild step is refused, and so is one whose value overflows
     with np.errstate(over="ignore", invalid="ignore"):
         p = poly(x)
         for _ in range(2):
@@ -196,29 +194,42 @@ def _real_roots(poly: Polynomial) -> list[float]:
             shrinks = np.abs(p_step) < np.abs(p)
             x, p = np.where(shrinks, step, x), np.where(shrinks, p_step, p)
     roots: list[float] = []
-    for r in np.sort(x[np.abs(x) <= ROOT_BOUND]).tolist():
+    for r in np.sort(x).tolist():
         if not roots or r - roots[-1] > 1e-9:
             roots.append(r)
     return roots
 
 
+def _beyond_double_range(params: TWParams) -> ConfigError:
+    return ConfigError(f"speed {params.speed:g}, integration constant "
+                       f"{params.integration_constant:g} and energy {params.energy:g} are "
+                       "beyond the range where the wave can be computed in double precision")
+
+
+def _solve(params: TWParams, poly: Polynomial, *points: float) -> list[float]:
+    """_real_roots of poly, refused where the level's terms overflow up to them and ``points``."""
+    if not np.all(np.isfinite(poly.coef)):
+        raise _beyond_double_range(params)
+    roots = _real_roots(poly)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = Polynomial(np.abs(level_polynomial(params).coef))(np.abs([*roots, *points]))
+    if not np.all(np.isfinite(terms)):
+        raise _beyond_double_range(params)
+    return roots
+
+
+@lru_cache(maxsize=16)
 def _level_roots(params: TWParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Turning points and tangencies of a level; see the two public functions.
 
     Each of force_poly and level_polynomial is solved once per level: the
     result is cached, so a constructor and the caller that reports its roots
-    share the solve.  The key adds the sign of E, since E = -0.0 equals 0.0
-    but gives level_polynomial a -0.0 constant term.
+    share the solve.
     """
-    return _solve_level(params, math.copysign(1.0, params.energy))
-
-
-@lru_cache(maxsize=16)
-def _solve_level(params: TWParams, energy_sign: float):
     level = level_polynomial(params)
     scale = max(1.0, abs(params.energy))
-    tangent = [r for r in _real_roots(force_poly(params)) if abs(level(r)) <= 1e-10 * scale]
-    roots = [r for r in _real_roots(level) if all(abs(r - t) > 1e-6 for t in tangent)]
+    tangent = [r for r in _solve(params, force_poly(params)) if abs(level(r)) <= 1e-10 * scale]
+    roots = [r for r in _solve(params, level) if all(abs(r - t) > 1e-6 for t in tangent)]
     return tuple(sorted(roots + tangent)), tuple(tangent)
 
 
@@ -231,7 +242,7 @@ def level_tangencies(params: TWParams) -> list[float]:
 
 
 def turning_points(params: TWParams) -> list[float]:
-    """All real roots of E - 2G(U) in [-ROOT_BOUND, ROOT_BOUND], increasing.
+    """All real roots of E - 2G(U), increasing.
 
     A tangency is reported once, exactly as level_tangencies gives it, in
     place of the roots within 1e-6 of it (a double root splits in two).
@@ -353,13 +364,7 @@ def _cumulative(fn: Callable[[np.ndarray], np.ndarray], knots: np.ndarray) -> np
 
 def _deflate(poly: Polynomial, root: float) -> Polynomial:
     """poly // (U - root); the remainder (~= poly(root)) is discarded."""
-    coefs = poly.coef
-    out = np.zeros(len(coefs) - 1)
-    acc = 0.0
-    for i in range(len(coefs) - 1, 0, -1):
-        acc = coefs[i] + root * acc
-        out[i - 1] = acc
-    return Polynomial(out)
+    return poly // Polynomial([-root, 1.0])
 
 
 def _is_root(poly: Polynomial, u: float) -> bool:
@@ -446,8 +451,9 @@ def _segment_knots(params: TWParams, u_from: float, u_to: float):
     xi_knots = np.concatenate([xi_a, xi_a[-1] + (xi_b[-1] - xi_b[::-1][1:])])
     v_knots = slopes(u_knots)
 
-    # guard against duplicate xi from the double endpoint
-    good = np.concatenate([[True], np.diff(xi_knots) > 1e-15])
+    # guard against duplicate xi from the double endpoint, relative to the
+    # table's length (a tall wave's half-orbit can be far shorter than 1e-15)
+    good = np.concatenate([[True], np.diff(xi_knots) > 1e-15 * xi_knots[-1]])
     return xi_knots[good], u_knots[good], v_knots[good], slopes
 
 
@@ -489,32 +495,21 @@ def solitary_profile(c: float, branch: str = "auto") -> TWProfile:
     level = level_polynomial(params)
     q = Polynomial(level.coef[2:])
     u_singular = singular_line(params)
-    crests = _real_roots(q)
-
-    def branch_outcome(sign: float):
+    crests = _solve(params, q, u_singular)
+    for sign in {"auto": [1.0, -1.0], "positive": [1.0], "negative": [-1.0]}[branch]:
         roots = [r for r in crests if r * sign > 1e-12]
         first_root = min(roots, key=abs) if roots else None
         contact = None
-        if sign * u_singular > 1e-12 and (
-            first_root is None or abs(u_singular) < abs(first_root)
-        ):
+        if sign * u_singular > 1e-12 and (first_root is None or abs(u_singular) < abs(first_root)):
             contact = u_singular
-        return first_root, contact
-
-    order = {"auto": [1.0, -1.0], "positive": [1.0], "negative": [-1.0]}[branch]
-    for sign in order:
-        first_root, contact = branch_outcome(sign)
         if contact is not None or first_root is not None:
             break
     else:
         raise NonexistenceError(
-            f"no admissible turning point on [{-ROOT_BOUND}, {ROOT_BOUND}] at speed {c}"
+            f"no crest and no singular contact on the {branch} branch at speed {c}"
         )
 
     if contact is not None:
-        with np.errstate(over="ignore"):  # for |c| >~ 8e62 the level overflows at U_s
-            if not np.isfinite(level(contact)):
-                raise _beyond_double_range(params.speed)
         num, den = _slope_sq_parts(params, (contact,))
         if _is_root(level, contact):  # the level passes through: a corner
             if force_poly(params)(contact) >= 0:
@@ -536,11 +531,6 @@ def solitary_profile(c: float, branch: str = "auto") -> TWProfile:
         u_head, xi_head = _end_knots(level, uxx_coeff_poly(params), u_top, 0.5 * u_top, 320)
     kappa = float(np.sqrt(-fprime0 / d0))  # saddle decay rate
     return _solitary_from_head(params, u_top, xi_head, u_head, regularity, kappa)
-
-
-def _beyond_double_range(speed: float) -> ConfigError:
-    return ConfigError(f"speed {speed:g} is beyond the range where the solitary "
-                       "profile can be sampled in double precision")
 
 
 def _solitary_from_head(
@@ -580,10 +570,9 @@ def _solitary_from_head(
     # u_cut = 1e-9 |u_top| is below the target, so the edge is on the
     # analytic continuation
     window = 2.0 * (xi_cut - np.log(1e-7 * abs(u_top) / abs(u_cut)) / kappa)
-    # for |c| >~ 3e12 the tail is shorter than ln(100)/kappa, and for
-    # |c| >~ 1e66 its knots no longer increase in double precision
+    # below c ~ -3e12 the cusped tail is shorter than ln(100)/kappa
     if not (window > 0 and np.all(np.diff(xi_knots) > 0)):
-        raise _beyond_double_range(params.speed)
+        raise _beyond_double_range(params)
     if regularity is Regularity.SMOOTH_SOLITARY:
         v_knots = -sign * np.sqrt(np.abs(slope_squared(u_knots, params)))
         v_knots[0] = 0.0
@@ -659,16 +648,12 @@ def periodic_profile(
     return _periodic_wave(params, u2, u1, n_points, Regularity.SMOOTH_PERIODIC)
 
 
-def peaked_composite(
-    speed: float,
-    integration_constant: float,
-    n_points: int = 4096,
-) -> TWProfile:
+def peaked_composite(speed: float, integration_constant: float, n_points: int = 4096) -> TWProfile:
     """Peaked periodic wave on the level through the singular line.
 
     The level E = 2 G(U_s) contains the singular elevation U_s with finite
     limiting slope sqrt(-F(U_s)/7) (requires F(U_s) < 0).  The wave is the
-    periodic orbit between U_s and the nearest admissible turning point, with
+    periodic orbit between U_s and the largest turning point below it, with
     a corner at U_s: sampled as periodic_profile samples, over one period
     [-P/2, P/2) with the corner at xi = 0.
     """
@@ -682,36 +667,32 @@ def peaked_composite(
         raise NonexistenceError(
             f"F(U_s) = {f_s:.3g} >= 0: the singular line carries no real corner slope"
         )
+    if not np.isfinite(energy):
+        raise _beyond_double_range(base)
     params = TWParams(speed, integration_constant, energy)
 
-    roots, _ = _level_roots(params)
-    candidates = [r for r in roots
-                  if abs(r - u_s) > 1e-8 and _traversable(params, *sorted((r, u_s)), roots)]
-    if not candidates:
+    # (E - 2G)/(U - U_s) is -2F(U_s) > 0 at U_s and tends to -inf below it: the largest
+    # level root below U_s (U_s itself excluded, to 1e-8 relative) bounds the half-orbit
+    below = [r for r in _level_roots(params)[0] if r < u_s - 1e-8 * max(1.0, abs(u_s))]
+    if not below:
         raise NonexistenceError(
             "no turning point adjoins the singular contact on this level"
         )
-    # prefer a trough below the contact so the corner is the crest
-    below = [r for r in candidates if r < u_s]
-    pool = below if below else candidates
-    u_t = min(pool, key=lambda r: abs(r - u_s))
-    return _periodic_wave(params, u_s, u_t, n_points, Regularity.PEAKED)
+    return _periodic_wave(params, u_s, below[-1], n_points, Regularity.PEAKED)
 
 
-def _periodic_wave(
-    params: TWParams,
-    u_mid: float,
-    u_end: float,
-    n_points: int,
-    regularity: Regularity,
-) -> TWProfile:
-    """Periodic wave from the half-orbit u_mid -> u_end, mirrored about u_mid.
+def _periodic_wave(params: TWParams, u_mid: float, u_end: float, n_points: int,
+                   regularity: Regularity) -> TWProfile:
+    """Periodic wave from the half-orbit from crest u_mid down to u_end, mirrored about u_mid.
 
     u_mid sits at xi = 0 and u_end at xi = +-P/2; the n_points samples cover
     [-P/2, P/2) half-open.  The slopes come from the squared slope with a
     corner canceled (_slope_sq_parts), and a peaked wave's corner sample
     takes the slope of its left limit.
     """
+    level = level_polynomial(params)  # an end the solve did not resolve would end the orbit early
+    if any(abs(level(u)) > 1e-9 * Polynomial(np.abs(level.coef))(abs(u)) for u in (u_mid, u_end)):
+        raise _beyond_double_range(params)
     xi_k, u_k, v_k, _ = _segment_knots(params, u_mid, u_end)
     half = _PiecewiseCubic(xi_k, u_k, v_k)
     half_len = float(xi_k[-1])
@@ -725,11 +706,15 @@ def _periodic_wave(
     xi = (np.arange(n_points) - n_points // 2) * (period / n_points)
     values = evaluator(xi)
     num, den = _slope_sq_parts(params, (u_mid, u_end))
-    direction = np.sign(u_mid - u_end)  # of the slope on [-P/2, 0), toward u_mid
+    # the slope rises toward the crest u_mid on [-P/2, 0)
     side = -np.sign(np.mod(xi + 0.5 * period, period) - 0.5 * period)
     if regularity is Regularity.PEAKED:
         side[n_points // 2] = 1.0  # the corner takes its left-limit slope
-    slopes = direction * side * np.sqrt(np.maximum(num(values) / den(values), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = num(values) / den(values)
+    if not np.all(np.isfinite(w)):  # a sample rounds onto the singular line
+        raise _beyond_double_range(params)
+    slopes = side * np.sqrt(np.maximum(w, 0.0))
     return TWProfile(
         params=params,
         xi=xi,

@@ -289,7 +289,7 @@ def test_periodic_run_tw_solves_each_polynomial_once(tmp_path, monkeypatch):
         return real_roots(poly)
 
     monkeypatch.setattr(tw, "_real_roots", counted)
-    tw._solve_level.cache_clear()
+    tw._level_roots.cache_clear()
     doc = {"speed": 1.2, "energy": -1.58e-4, "wave": "periodic"}
     run_tw(doc, tmp_path / "profile")
     params = TWParams(1.2, 0.0, -1.58e-4)
@@ -299,12 +299,12 @@ def test_periodic_run_tw_solves_each_polynomial_once(tmp_path, monkeypatch):
     roots, tangent = _level_roots_loop(params)
     assert sidecar["turning_points"] == roots and sidecar["tangencies"] == tangent
 
-    # E = -0.0 equals E = 0.0 but is solved on its own
+    # TWParams stores E = -0.0 as 0.0, so both share one solve
     calls.clear()
     turning_points(TWParams(0.4, 0.05, 0.0))
     level_tangencies(TWParams(0.4, 0.05, 0.0))
     turning_points(TWParams(0.4, 0.05, -0.0))
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_run_with_snapshots_on_two_grids_exits_2(acceptance_12, tmp_path, capsys):

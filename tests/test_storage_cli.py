@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -17,7 +20,7 @@ from mase.errors import (
     SingularLineError,
     SupportError,
 )
-from mase.evolution import SolverConfig, evolve
+from mase.evolution import SolverConfig, Trajectory, evolve
 from mase.grid import Field, Grid, State
 from mase.storage import (
     read_profile,
@@ -233,6 +236,19 @@ def test_cli_symmetry_constant_run_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: degenerate:")
 
 
+def test_cli_symmetry_on_a_run_scaled_past_the_squares_exits_5(tmp_path, capsys):
+    grid = Grid(64, 10.0)
+    u0 = Field(grid, 0.05 * np.exp(-((grid.points - 5.0) ** 2)))
+    traj = evolve([State(0.0, u0)], SolverConfig(t_end=0.5, snapshot_interval=0.25))[0]
+    scaled = Trajectory(tuple(State(s.time, Field(grid, 1e155 * s.u.values))
+                              for s in traj.snapshots), traj.config, traj.termination)
+    run_dir = tmp_path / "run"
+    write_trajectory(run_dir, scaled, {"solver": dataclasses.asdict(traj.config)})
+    assert main(["symmetry", "--run", str(run_dir)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite-field:")
+
+
 def test_cli_weakform_on_run_and_profile(tmp_path, scenario_file):
     run_dir = tmp_path / "run_w"
     main(["simulate", "--config", str(scenario_file), "--out", str(run_dir),
@@ -273,14 +289,55 @@ def test_cli_tw_non_finite_arguments_exit_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "tw").exists()
 
 
-@pytest.mark.parametrize("speed", ["5e12", "-5e12", "1e70", "-1e70"])
+@pytest.mark.parametrize("speed", ["1e70", "1e300", "1.7e308", "-5e12", "-1e70"])
 def test_cli_tw_speed_beyond_the_sampled_range_exits_2(tmp_path, capsys, speed):
-    # the solitary window 2 (xi_cut - ln(100)/kappa) is negative there
+    # the level overflows between 0 and the crest (positive speeds), and the
+    # cusped window 2 (xi_cut - ln(100)/kappa) is negative (negative speeds)
     assert main(["tw", "--speed", speed, "--out", str(tmp_path / "tw")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config: speed") and "beyond the range" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "tw").exists()
+
+
+def test_cli_tw_refuses_a_wave_whose_steady_residual_overflows(tmp_path, capsys):
+    # the wave evaluates in double precision, its weak residual sums do not
+    argv = ["tw", "--speed=1.321115620179762e32", "-A=-6.297127533845603e244",
+            "-E=1.0181168190566232e280", "--wave", "periodic", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: speed 1.32112e+32")
+
+
+def test_cli_tw_fuzz_ends_in_a_wave_or_one_error_line(tmp_path):
+    # speeds, A and E up to the largest double; any RuntimeWarning fails the
+    # suite (pyproject's filterwarnings)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    magnitude = st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                          st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 308.25))
+    value = magnitude | st.floats(-6.0, 6.0)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(wave=st.sampled_from(["auto", "solitary", "periodic", "peaked"]),
+                      c=value, a=st.just(0.0) | value, e=st.just(0.0) | value)
+    def check(wave, c, a, e):
+        # the flags a wave ignores stay 0; that refusal has its own test
+        a = 0.0 if wave == "solitary" else a
+        e = 0.0 if wave in ("solitary", "peaked") else e
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["tw", f"--speed={c!r}", f"-A={a!r}", f"-E={e!r}",
+                         "--wave", wave, "--out", str(tmp_path)])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3)
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert not lines and out.getvalue().startswith("profile written to ")
+
+    check()
 
 
 def test_cli_tw_takes_negative_values_in_exponent_notation_after_a_space(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import random_band_limited
 
-from mase.errors import ConstantFieldError
+from mase.errors import ConstantFieldError, NonFiniteFieldError
 from mase.evolution import SolverConfig, Termination, Trajectory, evolve
 from mase.grid import Field, Grid, State, constant_field, zero_field
 from mase.symmetry import (
@@ -87,6 +87,18 @@ def test_detect_axis_constant_rejected(grid):
         detect_axis(constant_field(grid, 1.0))
     with pytest.raises(ConstantFieldError):
         detect_axis(zero_field(grid))
+
+
+def test_detect_axis_refuses_a_field_whose_correlation_overflows():
+    grid = Grid(64, 10.0)
+    u = np.sin(grid.points) + 0.3 * np.cos(2.0 * grid.points + 0.4)
+    for scale in (1.7e153, 1e155):
+        with pytest.raises(NonFiniteFieldError):
+            detect_axis(Field(grid, scale * u))
+    # below that the axis and asymmetry are those of the unscaled field
+    fit, big = detect_axis(Field(grid, u)), detect_axis(Field(grid, 1e150 * u))
+    assert big.axis == pytest.approx(fit.axis, rel=1e-12)
+    assert big.asymmetry == pytest.approx(fit.asymmetry, rel=1e-12)
 
 
 def test_detect_axis_skewed_profile(grid):

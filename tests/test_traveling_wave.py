@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from oracles import (
 )
 from scipy.optimize import brentq
 
-from mase.cli import main
-from mase.errors import NonexistenceError, SingularLineError
+from mase.cli import main, run_tw
+from mase.errors import ConfigError, NonexistenceError, SingularLineError
 from mase.grid import Grid
 from mase.traveling_wave import (
     Regularity,
@@ -144,11 +145,29 @@ def test_center_tangency_flagged():
     assert any(abs(r - uc) < 1e-6 for r in turning_points(params))
 
 
-def test_no_bounded_orbit_gives_empty_list():
-    # far below every potential level there are no turning points at all
+def test_level_far_below_every_potential_well_has_one_turning_point():
+    # far below every local potential level only the quintic's outer root is
+    # left, and one root bounds no periodic orbit
     params = TWParams(1.2, 0.0, -1e6)
-    assert turning_points(params) == []
+    roots = turning_points(params)
+    assert len(roots) == 1 and roots[0] == pytest.approx(-15.0971, abs=1e-4)
     assert level_tangencies(params) == []
+    with pytest.raises(NonexistenceError):
+        periodic_profile(params)
+
+
+def test_params_store_negative_zero_as_zero():
+    params = TWParams(-0.0, -0.0, -0.0)
+    assert all(math.copysign(1.0, v) == 1.0 for v in
+               (params.speed, params.integration_constant, params.energy))
+    assert params == TWParams(0.0) and hash(params) == hash(TWParams(0.0))
+
+
+def test_roots_spread_beyond_double_precision_are_refused():
+    # the level's roots near +-1.4e5 sit 41 decades below its outer root
+    # -1.5e46; the companion eigenvalues return them as zeros
+    with pytest.raises(ConfigError, match="beyond the range"):
+        periodic_profile(TWParams(-4.21e138, 2.51e7, 7.78e148))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +210,19 @@ def test_solitary_satisfies_planar_ode(solitary_c12):
     res = uxx_coeff_poly(SOLITARY)(p.values) * upp + 7.0 * p.slopes**2 + force_poly(SOLITARY)(p.values)
     core = np.abs(p.values) > 0.05 * p.amplitude
     assert np.max(np.abs(res[core])) < 1e-4
+
+
+@pytest.mark.parametrize("c", [1200.0, 5e12])
+def test_fast_solitary_crest_is_the_positive_root_of_q(tmp_path, c):
+    # crests beyond |U| = 10: 10.23 at c = 1200
+    prof = solitary_profile(c)
+    q = np.polynomial.Polynomial(level_polynomial(prof.params).coef[2:])
+    crest = max(r.real for r in q.roots() if r.imag == 0.0)
+    assert prof.regularity is Regularity.SMOOTH_SOLITARY
+    assert prof.amplitude == pytest.approx(crest, rel=1e-12)
+    info = run_tw({"speed": c}, tmp_path / "profile")
+    assert info["regularity"] == "smooth_solitary"
+    assert info["max_residual"] < 1e-4 * c * crest
 
 
 def test_solitary_saddle_condition_rejects_slow_speeds():
@@ -420,6 +452,25 @@ def test_peaked_even_about_corner(peaked):
     i = int(np.argmax(vals))
     k = min(i, len(vals) - i - 1)
     assert np.max(np.abs(vals[i + 1:i + k] - vals[i - 1:i - k:-1])) < 1e-8
+
+
+def test_peaked_trough_is_the_largest_level_root_below_the_corner():
+    # the trough -11.1667 lies beyond |U| = 10
+    prof = peaked_composite(-3.0, -1e4)
+    u_s = singular_line(prof.params)
+    trough = max(r for r in turning_points(prof.params) if r < u_s - 1e-8)
+    assert trough == pytest.approx(-11.1667, abs=1e-4)
+    assert prof.values.min() == pytest.approx(trough, rel=1e-12)
+    assert prof.values.max() == pytest.approx(u_s, rel=1e-12)
+
+
+def test_peaked_trough_is_not_the_corner_root_itself():
+    # the level root at U_s = 6.6e49 can come out an ulp below U_s; it is the
+    # corner, and the trough is the root at -9.3e57 (not a sliver next to U_s)
+    prof = peaked_composite(-9.28163896595809e50, -4.5241917240630986e231)
+    trough = min(turning_points(prof.params))
+    assert trough == pytest.approx(-9.3185e57, rel=1e-4)
+    assert prof.values.min() == pytest.approx(trough, rel=1e-12)
 
 
 def test_peaked_needs_real_corner_slope():
