@@ -7,14 +7,10 @@ equivalence between x-symmetric solutions and traveling waves.
 
 __version__ = "0.1.0"
 
-from .evolution import SolverConfig, Termination, Trajectory, detect_breaking, evolve, step
-from .grid import Field, Grid, State, constant_field, zero_field
-from .operators import (
-    helmholtz_inverse,
-    reaction_term,
-    spectral_derivative,
-)
-from .symmetry import detect_axis, reflect, track_axis, verify_theorem
+from .evolution import SolverConfig, Termination, Trajectory, detect_breaking, evolve
+from .grid import Field, Grid, State
+from .operators import helmholtz_inverse, spectral_derivative
+from .symmetry import track_axis, verify_theorem
 from .traveling_wave import (
     TWParams,
     TWProfile,
@@ -23,31 +19,20 @@ from .traveling_wave import (
     profile_to_field,
     solitary_profile,
 )
-from .weakform import (
-    TestFunction,
-    reflection_bracket_check,
-    steady_weak_residual,
-    unsteady_weak_residual,
-)
+from .weakform import TestFunction, steady_residual_report, unsteady_weak_residual
 
 __all__ = [
     "__version__",
     "Field",
     "Grid",
     "State",
-    "constant_field",
-    "zero_field",
     "SolverConfig",
     "Termination",
     "Trajectory",
     "evolve",
-    "step",
     "detect_breaking",
     "helmholtz_inverse",
-    "reaction_term",
     "spectral_derivative",
-    "detect_axis",
-    "reflect",
     "track_axis",
     "verify_theorem",
     "TWParams",
@@ -57,7 +42,6 @@ __all__ = [
     "profile_to_field",
     "solitary_profile",
     "TestFunction",
-    "reflection_bracket_check",
-    "steady_weak_residual",
+    "steady_residual_report",
     "unsteady_weak_residual",
 ]

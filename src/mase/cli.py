@@ -39,10 +39,9 @@ from .storage import (
 )
 from .symmetry import verify_theorem
 from .traveling_wave import (
-    Regularity,
     TWParams,
     _beyond_double_range,
-    _level_roots,
+    level_roots,
     peaked_composite,
     periodic_profile,
     singular_line,
@@ -198,7 +197,7 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
         report = _steady_report(profile, seed)
     if not np.all(np.isfinite([r for _, r in report.per_test_function])):
         raise _beyond_double_range(params)
-    roots, tangent = _level_roots(params)
+    roots, tangent = level_roots(params)
     extras = {
         "turning_points": list(roots),
         "tangencies": list(tangent),
@@ -474,7 +473,7 @@ def main(argv=None) -> int:
 
 
 def _error_kind(exc: MaseError) -> str:
-    """Kebab-case kind from the class name: SingularLineError -> singular-line."""
+    """Kebab-case kind from the class name: NonFiniteFieldError -> non-finite-field."""
     name = type(exc).__name__.removesuffix("Error")
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 

@@ -9,20 +9,8 @@ class NonFiniteFieldError(MaseError, ValueError):
     """Field construction or an operation received NaN/Inf values."""
 
 
-class GridMismatchError(MaseError, ValueError):
-    """Two fields that must share a grid do not."""
-
-
 class DerivativeOrderError(MaseError, ValueError):
     """Spectral derivative order outside the supported set {1, 2, 3}."""
-
-
-class BlowUpError(MaseError, ArithmeticError):
-    """Time integration produced non-finite stage values."""
-
-
-class SingularLineError(MaseError, ValueError):
-    """Phase-plane evaluation too close to the singular line D(U) = 0."""
 
 
 class NonexistenceError(MaseError, ValueError):

@@ -15,7 +15,6 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import BlowUpError
 from .grid import Field, Grid, State
 from .operators import FLUX, _rhs_spectrum, _rhs_tables, _spectral_tables
 
@@ -24,7 +23,6 @@ __all__ = [
     "Termination",
     "Trajectory",
     "BreakingReport",
-    "step",
     "evolve",
     "detect_breaking",
 ]
@@ -161,17 +159,6 @@ def _rk4(uh: np.ndarray, grid: Grid, dt) -> np.ndarray:
         k3 = _rhs_spectrum(uh + 0.5 * dt * k2, grid)
         k4 = _rhs_spectrum(uh + dt * k3, grid)
         return uh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(s: State, dt: float) -> State:
-    """One classical RK4 step of the nonlocal evolution form."""
-    if dt <= 0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be a positive real, got {dt!r}")
-    grid = s.u.grid
-    uh = _rk4(np.fft.rfft(s.u.values), grid, dt)
-    if not np.all(np.isfinite(uh)):
-        raise BlowUpError(f"non-finite stage values at step of size {dt:.3e}")
-    return State(s.time + dt, s.u.with_values(np.fft.irfft(uh, grid.n_points)))
 
 
 def _cfl_dt(values: np.ndarray, grid: Grid, config: SolverConfig) -> np.ndarray:

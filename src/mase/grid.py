@@ -73,23 +73,11 @@ class Field:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def l2_norm(self) -> float:
-        """Grid-weighted L2 norm, sqrt(h * sum u_j^2)."""
-        return float(np.sqrt(self.grid.spacing * np.sum(self.values**2)))
-
     def mean(self) -> float:
         return float(np.mean(self.values))
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
-
-
-def zero_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.n_points))
-
-
-def constant_field(grid: Grid, value: float) -> Field:
-    return Field(grid, np.full(grid.n_points, float(value)))
 
 
 @dataclass(frozen=True)

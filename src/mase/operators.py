@@ -6,10 +6,12 @@ The equation evolves as
     R(u) = 2u + 10u^2 - 2u^3 + 3u^4 - 7 u_x^2,
 
 on a periodic grid.  All derivatives are Fourier collocation derivatives and
-the Helmholtz inverse is the multiplier 1/(1+k^2).  Nonlinear products are
-dealiased with the 2/3 rule, realized as iterated quadratic products of
-band-truncated factors so that every product is alias-free in the kept band
-and commutes exactly with band-limited translations and reflections.
+the Helmholtz inverse is the multiplier 1/(1+k^2).  The right-hand side
+(_rhs_spectrum) is the one dealiased nonlinearity: under the 2/3 rule each
+of its products multiplies two band-truncated factors, so it is alias-free
+in the kept band and commutes exactly with band-limited translations and
+reflections.  The term-by-term dealiased R(u) it is checked against lives
+with the test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -88,63 +90,6 @@ def _rhs_tables(n_points: int, length: float):
     return tables
 
 
-def _truncate(spec: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    out = spec.copy()
-    out[~keep] = 0.0
-    return out
-
-
-def _product_spectrum(a: np.ndarray, b: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """rfft of the pointwise product, truncated to the kept band."""
-    return _truncate(np.fft.rfft(a * b), keep)
-
-
-def _nonlinear_spectra(values: np.ndarray, grid: Grid) -> dict:
-    """Dealiased powers entering R(u), one truncated product each.
-
-    Returns the full spectrum ``uh`` plus band-truncated spectra of u^2, u^3,
-    u^4 and u_x^2, and the physical-space truncated factors used to build
-    them.  reaction_term and the local-form oracle of the tests
-    (tests/oracles.py) draw from it; the evolution right-hand side
-    (_rhs_spectrum) fuses the same products into fewer transforms, so the
-    oracle checks it from separate code.
-    """
-    t = _spectral_tables(grid.n_points, grid.length)
-    n = grid.n_points
-    uh = np.fft.rfft(values)
-    ubh = _truncate(uh, t["keep"])
-    ub = np.fft.irfft(ubh, n)
-    ubx = np.fft.irfft(t["d1"] * ubh, n)
-    u2h = _product_spectrum(ub, ub, t["keep"])
-    u2 = np.fft.irfft(u2h, n)
-    u3h = _product_spectrum(u2, ub, t["keep"])
-    u4h = _product_spectrum(u2, u2, t["keep"])
-    ux2h = _product_spectrum(ubx, ubx, t["keep"])
-    return {
-        "tables": t,
-        "uh": uh,
-        "ubh": ubh,
-        "ub": ub,
-        "ubx": ubx,
-        "u2h": u2h,
-        "u2": u2,
-        "u3h": u3h,
-        "u4h": u4h,
-        "ux2h": ux2h,
-    }
-
-
-def _reaction_spectrum(parts: dict) -> np.ndarray:
-    _, r1, r2, r3, r4 = REACTION
-    return (
-        r1 * parts["uh"]
-        + r2 * parts["u2h"]
-        + r3 * parts["u3h"]
-        + r4 * parts["u4h"]
-        + SLOPE_SQ * parts["ux2h"]
-    )
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -156,12 +101,6 @@ def spectral_derivative(u: Field, order: int) -> Field:
     t = _spectral_tables(u.grid.n_points, u.grid.length)
     mult = t[f"d{order}"]
     return u.with_values(np.fft.irfft(mult * np.fft.rfft(u.values), u.grid.n_points))
-
-
-def reaction_term(u: Field) -> Field:
-    """R(u) = 2u + 10u^2 - 2u^3 + 3u^4 - 7u_x^2 with dealiased products."""
-    parts = _nonlinear_spectra(u.values, u.grid)
-    return u.with_values(np.fft.irfft(_reaction_spectrum(parts), u.grid.n_points))
 
 
 def helmholtz_inverse(f: Field) -> Field:

@@ -14,30 +14,24 @@ A trajectory is analysed as stacks of snapshot rows (evolution._value_blocks):
 the correlation spectra, the Newton polish of every grid peak, the
 reflections behind the asymmetry and the shifts behind the travel error each
 act on a whole stack along its last axis, and every row equals its one-row
-evaluation bitwise.  detect_axis, reflect and shift_field are the one-row
-cases.
+evaluation bitwise.  A one-row stack is the analysis of a single field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstantFieldError, NonFiniteFieldError
 from .evolution import Trajectory, _value_blocks
-from .grid import Field, Grid
+from .grid import Grid
 
 __all__ = [
-    "AxisFit",
     "AxisSeries",
     "SymmetryReport",
     "Verdict",
-    "reflect",
-    "shift_field",
-    "detect_axis",
     "track_axis",
     "verify_theorem",
 ]
@@ -47,12 +41,6 @@ class Verdict(str, Enum):
     TRAVELING_WAVE_CONSISTENT = "traveling_wave_consistent"
     SYMMETRY_BROKEN = "symmetry_broken"
     NOT_SYMMETRIC = "not_symmetric"
-
-
-class AxisFit(NamedTuple):
-    axis: float
-    asymmetry: float
-    ambiguous: bool
 
 
 @dataclass(frozen=True)
@@ -132,17 +120,6 @@ def _reflected(values: np.ndarray, grid: Grid, axes: np.ndarray) -> np.ndarray:
         wh = np.conj(np.fft.rfft(values[~whole])) * np.exp(-1j * k * shift[~whole, None])
         out[~whole] = _band_limited(wh, n)
     return out
-
-
-def shift_field(u: Field, s: float) -> Field:
-    """Samples of x -> u(x - s), band-limited interpolation for off-grid s."""
-    return u.with_values(_shifted(u.values, u.grid, np.array([s], dtype=np.float64))[0])
-
-
-def reflect(u: Field, axis: float) -> Field:
-    """Samples of x -> u(2*axis - x); exact permutation for grid-aligned axes."""
-    axes = np.array([axis], dtype=np.float64)
-    return u.with_values(_reflected(u.values[None, :], u.grid, axes)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +202,20 @@ def _polished_peaks(C: np.ndarray, A: np.ndarray, grid: Grid) -> tuple[np.ndarra
             live &= (d2 < 0) & np.isfinite(d1) & np.isfinite(d2)
             if not live.any():
                 break
-            step = d1 / d2
-            step = np.where(np.abs(step) > h, np.sign(step) * h, step)
-            delta = np.where(live, delta - step, delta)
+            move = d1 / d2
+            move = np.where(np.abs(move) > h, np.sign(move) * h, move)
+            delta = np.where(live, delta - move, delta)
     return rows, np.mod(delta, grid.length)
 
 
 def _detect_axes(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axis, asymmetry and ambiguity of each row of a (B, n) stack (see detect_axis)."""
+    """Best reflection axis, asymmetry and ambiguity of each row of a (B, n) stack.
+
+    The axis maximizes the circular cross-correlation between the row and
+    its grid reflection; the grid peak is refined by parabolic interpolation
+    and a short Newton polish on the same correlation function.  Asymmetry is
+    the relative reflection residual ||u - u(2 axis - .)|| / ||u - mean||.
+    """
     n, L, h = grid.n_points, grid.length, grid.spacing
     dev = values - np.mean(values, axis=-1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -268,18 +251,6 @@ def _detect_axes(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray
     return np.mod(axes, L), asymmetry, multi_peak | tie
 
 
-def detect_axis(u: Field) -> AxisFit:
-    """Best reflection axis of a field.
-
-    The axis maximizes the circular cross-correlation between the field and
-    its grid reflection; the grid peak is refined by parabolic interpolation
-    and a short Newton polish on the same correlation function.  Asymmetry is
-    the relative reflection residual ||u - reflect(u, axis)|| / ||u - mean||.
-    """
-    axes, asymmetry, ambiguous = _detect_axes(u.values[None, :], u.grid)
-    return AxisFit(float(axes[0]), float(asymmetry[0]), bool(ambiguous[0]))
-
-
 def _unwrap(axes: np.ndarray, period: float) -> np.ndarray:
     out = axes.copy()
     for i in range(1, len(out)):
@@ -292,7 +263,7 @@ def track_axis(traj: Trajectory) -> AxisSeries:
     """Axis of every snapshot with nearest-branch unwrapping.
 
     The snapshots are detected a block of rows at a time (_value_blocks),
-    each row as detect_axis gives it.
+    each row as its one-row stack gives it.
     """
     if len(traj.snapshots) < 3:
         raise ValueError("need at least 3 snapshots to track an axis")
@@ -325,14 +296,19 @@ def verify_theorem(
     speed = lambda_dot
 
     u0 = traj.snapshots[0].u.values
-    nrm0 = np.sqrt(np.sum(u0**2))
     later = traj.snapshots[1:]
     shifts = speed * (series.times[1:] - series.times[0])
     travel_error = 0.0
-    for rows, block in _value_blocks(later):
-        moved = _shifted(u0, traj.grid, shifts[rows])
-        err = np.sqrt(np.sum((block - moved) ** 2, axis=-1)) / nrm0
-        travel_error = max(travel_error, float(np.max(err)))
+    # the axis detection removes the mean, so a large one passes it and can
+    # still overflow these squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm0 = np.sqrt(np.sum(u0**2))
+        for rows, block in _value_blocks(later):
+            moved = _shifted(u0, traj.grid, shifts[rows])
+            err = np.sqrt(np.sum((block - moved) ** 2, axis=-1)) / nrm0
+            travel_error = max(travel_error, float(np.max(err)))
+    if not (np.isfinite(nrm0) and np.isfinite(travel_error)):
+        raise NonFiniteFieldError("a snapshot overflows when squared in the travel error")
 
     if np.max(series.asymmetry) > symmetry_tol:
         verdict = Verdict.NOT_SYMMETRIC

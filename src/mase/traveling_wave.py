@@ -49,8 +49,7 @@ __all__ = [
     "potential_poly",
     "level_polynomial",
     "singular_line",
-    "turning_points",
-    "level_tangencies",
+    "level_roots",
     "slope_squared",
     "solitary_profile",
     "periodic_profile",
@@ -83,7 +82,6 @@ class Regularity(str, Enum):
     SMOOTH_PERIODIC = "smooth_periodic"
     PEAKED = "peaked"
     CUSPED = "cusped"
-    COMPOSITE = "composite"
 
 
 @dataclass(frozen=True)
@@ -189,10 +187,10 @@ def _real_roots(poly: Polynomial) -> list[float]:
         p = poly(x)
         for _ in range(2):
             dp = dpoly(x)
-            step = x - np.divide(p, dp, out=np.zeros_like(x), where=dp != 0.0)
-            p_step = poly(step)
-            shrinks = np.abs(p_step) < np.abs(p)
-            x, p = np.where(shrinks, step, x), np.where(shrinks, p_step, p)
+            trial = x - np.divide(p, dp, out=np.zeros_like(x), where=dp != 0.0)
+            p_trial = poly(trial)
+            shrinks = np.abs(p_trial) < np.abs(p)
+            x, p = np.where(shrinks, trial, x), np.where(shrinks, p_trial, p)
     roots: list[float] = []
     for r in np.sort(x).tolist():
         if not roots or r - roots[-1] > 1e-9:
@@ -219,8 +217,14 @@ def _solve(params: TWParams, poly: Polynomial, *points: float) -> list[float]:
 
 
 @lru_cache(maxsize=16)
-def _level_roots(params: TWParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Turning points and tangencies of a level; see the two public functions.
+def level_roots(params: TWParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Turning points and tangencies of a level, each increasing.
+
+    The turning points are all real roots of E - 2G(U).  The tangencies are
+    the elevations where the level just touches E - 2G = 0 (even-order
+    roots): the equilibria (roots of F) whose potential level equals E.  A
+    tangency is listed once among the turning points, in place of the roots
+    within 1e-6 of it (a double root splits in two).
 
     Each of force_poly and level_polynomial is solved once per level: the
     result is cached, so a constructor and the caller that reports its roots
@@ -231,23 +235,6 @@ def _level_roots(params: TWParams) -> tuple[tuple[float, ...], tuple[float, ...]
     tangent = [r for r in _solve(params, force_poly(params)) if abs(level(r)) <= 1e-10 * scale]
     roots = [r for r in _solve(params, level) if all(abs(r - t) > 1e-6 for t in tangent)]
     return tuple(sorted(roots + tangent)), tuple(tangent)
-
-
-def level_tangencies(params: TWParams) -> list[float]:
-    """Elevations where the level just touches E - 2G = 0 (even-order roots).
-
-    These are the equilibria (roots of F) whose potential level equals E.
-    """
-    return list(_level_roots(params)[1])
-
-
-def turning_points(params: TWParams) -> list[float]:
-    """All real roots of E - 2G(U), increasing.
-
-    A tangency is reported once, exactly as level_tangencies gives it, in
-    place of the roots within 1e-6 of it (a double root splits in two).
-    """
-    return list(_level_roots(params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +392,14 @@ def _end_knots(
         u_knots = np.linspace(end, inner, n_panels + 1)
         xi = _cumulative(lambda u: 1.0 / np.sqrt(np.abs(num(u) / den(u))), u_knots)
         return u_knots, np.abs(xi)
-    step = np.sign(inner - end)
+    direction = np.sign(inner - end)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        u = end + step * s * s
+        u = end + direction * s * s
         return 2.0 * s**power / np.sqrt(np.abs(num(u) / den(u)))
 
     s_knots = np.linspace(0.0, np.sqrt(abs(inner - end)), n_panels + 1)
-    return end + step * s_knots**2, _cumulative(integrand, s_knots)
+    return end + direction * s_knots**2, _cumulative(integrand, s_knots)
 
 
 def _segment_knots(params: TWParams, u_from: float, u_to: float):
@@ -621,7 +608,7 @@ def periodic_profile(
     half-open (_periodic_wave).  A turning point on the singular line is a
     corner, so no smooth periodic wave exists there: see peaked_composite.
     """
-    roots, tangent = _level_roots(params)
+    roots, tangent = level_roots(params)
     if pair is None:
         for u1, u2 in zip(roots, roots[1:]):
             if u1 not in tangent and u2 not in tangent and _traversable(params, u1, u2, roots):
@@ -673,7 +660,7 @@ def peaked_composite(speed: float, integration_constant: float, n_points: int = 
 
     # (E - 2G)/(U - U_s) is -2F(U_s) > 0 at U_s and tends to -inf below it: the largest
     # level root below U_s (U_s itself excluded, to 1e-8 relative) bounds the half-orbit
-    below = [r for r in _level_roots(params)[0] if r < u_s - 1e-8 * max(1.0, abs(u_s))]
+    below = [r for r in level_roots(params)[0] if r < u_s - 1e-8 * max(1.0, abs(u_s))]
     if not below:
         raise NonexistenceError(
             "no turning point adjoins the singular contact on this level"

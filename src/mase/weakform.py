@@ -1,18 +1,15 @@
 """Quadrature evaluation of the equation's distributional statements.
 
-Three residuals: the steady traveling-wave identity
+Two residuals: the steady traveling-wave identity
 
     int (cU + U + 7U^2) psi_x - (1-dxx)^{-1} R(U) psi_x dx = 0,
 
-the unsteady weak identity
+and the unsteady weak identity
 
-    int int u phi_t - (u + 7u^2) phi_x + (1-dxx)^{-1} R(u) phi_x dt dx = 0,
+    int int u phi_t - (u + 7u^2) phi_x + (1-dxx)^{-1} R(u) phi_x dt dx = 0.
 
-and the reflection bracket identity used in the symmetric-implies-traveling
-argument.  Brackets pair fields against the x-derivative of the test
-function, as they appear in the weak form; reflecting the test function
-flips the sign of that pairing, which is exactly the identity checked by
-reflection_bracket_check.
+The reflection bracket identity of the symmetric-implies-traveling argument
+is checked by the test oracles (tests/oracles.py), not here.
 
 Test functions are compactly supported bumps with closed-form derivatives;
 residuals are normalized by the test-function mass so tolerances compare
@@ -41,7 +38,6 @@ from .operators import (
     SLOPE_SQ,
     _spectral_tables,
     helmholtz_inverse,
-    reaction_term,
     spectral_derivative,
 )
 from .traveling_wave import TWProfile
@@ -49,14 +45,10 @@ from .traveling_wave import TWProfile
 __all__ = [
     "TestFunction",
     "ResidualReport",
-    "steady_weak_residual",
     "unsteady_weak_residual",
-    "reflection_bracket_check",
     "steady_residual_report",
     "random_bumps",
 ]
-
-_BRACKET_OVERSAMPLE = 8  # fine-grid factor of the reflection bracket quadrature
 
 
 @dataclass(frozen=True)
@@ -92,28 +84,18 @@ class TestFunction:
             return 48.0 * y * q * (3.0 - 7.0 * y * y)
         raise ValueError(f"derivative order must be 0..3, got {order}")
 
-    def derivative(self, x, order: int = 0, period: float | None = None) -> np.ndarray:
-        """Bump derivative at x; with ``period`` the coordinate wraps."""
-        x = np.asarray(x, dtype=np.float64)
-        dx = x - self.center
-        if period is not None:
-            dx = np.mod(dx + 0.5 * period, period) - 0.5 * period
-        y = dx / self.width
+    def derivative(self, x, order: int = 0) -> np.ndarray:
+        """Bump derivative of the given order at x."""
+        y = (np.asarray(x, dtype=np.float64) - self.center) / self.width
         out = np.where(np.abs(y) < 1.0, self._profile(np.clip(y, -1.0, 1.0), order), 0.0)
         return out / self.width**order
 
-    def value(self, x, period: float | None = None) -> np.ndarray:
-        return self.derivative(x, 0, period)
+    def value(self, x) -> np.ndarray:
+        return self.derivative(x, 0)
 
     def mass(self) -> float:
         """Integral of |bump| (the bump is non-negative)."""
         return float(self.width * 256.0 / 315.0)
-
-    def reflected(self, axis: float, period: float | None = None) -> "TestFunction":
-        center = 2.0 * axis - self.center
-        if period is not None:
-            center = float(np.mod(center, period))
-        return TestFunction(center, self.width)
 
     def descriptor(self) -> dict:
         return {"center": self.center, "width": self.width, "kind": "polynomial_bump"}
@@ -163,17 +145,6 @@ def _profile_reaction(profile: TWProfile, grid: Grid) -> np.ndarray:
     return _pointwise_reaction(u, ux)
 
 
-def _oversample(values: np.ndarray, factor: int) -> np.ndarray:
-    """Band-limited refinement by Fourier zero padding."""
-    n = len(values)
-    spec = np.fft.rfft(values)
-    fine = np.zeros(factor * n // 2 + 1, dtype=complex)
-    fine[: len(spec)] = spec
-    if n % 2 == 0:
-        fine[n // 2] *= 0.5  # split the Nyquist mode symmetrically
-    return np.fft.irfft(fine, factor * n) * factor
-
-
 # ---------------------------------------------------------------------------
 # residual operations
 
@@ -205,11 +176,6 @@ def _steady_residuals(profile: TWProfile, psis: list[TestFunction]) -> list[floa
     bracket = (c + FLUX[1]) * u + FLUX[2] * u**2 - p
     return [float(grid.spacing * np.sum(bracket * psi.derivative(profile.xi, 1)) / psi.mass())
             for psi in psis]
-
-
-def steady_weak_residual(profile: TWProfile, psi: TestFunction) -> float:
-    """Steady residual of one bump; steady_residual_report pairs many at once."""
-    return _steady_residuals(profile, [psi])[0]
 
 
 def unsteady_weak_residual(
@@ -254,43 +220,6 @@ def unsteady_weak_residual(
             slices[j, at] = grid.spacing * np.sum(integrand, axis=-1)
     return [float(np.trapezoid(row, times)) / (phi.mass() * rho.mass())
             for phi, row in zip(phis, slices)]
-
-
-def reflection_bracket_check(u: Field, lam: float, phi: TestFunction) -> tuple[float, float]:
-    """Both sides of the reflection bracket identity, paired against phi_x.
-
-    Returns (lhs, rhs) with
-
-        lhs = <P(R(u_lam)), phi_x>,   rhs = <P(R(u)), (phi_lam)_x>,
-
-    where u_lam is the reflected field and phi_lam the reflected bump; the
-    identity lhs = -rhs holds because reflection commutes with R and the
-    even convolution kernel while flipping the test-function derivative.
-    """
-    from .symmetry import reflect
-
-    grid = u.grid
-    if 2.0 * phi.width >= grid.length:
-        raise SupportError("test function is too wide for the domain")
-    u_lam = reflect(u, lam)
-    p_lam = helmholtz_inverse(reaction_term(u_lam)).values
-    p_u = helmholtz_inverse(reaction_term(u)).values
-
-    n_fine = _BRACKET_OVERSAMPLE * grid.n_points
-    h_fine = grid.length / n_fine
-    x_fine = np.arange(n_fine) * h_fine
-    p_lam_f = _oversample(p_lam, _BRACKET_OVERSAMPLE)
-    p_u_f = _oversample(p_u, _BRACKET_OVERSAMPLE)
-
-    phi_x = phi.derivative(x_fine, 1, period=grid.length)
-    # the bump is even about its center, so the reflected descriptor's own
-    # derivative equals d/dx [phi(2 lam - x)]
-    phi_refl = phi.reflected(lam, period=grid.length)
-    phi_lam_x = phi_refl.derivative(x_fine, 1, period=grid.length)
-
-    lhs = float(h_fine * np.sum(p_lam_f * phi_x))
-    rhs = float(h_fine * np.sum(p_u_f * phi_lam_x))
-    return lhs, rhs
 
 
 def steady_residual_report(profile: TWProfile, psis: list[TestFunction]) -> ResidualReport:

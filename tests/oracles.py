@@ -8,8 +8,11 @@ shared by both sides:
 
 - ``kernel_convolve``, a direct quadrature of the periodized Helmholtz
   kernel, for ``helmholtz_inverse`` (acceptance 1);
-- ``local_form_residual``, the local form of the equation, for the nonlocal
-  right-hand side (acceptance 2);
+- ``reaction_term`` (on ``_nonlinear_spectra``, ``_product_spectrum``,
+  ``_truncate`` and ``_reaction_spectrum``), R(u) one dealiased product per
+  power, for the fused right-hand side;
+- ``local_form_residual``, the local form of the equation on the same
+  products, for the nonlocal right-hand side (acceptance 2);
 - ``linear_phase_speed``, the dispersion law of the linearized equation
   (acceptance 4);
 - ``planar_field``, ``first_integral_uv`` and ``integrate_orbit``, the
@@ -19,8 +22,11 @@ shared by both sides:
   ``concatenate_segments_unchecked``, waves composed from half-orbit
   segments: the reference a periodic or peaked profile is checked against,
   and the mismatched-level composites of acceptance 11;
-- ``random_band_limited``, sample data whose products stay below the
-  dealiasing cutoff;
+- ``reflection_bracket_check`` (with ``_oversample``, ``periodic_derivative``
+  and ``reflected``), the reflection bracket identity (acceptance 10);
+- ``random_band_limited``, ``zero_field`` and ``constant_field``, sample data;
+- ``GridMismatchError``, ``SingularLineError`` and ``COMPOSITE``, the errors
+  and the regularity that only these references use;
 - ``detect_axis_loop``, ``track_axis_loop``, ``travel_error_loop``,
   ``max_slope_loop``, ``unsteady_residual_loop`` and
   ``steady_residual_loop`` (with ``reflect_loop`` and ``shift_field_loop``),
@@ -36,12 +42,11 @@ from typing import Sequence
 
 import numpy as np
 
-from mase.errors import ConstantFieldError, GridMismatchError, SingularLineError
+from mase.errors import ConstantFieldError, MaseError, SupportError
 from mase.grid import Field, Grid, State
-from mase.operators import _nonlinear_spectra, _product_spectrum, _rhs_spectrum
+from mase.operators import REACTION, SLOPE_SQ, _rhs_spectrum, _spectral_tables, helmholtz_inverse
 from mase.traveling_wave import (
     SINGULAR_GUARD,
-    Regularity,
     TWParams,
     TWProfile,
     _PiecewiseCubic,
@@ -50,9 +55,29 @@ from mase.traveling_wave import (
     potential_poly,
     uxx_coeff_poly,
 )
+from mase.weakform import TestFunction
+
+
+class GridMismatchError(MaseError, ValueError):
+    """Two fields that must share a grid do not."""
+
+
+class SingularLineError(MaseError, ValueError):
+    """Phase-plane evaluation too close to the singular line D(U) = 0."""
+
+
+COMPOSITE = "composite"  # regularity of waves composed from segments; not a package Regularity
 
 # ---------------------------------------------------------------------------
-# band-limited sample data
+# sample data
+
+
+def zero_field(grid: Grid) -> Field:
+    return Field(grid, np.zeros(grid.n_points))
+
+
+def constant_field(grid: Grid, value: float) -> Field:
+    return Field(grid, np.full(grid.n_points, float(value)))
 
 
 def random_band_limited(
@@ -129,7 +154,69 @@ def kernel_convolve(f: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# the right-hand side and the local form
+# the right-hand side, the dealiased reaction term and the local form
+
+
+def _truncate(spec: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    out = spec.copy()
+    out[~keep] = 0.0
+    return out
+
+
+def _product_spectrum(a: np.ndarray, b: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """rfft of the pointwise product, truncated to the kept band."""
+    return _truncate(np.fft.rfft(a * b), keep)
+
+
+def _nonlinear_spectra(values: np.ndarray, grid: Grid) -> dict:
+    """Dealiased powers entering R(u), one truncated product each.
+
+    Returns the full spectrum ``uh`` plus band-truncated spectra of u^2, u^3,
+    u^4 and u_x^2, and the physical-space truncated factors used to build
+    them.  reaction_term and local_form_residual draw from it; the package's
+    right-hand side (_rhs_spectrum) fuses the same products into fewer
+    transforms, so these check it from separate code.
+    """
+    t = _spectral_tables(grid.n_points, grid.length)
+    n = grid.n_points
+    uh = np.fft.rfft(values)
+    ubh = _truncate(uh, t["keep"])
+    ub = np.fft.irfft(ubh, n)
+    ubx = np.fft.irfft(t["d1"] * ubh, n)
+    u2h = _product_spectrum(ub, ub, t["keep"])
+    u2 = np.fft.irfft(u2h, n)
+    u3h = _product_spectrum(u2, ub, t["keep"])
+    u4h = _product_spectrum(u2, u2, t["keep"])
+    ux2h = _product_spectrum(ubx, ubx, t["keep"])
+    return {
+        "tables": t,
+        "uh": uh,
+        "ubh": ubh,
+        "ub": ub,
+        "ubx": ubx,
+        "u2h": u2h,
+        "u2": u2,
+        "u3h": u3h,
+        "u4h": u4h,
+        "ux2h": ux2h,
+    }
+
+
+def _reaction_spectrum(parts: dict) -> np.ndarray:
+    _, r1, r2, r3, r4 = REACTION
+    return (
+        r1 * parts["uh"]
+        + r2 * parts["u2h"]
+        + r3 * parts["u3h"]
+        + r4 * parts["u4h"]
+        + SLOPE_SQ * parts["ux2h"]
+    )
+
+
+def reaction_term(u: Field) -> Field:
+    """R(u) = 2u + 10u^2 - 2u^3 + 3u^4 - 7u_x^2 with dealiased products."""
+    parts = _nonlinear_spectra(u.values, u.grid)
+    return u.with_values(np.fft.irfft(_reaction_spectrum(parts), u.grid.n_points))
 
 
 def _rhs_values(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -280,7 +367,7 @@ def orbit_segment(
         params=params,
         xi=xi,
         values=values,
-        regularity=Regularity.COMPOSITE,
+        regularity=COMPOSITE,
         period=None,
         slopes=slopes(values),
         evaluator=spline,
@@ -356,7 +443,7 @@ def concatenate_segments_unchecked(segments: Sequence[TWProfile]) -> TWProfile:
         params=segments[0].params,
         xi=xi,
         values=values,
-        regularity=Regularity.COMPOSITE,
+        regularity=COMPOSITE,
         period=None,
         slopes=slopes,
         evaluator=evaluator,
@@ -532,3 +619,63 @@ def steady_residual_loop(profile: TWProfile, psi) -> float:
     c = profile.params.speed
     integrand = ((c + 1.0) * u + 7.0 * u**2 - p) * psi.derivative(profile.xi, 1)
     return float(h * np.sum(integrand) / psi.mass())
+
+
+# ---------------------------------------------------------------------------
+# the reflection bracket identity
+
+_BRACKET_OVERSAMPLE = 8  # fine-grid factor of the reflection bracket quadrature
+
+
+def periodic_derivative(phi: TestFunction, x, order: int, period: float) -> np.ndarray:
+    """Derivative of the bump ``phi`` at x, the coordinate wrapped to the period."""
+    y = (np.mod(np.asarray(x, dtype=np.float64) - phi.center + 0.5 * period, period)
+         - 0.5 * period) / phi.width
+    out = np.where(np.abs(y) < 1.0, phi._profile(np.clip(y, -1.0, 1.0), order), 0.0)
+    return out / phi.width**order
+
+
+def reflected(phi: TestFunction, axis: float, period: float) -> TestFunction:
+    """The bump reflected about ``axis``, its center taken modulo the period."""
+    return TestFunction(float(np.mod(2.0 * axis - phi.center, period)), phi.width)
+
+
+def _oversample(values: np.ndarray, factor: int) -> np.ndarray:
+    """Band-limited refinement by Fourier zero padding."""
+    n = len(values)
+    spec = np.fft.rfft(values)
+    fine = np.zeros(factor * n // 2 + 1, dtype=complex)
+    fine[: len(spec)] = spec
+    if n % 2 == 0:
+        fine[n // 2] *= 0.5  # split the Nyquist mode symmetrically
+    return np.fft.irfft(fine, factor * n) * factor
+
+
+def reflection_bracket_check(u: Field, lam: float, phi: TestFunction) -> tuple[float, float]:
+    """Both sides of the reflection bracket identity, paired against phi_x.
+
+    Returns (lhs, rhs) with
+
+        lhs = <P(R(u_lam)), phi_x>,   rhs = <P(R(u)), (phi_lam)_x>,
+
+    where u_lam is the reflected field and phi_lam the reflected bump; the
+    identity lhs = -rhs holds because reflection commutes with R and the
+    even convolution kernel while flipping the test-function derivative.
+    """
+    grid = u.grid
+    if 2.0 * phi.width >= grid.length:
+        raise SupportError("test function is too wide for the domain")
+    p_lam = helmholtz_inverse(reaction_term(reflect_loop(u, lam))).values
+    p_u = helmholtz_inverse(reaction_term(u)).values
+
+    n_fine = _BRACKET_OVERSAMPLE * grid.n_points
+    h_fine = grid.length / n_fine
+    x_fine = np.arange(n_fine) * h_fine
+    phi_x = periodic_derivative(phi, x_fine, 1, grid.length)
+    # the bump is even about its center, so the reflected bump's own
+    # derivative equals d/dx [phi(2 lam - x)]
+    phi_lam_x = periodic_derivative(reflected(phi, lam, grid.length), x_fine, 1, grid.length)
+
+    lhs = float(h_fine * np.sum(_oversample(p_lam, _BRACKET_OVERSAMPLE) * phi_x))
+    rhs = float(h_fine * np.sum(_oversample(p_u, _BRACKET_OVERSAMPLE) * phi_lam_x))
+    return lhs, rhs

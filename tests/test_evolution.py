@@ -2,21 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import linear_phase_speed
+from oracles import constant_field, linear_phase_speed, zero_field
 
 from mase import evolution
-from mase.errors import BlowUpError
 from mase.evolution import (
     SolverConfig,
     Termination,
     Trajectory,
     detect_breaking,
     evolve,
-    step,
     _max_slope,
     _rk4,
 )
-from mase.grid import Field, Grid, State, constant_field, zero_field
+from mase.grid import Field, Grid, State
 from mase.operators import _rhs_spectrum
 
 
@@ -31,44 +29,39 @@ def gaussian(grid, a, w, center=None):
 
 
 # ---------------------------------------------------------------------------
-# step
+# one RK4 step (_rk4)
+
+
+def rk4_values(values, grid, dt):
+    return np.fft.irfft(_rk4(np.fft.rfft(values), grid, dt), grid.n_points)
 
 
 def test_step_preserves_equilibria(grid):
     for u in (zero_field(grid), constant_field(grid, 0.3)):
-        s = step(State(0.0, u), 0.01)
-        assert np.array_equal(s.u.values, u.values)
-        assert s.time == 0.01
-
-
-def test_step_rejects_bad_dt(grid):
-    with pytest.raises(ValueError):
-        step(State(0.0, zero_field(grid)), 0.0)
-    with pytest.raises(ValueError):
-        step(State(0.0, zero_field(grid)), -0.1)
+        assert np.array_equal(rk4_values(u.values, grid, 0.01), u.values)
 
 
 def test_step_local_order_five(grid):
     # one full step vs two half steps differ at O(dt^5): halving dt shrinks
     # the difference by ~2^5
-    st = State(0.0, gaussian(grid, 0.05, 4.0))
+    u = gaussian(grid, 0.05, 4.0).values
 
     def gap(dt):
-        one = step(st, dt)
-        two = step(step(st, dt / 2), dt / 2)
-        return np.max(np.abs(one.u.values - two.u.values))
+        one = rk4_values(u, grid, dt)
+        two = rk4_values(rk4_values(u, grid, dt / 2), grid, dt / 2)
+        return np.max(np.abs(one - two))
 
     ratio = gap(0.05) / gap(0.025)
     assert 24.0 < ratio < 40.0
 
 
 def test_step_signals_blowup(grid):
-    # a CFL-violating step on steep data produces non-finite stages
-    u = gaussian(grid, 1.0, 0.5)
-    with pytest.raises(BlowUpError):
-        s = State(0.0, u)
-        for _ in range(50):
-            s = step(s, 0.2)
+    # CFL-violating steps on steep data end in non-finite entries, which
+    # _rk4 returns unchecked and without a warning
+    uh = np.fft.rfft(gaussian(grid, 1.0, 0.5).values)
+    for _ in range(50):
+        uh = _rk4(uh, grid, 0.2)
+    assert not np.all(np.isfinite(uh))
 
 
 def test_evolve_ends_with_blow_up_and_the_last_finite_state(grid):
@@ -86,8 +79,7 @@ def test_evolve_ends_with_blow_up_and_the_last_finite_state(grid):
     snap_times = cfg.snapshot_interval * np.arange(1, 11)
     t_target = snap_times[snap_times > last.time + 1e-12][0]
     dt = min(evolution._cfl_dt(last.u.values, grid, cfg), t_target - last.time)
-    with pytest.raises(BlowUpError):
-        step(last, dt)
+    assert not np.all(np.isfinite(_rk4(np.fft.rfft(last.u.values), grid, dt)))
 
 
 @pytest.mark.parametrize("n, length", [(128, 40.0), (256, 40.0), (512, 40.0),

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 from oracles import (
+    constant_field,
     detect_axis_loop,
     max_slope_loop,
     random_band_limited,
@@ -27,12 +28,12 @@ import mase.traveling_wave as tw
 from mase.cli import _unsteady_report, main, run_tw
 from mase.errors import ConstantFieldError
 from mase.evolution import SolverConfig, Termination, Trajectory, _block_rows, detect_breaking, evolve
-from mase.grid import Field, Grid, State, constant_field
+from mase.grid import Field, Grid, State
 from mase.scenarios import build_initial_field, scenario_from_dict
 from mase.storage import write_columns_csv, write_trajectory
-from mase.symmetry import detect_axis, reflect, shift_field, track_axis, verify_theorem
-from mase.traveling_wave import TWParams, level_tangencies, periodic_profile, turning_points
-from mase.weakform import TestFunction, steady_residual_report, steady_weak_residual, unsteady_weak_residual
+from mase.symmetry import _detect_axes, _reflected, _shifted, track_axis, verify_theorem
+from mase.traveling_wave import TWParams, level_roots, periodic_profile
+from mase.weakform import TestFunction, _steady_residuals, steady_residual_report, unsteady_weak_residual
 
 # the acceptance-12 scenario
 ACCEPTANCE_12 = {
@@ -51,6 +52,12 @@ def same(a, b) -> bool:
 def gaussian(grid, center, width=1.5, amplitude=0.1):
     d = np.mod(grid.points - center + grid.length / 2, grid.length) - grid.length / 2
     return amplitude * np.exp(-d * d / (2 * width * width))
+
+
+def detect_rows(fields) -> list[tuple[float, float, bool]]:
+    """(axis, asymmetry, ambiguous) of every field, detected as one stack."""
+    axes, asymmetry, ambiguous = _detect_axes(np.stack([u.values for u in fields]), fields[0].grid)
+    return list(zip(axes.tolist(), asymmetry.tolist(), ambiguous.tolist()))
 
 
 def trajectory(snapshots) -> Trajectory:
@@ -154,19 +161,22 @@ def test_grid_aligned_and_off_grid_axes(speed):
     check_symmetry(traj)
     aligned = moving(gaussian(grid, 7.0), grid, 2 * grid.spacing, np.arange(21) * 0.5)
     check_symmetry(aligned)
-    for s in (0.0, 3 * grid.spacing, 5.3, -2.71):
-        u = traj.snapshots[3].u
-        assert same(shift_field(u, s).values, shift_field_loop(u, s).values)
-        assert same(reflect(u, s).values, reflect_loop(u, s).values)
+    u = traj.snapshots[3].u
+    moves = np.array([0.0, 3 * grid.spacing, 5.3, -2.71])
+    shifted = _shifted(u.values, grid, moves)
+    reflected = _reflected(np.tile(u.values, (len(moves), 1)), grid, moves)
+    for s, a, b in zip(moves, shifted, reflected):
+        assert same(a, shift_field_loop(u, s).values)
+        assert same(b, reflect_loop(u, s).values)
 
 
 def test_pure_mode_takes_the_tie():
     grid = Grid(128, 20.0)
     for mode in (1, 3):
         values = np.sin(2 * np.pi * mode * grid.points / grid.length)
-        fit = detect_axis(Field(grid, values))
-        assert fit.ambiguous
-        assert (fit.axis, fit.asymmetry, fit.ambiguous) == detect_axis_loop(Field(grid, values))
+        [fit] = detect_rows([Field(grid, values)])
+        assert fit[2]
+        assert fit == detect_axis_loop(Field(grid, values))
         check_symmetry(moving(values, grid, 0.3, np.arange(5) * 0.5))
 
 
@@ -176,12 +186,13 @@ def test_two_peak_field():
     # unequal peaks: an asymmetric field
     twin = gaussian(grid, 9.0) + gaussian(grid, 29.0)
     skew = gaussian(grid, 9.0) + 0.45 * gaussian(grid, 14.5)
+    fields = [Field(grid, twin), Field(grid, skew)]
+    fits = detect_rows(fields)
+    assert fits == [detect_axis_loop(u) for u in fields]
     for values in (twin, skew):
-        fit = detect_axis(Field(grid, values))
-        assert (fit.axis, fit.asymmetry, fit.ambiguous) == detect_axis_loop(Field(grid, values))
         check_symmetry(moving(values, grid, 0.45, np.arange(19) * 0.5))
-    assert detect_axis(Field(grid, twin)).ambiguous
-    assert detect_axis(Field(grid, skew)).asymmetry > 0.1
+    assert fits[0][2]  # twin: ambiguous
+    assert fits[1][1] > 0.1  # skew: asymmetric
 
 
 def test_peak_runs_that_wrap_and_three_fold_axes():
@@ -191,16 +202,15 @@ def test_peak_runs_that_wrap_and_three_fold_axes():
     # near-maximal samples wraps from index n - 1 to 0 and holds an exact tie
     for center in (-h / 4, np.pi - h / 4):
         u = Field(grid, gaussian(grid, center, width=0.5))
-        fit = detect_axis(u)
-        assert (fit.axis, fit.asymmetry, fit.ambiguous) == detect_axis_loop(u)
+        assert detect_rows([u]) == [detect_axis_loop(u)]
     # a field of period L/3: three distinct axes (multi-peak), the axis at
     # the weaker deviation kept, as the smallest one
     for phase in (0.0, 0.2):
         x = grid.points - phase
         u = Field(grid, np.cos(3 * x) - 0.5 * np.cos(6 * x))
-        fit = detect_axis(u)
-        assert fit.ambiguous
-        assert (fit.axis, fit.asymmetry, fit.ambiguous) == detect_axis_loop(u)
+        [fit] = detect_rows([u])
+        assert fit[2]
+        assert fit == detect_axis_loop(u)
         check_symmetry(moving(u.values, grid, 0.31, np.arange(6) * 0.5))
 
 
@@ -218,9 +228,7 @@ def test_noise_and_random_fields_detect_as_their_loop(n):
     for axis in (-grid.spacing / 4, 5.0 - grid.spacing / 4):
         noise = [Field(grid, rng.standard_normal(n)) for _ in range(40)]
         fields += [Field(grid, v.values + reflect_loop(v, axis).values) for v in noise]
-    for u in fields:
-        fit = detect_axis(u)
-        assert (fit.axis, fit.asymmetry, fit.ambiguous) == detect_axis_loop(u)
+    assert detect_rows(fields) == [detect_axis_loop(u) for u in fields]
     check_symmetry(trajectory([State(0.25 * i, u) for i, u in enumerate(fields[:40])]))
 
 
@@ -258,7 +266,7 @@ def test_steady_report_pairs_every_bump_with_one_bracket(solitary_c12):
         report = steady_residual_report(prof, bumps)
         loop = [steady_residual_loop(prof, b) for b in bumps]
         assert same([r for _, r in report.per_test_function], loop)
-        assert same([steady_weak_residual(prof, b) for b in bumps], loop)
+        assert same([_steady_residuals(prof, [b])[0] for b in bumps], loop)
 
 
 def _level_roots_loop(params):
@@ -276,8 +284,7 @@ def _level_roots_loop(params):
 ])
 def test_level_roots_match_separate_solves(params):
     roots, tangent = _level_roots_loop(params)
-    assert same(turning_points(params), roots)
-    assert same(level_tangencies(params), tangent)
+    assert all(same(a, b) for a, b in zip(level_roots(params), (roots, tangent)))
 
 
 def test_periodic_run_tw_solves_each_polynomial_once(tmp_path, monkeypatch):
@@ -289,7 +296,7 @@ def test_periodic_run_tw_solves_each_polynomial_once(tmp_path, monkeypatch):
         return real_roots(poly)
 
     monkeypatch.setattr(tw, "_real_roots", counted)
-    tw._level_roots.cache_clear()
+    tw.level_roots.cache_clear()
     doc = {"speed": 1.2, "energy": -1.58e-4, "wave": "periodic"}
     run_tw(doc, tmp_path / "profile")
     params = TWParams(1.2, 0.0, -1.58e-4)
@@ -301,9 +308,8 @@ def test_periodic_run_tw_solves_each_polynomial_once(tmp_path, monkeypatch):
 
     # TWParams stores E = -0.0 as 0.0, so both share one solve
     calls.clear()
-    turning_points(TWParams(0.4, 0.05, 0.0))
-    level_tangencies(TWParams(0.4, 0.05, 0.0))
-    turning_points(TWParams(0.4, 0.05, -0.0))
+    level_roots(TWParams(0.4, 0.05, 0.0))
+    level_roots(TWParams(0.4, 0.05, -0.0))
     assert len(calls) == 2
 
 

@@ -9,19 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import SingularLineError
 
 from mase import cli
 from mase.cli import main
 from mase.errors import (
-    BlowUpError,
     ConfigError,
     DerivativeOrderError,
+    MaseError,
     NonFiniteFieldError,
-    SingularLineError,
     SupportError,
 )
 from mase.evolution import SolverConfig, Trajectory, evolve
 from mase.grid import Field, Grid, State
+from mase.scenarios import scenario_from_dict
 from mase.storage import (
     read_profile,
     read_trajectory,
@@ -244,6 +245,26 @@ def test_cli_symmetry_on_a_run_scaled_past_the_squares_exits_5(tmp_path, capsys)
                               for s in traj.snapshots), traj.config, traj.termination)
     run_dir = tmp_path / "run"
     write_trajectory(run_dir, scaled, {"solver": dataclasses.asdict(traj.config)})
+    assert main(["symmetry", "--run", str(run_dir)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite-field:")
+
+
+def test_symmetry_of_a_run_whose_mean_overflows_the_squares_is_an_error(tmp_path, capsys):
+    # the axis detection removes the 1e160 mean, so only the travel error's
+    # norms of the raw snapshots overflow
+    grid = Grid(64, 10.0)
+    u0 = Field(grid, 1e-5 * np.exp(-((grid.points - 5.0) ** 2)))
+    traj = evolve([State(0.0, u0)], SolverConfig(t_end=0.5, snapshot_interval=0.25))[0]
+    lifted = Trajectory(tuple(State(s.time, Field(grid, 1e160 + s.u.values))
+                              for s in traj.snapshots), traj.config, traj.termination)
+    scenario = scenario_from_dict({"grid": {"n_points": 64, "length": 10.0},
+                                   "solver": dataclasses.asdict(traj.config),
+                                   "analysis": {"symmetry": True}})
+    run_dir = tmp_path / "run"
+    cli._write_run(scenario, lifted, run_dir, 0, 0.0)  # the analyses of simulate and sweep
+    report = json.loads((run_dir / "symmetry.json").read_text())
+    assert list(report) == ["error"] and "overflows" in report["error"]
     assert main(["symmetry", "--run", str(run_dir)]) == 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite-field:")
@@ -568,6 +589,17 @@ def test_cli_weakform_missing_profile_sidecar_exits_2(tmp_path, solitary_c12, ca
     assert capsys.readouterr().err.startswith("error: config: cannot read profile")
 
 
+def test_cli_weakform_composite_profile_sidecar_exits_2(tmp_path, solitary_c12, capsys):
+    # waves composed from segments exist only in the test oracles
+    prefix = tmp_path / "profile_c=1.2"
+    write_profile(prefix, solitary_c12)
+    sidecar = Path(str(prefix) + ".json")
+    sidecar.write_text(sidecar.read_text().replace('"smooth_solitary"', '"composite"'))
+    assert main(["weakform", "--profile", str(prefix)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: cannot read profile")
+
+
 @pytest.mark.parametrize(
     "error, kind",
     [
@@ -575,7 +607,7 @@ def test_cli_weakform_missing_profile_sidecar_exits_2(tmp_path, solitary_c12, ca
         (NonFiniteFieldError("field values must be finite"), "non-finite-field"),
         (SingularLineError("orbit reached the singular line"), "singular-line"),
         (DerivativeOrderError("derivative order must be 1, 2 or 3"), "derivative-order"),
-        (BlowUpError("non-finite stage values"), "blow-up"),
+        (MaseError("a package error of no narrower class"), "mase"),
     ],
 )
 def test_cli_other_package_errors_exit_5_without_traceback(monkeypatch, capsys, error, kind):

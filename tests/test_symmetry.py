@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from oracles import random_band_limited
+from oracles import constant_field, random_band_limited, zero_field
 
 from mase.errors import ConstantFieldError, NonFiniteFieldError
 from mase.evolution import SolverConfig, Termination, Trajectory, evolve
-from mase.grid import Field, Grid, State, constant_field, zero_field
+from mase.grid import Field, Grid, State
 from mase.symmetry import (
     Verdict,
-    detect_axis,
-    reflect,
-    shift_field,
+    _detect_axes,
+    _reflected,
+    _shifted,
     track_axis,
     verify_theorem,
 )
@@ -26,67 +26,66 @@ def periodic_gaussian(grid, center, width=1.5, amplitude=1.0):
 
 
 # ---------------------------------------------------------------------------
-# reflect
+# reflection
 
 
 def test_reflect_is_involution(grid, rng):
     u = random_band_limited(grid, rng, amplitude=0.4)
-    for axis in (0.0, 3.0, 7.77131, 19.999, 33.3):
-        rr = reflect(reflect(u, axis), axis)
-        assert np.max(np.abs(rr.values - u.values)) < 1e-10
+    axes = np.array([0.0, 3.0, 7.77131, 19.999, 33.3])
+    once = _reflected(np.tile(u.values, (len(axes), 1)), grid, axes)
+    assert np.max(np.abs(_reflected(once, grid, axes) - u.values)) < 1e-10
 
 
 def test_reflect_fixes_even_fields(grid):
-    u = periodic_gaussian(grid, 0.0)
-    assert np.max(np.abs(reflect(u, 0.0).values - u.values)) < 1e-10
+    u = periodic_gaussian(grid, 0.0).values
+    assert np.max(np.abs(_reflected(u[None], grid, np.zeros(1)) - u)) < 1e-10
 
 
 def test_reflect_moves_bump_center(grid):
     x0, lam = 12.0, 7.3
-    u = periodic_gaussian(grid, x0)
-    target = periodic_gaussian(grid, np.mod(2 * lam - x0, grid.length))
-    r = reflect(u, lam)
-    assert np.max(np.abs(r.values - target.values)) < 1e-6
+    u = periodic_gaussian(grid, x0).values
+    target = periodic_gaussian(grid, np.mod(2 * lam - x0, grid.length)).values
+    assert np.max(np.abs(_reflected(u[None], grid, np.array([lam])) - target)) < 1e-6
 
 
 def test_reflect_axis_modulo_length(grid, rng):
-    u = random_band_limited(grid, rng, amplitude=0.4)
-    a = reflect(u, 5.0)
-    b = reflect(u, 5.0 + grid.length)
-    assert np.max(np.abs(a.values - b.values)) < 1e-10
+    u = random_band_limited(grid, rng, amplitude=0.4).values
+    a, b = _reflected(np.stack([u, u]), grid, np.array([5.0, 5.0 + grid.length]))
+    assert np.max(np.abs(a - b)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# detect_axis
+# axis detection (_detect_axes on one-row and several-row stacks)
 
 
 def test_detect_axis_even_gaussian(grid):
-    fit = detect_axis(periodic_gaussian(grid, 3.0))
-    assert abs(fit.axis - 3.0) < 1e-6
-    assert fit.asymmetry < 1e-10
-    assert not fit.ambiguous
+    u = periodic_gaussian(grid, 3.0).values
+    (axis,), (asymmetry,), (ambiguous,) = _detect_axes(u[None], grid)
+    assert abs(axis - 3.0) < 1e-6
+    assert asymmetry < 1e-10
+    assert not ambiguous
 
 
 def test_detect_axis_off_grid_center(grid):
     c0 = 3.0 + 0.37 * grid.spacing
-    fit = detect_axis(periodic_gaussian(grid, c0))
-    assert abs(fit.axis - c0) < 1e-6
-    assert fit.asymmetry < 1e-10
+    (axis,), (asymmetry,), _ = _detect_axes(periodic_gaussian(grid, c0).values[None], grid)
+    assert abs(axis - c0) < 1e-6
+    assert asymmetry < 1e-10
 
 
 def test_detect_axis_sine_ambiguous(grid):
-    u = Field(grid, np.sin(2 * np.pi * grid.points / grid.length))
-    fit = detect_axis(u)
-    assert abs(fit.axis - grid.length / 4) < 1e-6  # smallest of the two axes
-    assert fit.asymmetry < 1e-10
-    assert fit.ambiguous
+    u = np.sin(2 * np.pi * grid.points / grid.length)
+    (axis,), (asymmetry,), (ambiguous,) = _detect_axes(u[None], grid)
+    assert abs(axis - grid.length / 4) < 1e-6  # smallest of the two axes
+    assert asymmetry < 1e-10
+    assert ambiguous
 
 
 def test_detect_axis_constant_rejected(grid):
     with pytest.raises(ConstantFieldError):
-        detect_axis(constant_field(grid, 1.0))
+        _detect_axes(constant_field(grid, 1.0).values[None], grid)
     with pytest.raises(ConstantFieldError):
-        detect_axis(zero_field(grid))
+        _detect_axes(zero_field(grid).values[None], grid)
 
 
 def test_detect_axis_refuses_a_field_whose_correlation_overflows():
@@ -94,44 +93,41 @@ def test_detect_axis_refuses_a_field_whose_correlation_overflows():
     u = np.sin(grid.points) + 0.3 * np.cos(2.0 * grid.points + 0.4)
     for scale in (1.7e153, 1e155):
         with pytest.raises(NonFiniteFieldError):
-            detect_axis(Field(grid, scale * u))
+            _detect_axes(scale * u[None], grid)
     # below that the axis and asymmetry are those of the unscaled field
-    fit, big = detect_axis(Field(grid, u)), detect_axis(Field(grid, 1e150 * u))
-    assert big.axis == pytest.approx(fit.axis, rel=1e-12)
-    assert big.asymmetry == pytest.approx(fit.asymmetry, rel=1e-12)
+    axes, asymmetry, _ = _detect_axes(np.stack([u, 1e150 * u]), grid)
+    assert axes[1] == pytest.approx(axes[0], rel=1e-12)
+    assert asymmetry[1] == pytest.approx(asymmetry[0], rel=1e-12)
 
 
 def test_detect_axis_skewed_profile(grid):
-    u = Field(grid, periodic_gaussian(grid, 10.0).values
-              + 0.45 * periodic_gaussian(grid, 14.5).values)
-    fit = detect_axis(u)
-    assert fit.asymmetry > 0.1
+    u = periodic_gaussian(grid, 10.0).values + 0.45 * periodic_gaussian(grid, 14.5).values
+    _, (asymmetry,), _ = _detect_axes(u[None], grid)
+    assert asymmetry > 0.1
     # brute-force oracle: no grid axis does better than the refined one
-    best = min(
-        float(np.sqrt(np.sum((u.values - reflect(u, a).values) ** 2)))
-        for a in grid.points[::4]
-    )
-    dev = np.sqrt(np.sum((u.values - np.mean(u.values)) ** 2))
-    assert fit.asymmetry <= best / dev + 1e-12
+    axes = grid.points[::4]
+    refl = _reflected(np.tile(u, (len(axes), 1)), grid, axes)
+    best = np.min(np.sqrt(np.sum((u - refl) ** 2, axis=-1)))
+    dev = np.sqrt(np.sum((u - np.mean(u)) ** 2))
+    assert asymmetry <= best / dev + 1e-12
 
 
 def test_detect_axis_translation_equivariance(grid):
     c0 = 9.193
-    u = periodic_gaussian(grid, c0)
-    for s in (2.5, 11.113, 31.0):
-        fit = detect_axis(shift_field(u, s))
-        diff = abs(np.mod(fit.axis - (c0 + s), grid.length))
-        assert min(diff, grid.length - diff) < 1e-6
+    shifts = np.array([2.5, 11.113, 31.0])
+    axes, _, _ = _detect_axes(_shifted(periodic_gaussian(grid, c0).values, grid, shifts), grid)
+    diff = np.abs(np.mod(axes - (c0 + shifts), grid.length))
+    assert np.all(np.minimum(diff, grid.length - diff) < 1e-6)
 
 
 def test_detect_axis_on_constructed_symmetric(grid, rng):
     lam0 = 11.111
-    v = random_band_limited(grid, rng, amplitude=0.2)
-    u = Field(grid, v.values + reflect(v, lam0).values)
-    fit = detect_axis(u)
-    d = np.mod(fit.axis - lam0, grid.length / 2)
+    v = random_band_limited(grid, rng, amplitude=0.2).values
+    u = v + _reflected(v[None], grid, np.array([lam0]))
+    (axis,), (asymmetry,), _ = _detect_axes(u, grid)
+    d = np.mod(axis - lam0, grid.length / 2)
     assert min(d, grid.length / 2 - d) < 1e-6
-    assert fit.asymmetry < 1e-8
+    assert asymmetry < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +137,9 @@ def test_detect_axis_on_constructed_symmetric(grid, rng):
 def test_track_axis_of_rigid_translation(grid):
     u0 = periodic_gaussian(grid, 8.0, width=2.0, amplitude=0.1)
     speed = 0.7
-    snaps = tuple(
-        State(t, shift_field(u0, speed * t)) for t in np.linspace(0.0, 10.0, 21)
-    )
+    times = np.linspace(0.0, 10.0, 21)
+    snaps = tuple(State(t, Field(grid, row))
+                  for t, row in zip(times, _shifted(u0.values, grid, speed * times)))
     cfg = SolverConfig(t_end=10.0, snapshot_interval=0.5)
     traj = Trajectory(snaps, cfg, Termination.COMPLETED)
     series = track_axis(traj)
@@ -173,7 +169,9 @@ def test_track_axis_needs_three_snapshots(grid):
 def test_track_axis_unwraps_boundary_crossing(grid):
     u0 = periodic_gaussian(grid, 38.0, width=2.0, amplitude=0.1)
     speed = 1.0
-    snaps = tuple(State(t, shift_field(u0, speed * t)) for t in np.linspace(0.0, 8.0, 17))
+    times = np.linspace(0.0, 8.0, 17)
+    snaps = tuple(State(t, Field(grid, row))
+                  for t, row in zip(times, _shifted(u0.values, grid, speed * times)))
     cfg = SolverConfig(t_end=8.0, snapshot_interval=0.5)
     traj = Trajectory(snaps, cfg, Termination.COMPLETED)
     series = track_axis(traj)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from oracles import (
+    COMPOSITE,
     PhasePoint,
+    SingularLineError,
     concatenate_segments_unchecked,
     first_integral,
     first_integral_uv,
@@ -17,7 +19,7 @@ from oracles import (
 from scipy.optimize import brentq
 
 from mase.cli import main, run_tw
-from mase.errors import ConfigError, NonexistenceError, SingularLineError
+from mase.errors import ConfigError, NonexistenceError
 from mase.grid import Grid
 from mase.traveling_wave import (
     Regularity,
@@ -26,7 +28,7 @@ from mase.traveling_wave import (
     evaluate_profile,
     force_poly,
     level_polynomial,
-    level_tangencies,
+    level_roots,
     peaked_composite,
     periodic_profile,
     potential_poly,
@@ -34,7 +36,6 @@ from mase.traveling_wave import (
     singular_line,
     slope_squared,
     solitary_profile,
-    turning_points,
     uxx_coeff_poly,
     _real_roots,
 )
@@ -120,8 +121,8 @@ def test_singular_line_zeroes_coefficient(rng):
 
 def test_turning_points_roots_resubstitute():
     params, _ = center_level_params()
-    roots = turning_points(params)
-    assert roots == sorted(roots)
+    roots = level_roots(params)[0]
+    assert list(roots) == sorted(roots)
     level = params.energy
     g = potential_poly(params)
     for r in roots:
@@ -130,28 +131,27 @@ def test_turning_points_roots_resubstitute():
 
 def test_turning_points_include_saddle_tangency():
     # A = 0, E = 0: the origin is an equilibrium sitting exactly on the level
-    roots = turning_points(SOLITARY)
+    roots, tangencies = level_roots(SOLITARY)
     assert any(abs(r) < 1e-9 for r in roots)
     # F(0) = 0 exactly: the exact zero comes back as a float
-    tangencies = level_tangencies(SOLITARY)
-    assert tangencies == [0.0] and type(tangencies[0]) is float
+    assert tangencies == (0.0,) and type(tangencies[0]) is float
 
 
 def test_center_tangency_flagged():
     # the level through the center equilibrium has a doubled root there
     params, uc = center_level_params(fraction=1.0)
-    tang = level_tangencies(params)
+    roots, tang = level_roots(params)
     assert any(abs(t - uc) < 1e-6 for t in tang)
-    assert any(abs(r - uc) < 1e-6 for r in turning_points(params))
+    assert any(abs(r - uc) < 1e-6 for r in roots)
 
 
 def test_level_far_below_every_potential_well_has_one_turning_point():
     # far below every local potential level only the quintic's outer root is
     # left, and one root bounds no periodic orbit
     params = TWParams(1.2, 0.0, -1e6)
-    roots = turning_points(params)
+    roots, tangent = level_roots(params)
     assert len(roots) == 1 and roots[0] == pytest.approx(-15.0971, abs=1e-4)
-    assert level_tangencies(params) == []
+    assert tangent == ()
     with pytest.raises(NonexistenceError):
         periodic_profile(params)
 
@@ -183,7 +183,7 @@ def test_solitary_regularity_and_window(solitary_c12):
 
 
 def test_solitary_crest_is_turning_point(solitary_c12):
-    roots = [r for r in turning_points(SOLITARY) if r > 1e-9]
+    roots = [r for r in level_roots(SOLITARY)[0] if r > 1e-9]
     assert solitary_c12.amplitude == pytest.approx(min(roots), abs=1e-10)
     # crest strictly inside the singular line
     assert min(roots) > singular_line(SOLITARY)
@@ -276,7 +276,7 @@ def test_cusp_head_length_matches_adaptive_quadrature(c, branch):
 @pytest.fixture(scope="module")
 def periodic():
     params, uc = center_level_params()
-    roots = turning_points(params)
+    roots = level_roots(params)[0]
     pair = next((a, b) for a, b in zip(roots, roots[1:]) if a < uc < b)
     return periodic_profile(params, pair=pair), params, pair
 
@@ -319,7 +319,7 @@ def test_periodic_finds_the_root_next_to_an_exact_zero():
     # E = 0 puts a root at exactly U = 0; the simple root 1.6e-3 below it
     # is the crest (an 8001-point sign scan stepped over it)
     params = TWParams(-5.524128231207979, 0.0053483021325377855, 0.0)
-    assert turning_points(params)[1] == pytest.approx(-0.0016404, abs=1e-7)
+    assert level_roots(params)[0][1] == pytest.approx(-0.0016404, abs=1e-7)
     prof = periodic_profile(params)
     assert prof.values.min() == pytest.approx(-1.26074, abs=1e-5)
     assert prof.values.max() == pytest.approx(-0.0016404, abs=1e-7)
@@ -352,7 +352,7 @@ def test_roots_and_periodic_profiles_on_random_levels():
         params = TWParams(c, a, e)
         level = level_polynomial(params)
         scale = max(1.0, abs(e))
-        roots = turning_points(params)
+        roots = level_roots(params)[0]
         for r in roots:
             assert abs(level(r)) <= 1e-10 * scale
         # no root is missed: the level keeps one sign between reported roots
@@ -399,7 +399,7 @@ def test_peaked_wave_matches_the_segment_composition():
             return
         params = prof.params
         u_s = singular_line(params)
-        u_t = min(turning_points(params), key=lambda r: abs(r - prof.values[0]))
+        u_t = min(level_roots(params)[0], key=lambda r: abs(r - prof.values[0]))
         rise = orbit_segment(params, u_t, u_s)
         ref = concatenate_segments_unchecked([rise, mirror_profile(rise)])
         period = float(ref.xi[-1])
@@ -458,7 +458,7 @@ def test_peaked_trough_is_the_largest_level_root_below_the_corner():
     # the trough -11.1667 lies beyond |U| = 10
     prof = peaked_composite(-3.0, -1e4)
     u_s = singular_line(prof.params)
-    trough = max(r for r in turning_points(prof.params) if r < u_s - 1e-8)
+    trough = max(r for r in level_roots(prof.params)[0] if r < u_s - 1e-8)
     assert trough == pytest.approx(-11.1667, abs=1e-4)
     assert prof.values.min() == pytest.approx(trough, rel=1e-12)
     assert prof.values.max() == pytest.approx(u_s, rel=1e-12)
@@ -468,7 +468,7 @@ def test_peaked_trough_is_not_the_corner_root_itself():
     # the level root at U_s = 6.6e49 can come out an ulp below U_s; it is the
     # corner, and the trough is the root at -9.3e57 (not a sliver next to U_s)
     prof = peaked_composite(-9.28163896595809e50, -4.5241917240630986e231)
-    trough = min(turning_points(prof.params))
+    trough = min(level_roots(prof.params)[0])
     assert trough == pytest.approx(-9.3185e57, rel=1e-4)
     assert prof.values.min() == pytest.approx(trough, rel=1e-12)
 
@@ -492,12 +492,12 @@ def test_unchecked_concatenation_allows_mismatch(periodic):
     prof, params, pair = periodic
     half = orbit_segment(params, pair[1], pair[0], n_samples=513)
     other = TWParams(params.speed, params.integration_constant, params.energy * 1.05)
-    o_roots = turning_points(other)
+    o_roots = level_roots(other)[0]
     o_pair = next((a, b) for a, b in zip(o_roots, o_roots[1:])
                   if np.all(slope_squared(np.linspace(a, b, 65)[1:-1], other) > 0))
     bad = orbit_segment(other, o_pair[1], o_pair[0], n_samples=513)
     raw = concatenate_segments_unchecked([half, mirror_profile(bad)])
-    assert raw.regularity is Regularity.COMPOSITE
+    assert raw.regularity == COMPOSITE
     assert len(raw.xi) == 2 * 513 - 1
 
 
@@ -529,6 +529,6 @@ def test_profile_to_field_periodic_requires_commensurate_grid(peaked):
 
 def test_profile_dataclass_validation():
     with pytest.raises(ValueError):
-        TWProfile(SOLITARY, np.array([0.0, 0.0, 1.0]), np.zeros(3), Regularity.COMPOSITE)
+        TWProfile(SOLITARY, np.array([0.0, 0.0, 1.0]), np.zeros(3), COMPOSITE)
     with pytest.raises(ValueError):
-        TWProfile(SOLITARY, np.array([0.0, 1.0]), np.array([np.nan, 0.0]), Regularity.COMPOSITE)
+        TWProfile(SOLITARY, np.array([0.0, 1.0]), np.array([np.nan, 0.0]), COMPOSITE)
