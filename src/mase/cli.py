@@ -28,8 +28,9 @@ from . import __version__
 from .errors import ConfigError, ConstantFieldError, MaseError, NonexistenceError
 from .evolution import detect_breaking, evolve
 from .grid import State
-from .scenarios import Scenario, apply_overrides, build_initial_field, load_scenario, scenario_from_dict
+from .scenarios import Scenario, apply_overrides, build_initial_field, load_scenario, scenario_from_dict, tolerance
 from .storage import (
+    read_profile,
     read_trajectory,
     residual_report_dict,
     symmetry_report_dict,
@@ -76,36 +77,29 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
     clock since then.
     """
     run_dir.mkdir(parents=True, exist_ok=True)
-    extra: list[Path] = []
+    extra: dict[str, str] = {}  # report name -> sha256 of its bytes
     analysis = scenario.analysis
     if analysis.get("breaking", False):
         rep = detect_breaking(traj)
-        p = run_dir / "breaking.json"
-        write_json(p, {
+        extra["breaking.json"] = write_json(run_dir / "breaking.json", {
             "detected": rep.detected,
             "t_detect": rep.t_detect if rep.detected else None,
             "max_slope_history": [[t, v] for t, v in rep.max_slope_history],
             "sup_norm_history": [[t, v] for t, v in rep.sup_norm_history],
         })
-        extra.append(p)
     if analysis.get("symmetry", False):
         p = run_dir / "symmetry.json"
+        # given tolerances, checked as the scenario loaded; verify_theorem's defaults otherwise
+        tols = {key: float(analysis[key]) for key in ("symmetry_tol", "travel_tol") if key in analysis}
         try:
-            rep = verify_theorem(
-                traj,
-                symmetry_tol=float(analysis.get("symmetry_tol", 1e-6)),
-                travel_tol=float(analysis.get("travel_tol", 1e-3)),
-            )
-            write_json(p, symmetry_report_dict(rep))
+            extra[p.name] = write_json(p, symmetry_report_dict(verify_theorem(traj, **tols)))
         except (ConstantFieldError, ValueError) as exc:
             # degenerate or truncated runs still complete; the dedicated
             # symmetry command surfaces the error as an exit code
-            write_json(p, {"error": str(exc)})
-        extra.append(p)
+            extra[p.name] = write_json(p, {"error": str(exc)})
     if analysis.get("weakform", False) and len(traj.snapshots) >= 4:
-        p = run_dir / "residuals.json"
-        write_json(p, residual_report_dict(_unsteady_report(traj, seed)))
-        extra.append(p)
+        extra["residuals.json"] = write_json(run_dir / "residuals.json",
+                                             residual_report_dict(_unsteady_report(traj, seed)))
 
     wall = time.perf_counter() - t_start
     write_trajectory(run_dir, traj, dataclasses.asdict(scenario), wall, extra)
@@ -238,10 +232,12 @@ def cmd_tw(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
+    symmetry_tol = tolerance("--symmetry-tol", args.symmetry_tol)
+    travel_tol = tolerance("--travel-tol", args.travel_tol)
     traj, _ = read_trajectory(Path(args.run))
     if len(traj.snapshots) < 3:
         raise ConfigError("run has fewer than 3 snapshots")
-    rep = verify_theorem(traj, symmetry_tol=args.symmetry_tol, travel_tol=args.travel_tol)
+    rep = verify_theorem(traj, symmetry_tol=symmetry_tol, travel_tol=travel_tol)
     out = Path(args.out) if args.out else Path(args.run) / "symmetry.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, symmetry_report_dict(rep))
@@ -255,8 +251,8 @@ def cmd_symmetry(args) -> int:
 def cmd_weakform(args) -> int:
     if bool(args.run) == bool(args.profile):
         raise ConfigError("give exactly one of --run or --profile")
-    if args.n_bumps < 1:
-        raise ConfigError(f"--n-bumps must be at least 1, got {args.n_bumps}")
+    if not 1 <= args.n_bumps <= 1000:  # each bump is one more pass over the samples
+        raise ConfigError(f"--n-bumps must lie in [1, 1000], got {args.n_bumps}")
     if args.run:
         traj, _ = read_trajectory(Path(args.run))
         if len(traj.snapshots) < 4:
@@ -264,8 +260,6 @@ def cmd_weakform(args) -> int:
         report = _unsteady_report(traj, args.seed, args.n_bumps)
         out = Path(args.out) if args.out else Path(args.run) / "residuals.json"
     else:
-        from .storage import read_profile
-
         report = _steady_report(read_profile(Path(args.profile)), args.seed, args.n_bumps)
         out = Path(args.out) if args.out else Path(args.profile).parent / "residuals.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -457,6 +451,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

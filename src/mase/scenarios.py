@@ -3,7 +3,8 @@
 A scenario is a plain JSON document; command-line ``--set key=value``
 overrides win over the file.  Initial-condition kinds: zero, gaussian
 (amplitude, center, width), mode (amplitude, wavenumber), tw_profile (speed),
-file (path to an x,u CSV).
+file (path to an x,u CSV).  The analysis tolerances ``symmetry_tol`` and
+``travel_tol`` must be finite positive numbers, checked when a scenario loads.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         grid = Grid(int(doc["grid"]["n_points"]), float(doc["grid"]["length"]))
         initial = dict(doc.get("initial", {"kind": "zero"}))
         solver = SolverConfig(**doc["solver"])
+        analysis = dict(doc.get("analysis", {}))
     except ConfigError:
         raise
     except Exception as exc:
@@ -42,7 +44,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     kind = initial.get("kind")
     if kind not in _IC_KINDS:
         raise ConfigError(f"unknown initial condition kind {kind!r}; choose from {_IC_KINDS}")
-    analysis = dict(doc.get("analysis", {}))
+    for key in ("symmetry_tol", "travel_tol"):
+        if key in analysis:
+            tolerance(f"analysis.{key}", analysis[key])
     sc = Scenario(grid, initial, solver, analysis)
     build_initial_field(sc)  # validate parameters eagerly
     return sc
@@ -78,6 +82,16 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
                 raise ConfigError(f"override path {key!r} crosses a non-object")
         node[parts[-1]] = value
     return out
+
+
+def tolerance(name: str, raw) -> float:
+    """``raw`` as a finite positive float; anything else raises ConfigError naming ``name``."""
+    try:
+        if np.isfinite(value := float(raw)) and value > 0:
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be a finite positive number, got {raw!r}")
 
 
 def _periodic_gaussian(grid: Grid, amplitude: float, center: float, width: float) -> np.ndarray:

@@ -1,16 +1,13 @@
 """Run-directory serialization: CSV snapshots, JSON manifests, digests.
 
 All numeric CSV output carries 12 significant digits; JSON is pretty-printed
-with sorted keys.  Every file a command writes is listed in manifest.json
-with its sha256 digest.  Volatile metadata (wall clock, tool invocation) goes
-to run.log, a plain-text file outside the manifest, so repeated runs produce
-byte-identical CSV/JSON.
-
-A CSV file is formatted in one string operation and written once, without
-newline translation; ``write_columns_csv`` returns the sha256 of exactly the
-bytes it wrote, and ``write_trajectory`` builds the manifest from those
-digests instead of reading the snapshots back.  Only the JSON reports and
-``verify_manifest`` hash files from disk.
+with sorted keys.  A run directory records each fact once: a snapshot's
+exact time in its name (``t=<repr(time)>.csv``), the grid in the manifest's
+scenario, and the bytes of each file in the manifest's sha256 digest, which
+the writer returns as it writes them.  ``read_trajectory`` checks each
+snapshot's bytes against it before parsing ``u``.  Volatile metadata (wall
+clock, tool version) goes to run.log, outside the manifest, so repeated runs
+produce byte-identical CSV/JSON.
 """
 
 from __future__ import annotations
@@ -33,14 +30,9 @@ from .weakform import ResidualReport
 FMT = "%.12g"
 
 
-def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
-def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def write_json(path: Path, obj) -> str:
+    """Write ``obj`` as sorted, indented JSON; returns the sha256 of the bytes written."""
+    return _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_text(path: Path, text: str) -> str:
@@ -82,7 +74,8 @@ def read_columns_csv(path: Path, require: tuple[str, ...] = ()) -> dict[str, np.
 
 
 def snapshot_filename(time: float) -> str:
-    return f"t={time:.6f}.csv"
+    """``t=<repr(time)>.csv``: the shortest string that reads back as ``time``."""
+    return f"t={time!r}.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +87,20 @@ def write_trajectory(
     traj: Trajectory,
     scenario: dict,
     wall_clock: float = 0.0,
-    extra_outputs: list[Path] | None = None,
+    extra_outputs: dict[str, str] | None = None,
 ) -> dict:
-    """Write the snapshots, diagnostics.csv, manifest.json and run.log; returns the manifest."""
-    names = [snapshot_filename(s.time) for s in traj.snapshots]
-    for a, b in zip(names, names[1:]):  # times increase, so a clash is adjacent
-        if a == b:
-            raise ConfigError(
-                f"snapshot times closer than 1e-6 share the file name {a}; "
-                "widen solver.snapshot_interval"
-            )
+    """Write the snapshots, diagnostics.csv, manifest.json and run.log; returns the manifest.
+
+    The manifest also lists ``extra_outputs``, reports in ``run_dir`` by name
+    and digest.  ``read_trajectory`` needs the ``scenario``'s grid and solver.
+    """
     run_dir.mkdir(parents=True, exist_ok=True)
-    digests = {p.name: sha256_file(p) for p in extra_outputs or []}
+    digests = dict(extra_outputs or {})
     # every snapshot shares the x column: it is formatted once, into the
     # row template that each snapshot's u values fill
     template = "x,u\n" + "".join([f"{FMT % x},{FMT}\n" for x in traj.grid.points.tolist()])
-    for name, s in zip(names, traj.snapshots):
+    for s in traj.snapshots:
+        name = snapshot_filename(s.time)
         digests[name] = _write_text(run_dir / name, template % tuple(s.u.values.tolist()))
 
     means = _series(traj.snapshots, lambda values: np.mean(values, axis=-1))
@@ -132,52 +123,50 @@ def write_trajectory(
 
 
 def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
-    """Trajectory and manifest of a run directory; a malformed manifest raises ConfigError."""
+    """Trajectory and manifest of a run directory.
+
+    A malformed manifest, a missing snapshot, one whose bytes differ from its
+    digest or do not fit the grid, and a time listed twice raise ConfigError.
+    Only snapshots are checked: the analysis commands rewrite their reports.
+    """
     mpath = run_dir / "manifest.json"
     if not mpath.exists():
         raise ConfigError(f"no manifest.json in {run_dir}")
     try:
         manifest = json.loads(mpath.read_text())
+        grid = Grid(**manifest["scenario"]["grid"])
         config = SolverConfig(**manifest["scenario"]["solver"])
         termination = Termination(manifest["termination"])
-        names = [entry["path"] for entry in manifest["outputs"]]
-        timed = [(name, float(name[2:-4])) for name in names
-                 if name.startswith("t=") and name.endswith(".csv")]
+        timed = sorted((float(e["path"][2:-4]), e["path"], e["sha256"])
+                       for e in manifest["outputs"]
+                       if e["path"].startswith("t=") and e["path"].endswith(".csv"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed run {run_dir}: {type(exc).__name__}: {exc}") from None
     snaps = []
-    for name, t in timed:
-        cols = read_columns_csv(run_dir / name, require=("x", "u"))
-        x = cols["x"]
+    for t, name, digest in timed:
         try:
-            grid = Grid(len(x), float(x[-1] + (x[1] - x[0])))
-            snaps.append(State(t, Field(grid, cols["u"])))
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"snapshot {name} is not a periodic grid sample: {exc}") from None
-    snaps.sort(key=lambda s: s.time)
-    for a, b in zip(snaps, snaps[1:]):
-        if not a.time < b.time:
-            raise ConfigError(f"run lists snapshot time {b.time:.6f} more than once")
-        if a.u.grid != b.u.grid:
-            raise ConfigError(
-                f"snapshots t={a.time:.6f} and t={b.time:.6f} do not share one grid")
-    return Trajectory(tuple(snaps), config, termination), manifest
-
-
-def verify_manifest(run_dir: Path) -> bool:
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    for entry in manifest["outputs"]:
-        p = run_dir / entry["path"]
-        if not p.exists() or sha256_file(p) != entry["sha256"]:
-            return False
-    return True
+            data = (run_dir / name).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read snapshot {name}: {exc}") from None
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise ConfigError(f"snapshot {name} does not match its manifest digest")
+        try:
+            # the u column: what follows the comma of each row under the header
+            u = np.array([row.partition(b",")[2] for row in data.splitlines()[1:]], dtype=float)
+            snaps.append(State(t, Field(grid, u)))
+        except ValueError as exc:
+            raise ConfigError(f"snapshot {name}: {exc}") from None
+    try:
+        return Trajectory(tuple(snaps), config, termination), manifest
+    except ValueError as exc:
+        raise ConfigError(f"malformed run {run_dir}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # profiles and reports
 
 
-def write_profile(prefix: Path, profile: TWProfile, extras: dict | None = None) -> list[Path]:
+def write_profile(prefix: Path, profile: TWProfile, extras: dict | None = None) -> None:
     csv_path = Path(str(prefix) + ".csv")
     json_path = Path(str(prefix) + ".json")
     write_columns_csv(csv_path, ["xi", "U"], [profile.xi, profile.values])
@@ -191,7 +180,6 @@ def write_profile(prefix: Path, profile: TWProfile, extras: dict | None = None) 
     if extras:
         sidecar.update(extras)
     write_json(json_path, sidecar)
-    return [csv_path, json_path]
 
 
 def read_profile(prefix: Path) -> TWProfile:

@@ -20,7 +20,7 @@ bracket (c + 1) U + 7 U^2 - P(R(U)) once per profile, and u, the flux and
 P(R(u)) once per stack of snapshot rows (evolution._value_blocks), with one
 derivative and one Helmholtz solve per stack.  Rows and row sums equal their
 one-snapshot evaluations bitwise; the temporal factors rho and rho_t are
-evaluated per snapshot time.
+one array evaluation each per block of snapshot times.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def unsteady_weak_residual(
     near rho's support are taken a block of rows at a time (_value_blocks):
     one derivative and one Helmholtz solve per block give u, the flux and
     P(R(u)) of every row, which are paired with every bump.  rho and rho_t
-    are evaluated per snapshot time.
+    are one array evaluation each per block.
     """
     grid = traj.grid
     times = traj.times()
@@ -212,8 +212,8 @@ def unsteady_weak_residual(
         at = near[rows]
         ux = np.fft.irfft(tables["d1"] * np.fft.rfft(u), n)
         p = np.fft.irfft(tables["helmholtz"] * np.fft.rfft(_pointwise_reaction(u, ux)), n)
-        rho_v = np.array([float(rho.value(times[i])) for i in at])[:, None]
-        rho_t = np.array([float(rho.derivative(times[i], 1)) for i in at])[:, None]
+        rho_v = rho.value(times[at])[:, None]
+        rho_t = rho.derivative(times[at], 1)[:, None]
         flux = FLUX[1] * u + FLUX[2] * u**2
         for j in range(len(phis)):
             integrand = u * phi_v[j] * rho_t - flux * phi_x[j] * rho_v + p * phi_x[j] * rho_v

@@ -31,13 +31,19 @@ shared by both sides:
   ``max_slope_loop``, ``unsteady_residual_loop`` and
   ``steady_residual_loop`` (with ``reflect_loop`` and ``shift_field_loop``),
   the analyses one snapshot or one bump at a time: the bitwise reference for
-  the package's stacked analyses.
+  the package's stacked analyses;
+- ``sha256_file`` and ``verify_manifest``, digests of the files on disk:
+  the check of every manifest entry, where ``mase.storage.read_trajectory``
+  checks only the snapshots it reads.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -589,6 +595,8 @@ def unsteady_residual_loop(snapshots: Sequence[State], phis, rho) -> list[float]
     if grid.n_points % 2 == 0:
         d1[-1] = 0.0
     helm = 1.0 / (1.0 + k**2)
+    # the temporal factors as the package forms them, one array evaluation each
+    rho_v, rho_t = rho.value(times), rho.derivative(times, 1)
     slices = np.zeros((len(phis), len(times)))
     for i, s in enumerate(snapshots):
         if times[i] < t_lo - 2 * rho.width or times[i] > t_hi + 2 * rho.width:
@@ -597,12 +605,11 @@ def unsteady_residual_loop(snapshots: Sequence[State], phis, rho) -> list[float]
         ux = np.fft.irfft(d1 * np.fft.rfft(u), grid.n_points)
         r = 2.0 * u + 10.0 * u**2 - 2.0 * u**3 + 3.0 * u**4 - 7.0 * ux**2
         p = np.fft.irfft(helm * np.fft.rfft(r), grid.n_points)
-        rho_v = float(rho.value(times[i]))
-        rho_t = float(rho.derivative(times[i], 1))
         flux = 1.0 * u + 7.0 * u**2
         for j, phi in enumerate(phis):
             phi_v, phi_x = phi.value(x), phi.derivative(x, 1)
-            integrand = u * phi_v * rho_t - flux * phi_x * rho_v + p * phi_x * rho_v
+            integrand = (u * phi_v * rho_t[i] - flux * phi_x * rho_v[i]
+                         + p * phi_x * rho_v[i])
             slices[j, i] = grid.spacing * np.sum(integrand)
     return [float(np.trapezoid(row, times)) / (phi.mass() * rho.mass())
             for phi, row in zip(phis, slices)]
@@ -679,3 +686,21 @@ def reflection_bracket_check(u: Field, lam: float, phi: TestFunction) -> tuple[f
     lhs = float(h_fine * np.sum(_oversample(p_lam, _BRACKET_OVERSAMPLE) * phi_x))
     rhs = float(h_fine * np.sum(_oversample(p_u, _BRACKET_OVERSAMPLE) * phi_lam_x))
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# run directories
+
+
+def sha256_file(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def verify_manifest(run_dir: Path) -> bool:
+    """Whether every file the manifest lists exists with its listed digest."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    for entry in manifest["outputs"]:
+        p = run_dir / entry["path"]
+        if not p.exists() or sha256_file(p) != entry["sha256"]:
+            return False
+    return True

@@ -239,7 +239,7 @@ def test_acceptance_11_composite_waves():
 
 
 def test_acceptance_12_determinism(tmp_path):
-    from mase.storage import sha256_file
+    from oracles import sha256_file
 
     def tree(root: Path) -> dict:
         return {

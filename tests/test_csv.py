@@ -100,9 +100,8 @@ def test_manifest_digests_are_the_bytes_on_disk(tmp_path):
     grid = Grid(64, 20.0)
     u0 = Field(grid, 0.05 * np.exp(-((grid.points - 10.0) ** 2) / 4.0))
     traj = evolve([State(0.0, u0)], SolverConfig(t_end=0.5, snapshot_interval=0.125))[0]
-    extra = tmp_path / "breaking.json"
-    write_json(extra, {"detected": False})
-    manifest = write_trajectory(tmp_path, traj, {}, extra_outputs=[extra])
+    extra = {"breaking.json": write_json(tmp_path / "breaking.json", {"detected": False})}
+    manifest = write_trajectory(tmp_path, traj, {}, extra_outputs=extra)
     listed = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
     assert listed == manifest["outputs"]
     assert len(listed) == len(traj.snapshots) + 2

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import sha256_file
 
 from mase.cli import main, run_tw
-from mase.storage import sha256_file
 
 TW_CASES = {
     "solitary": {"speed": 1.2},
@@ -48,14 +48,14 @@ DIGESTS = {
         'periodic/profile_residuals.json': '83dc6b78c98e30d1afbea13d746100d5172da0deabcf7fea9bc5746da57b254b',
         'simulate/breaking.json': 'f751b1bcf302c110f0bd36f7e5c9c3dc9169ee6229c501de54020b431d106ddb',
         'simulate/diagnostics.csv': '90d53b43db5208427ab73628ea46f1edeb3768f1566b20958262e1cca9aaa594',
-        'simulate/manifest.json': 'bfe8b76dc42ca084f9bf2ce9b56167daee34bde37395e785e80b2a3d37ebafd2',
+        'simulate/manifest.json': '9e48f7316eda2b67993c95fc1617b544715ecf8bf045cc622823570d695083c1',
         'simulate/residuals.json': 'febe31093ee96bed8d632ff5103e80c308f914e19c8af359d0f0a9b5a2669090',
         'simulate/symmetry.json': '60c6a3039e0be0c7e54ce0fc9996cba512ed4d43de33dcf00add08433494abcd',
-        'simulate/t=0.000000.csv': '6ef248a45aac4bee66d2e2cdb49eb619f6b82454b83063415663a370877e4d13',
-        'simulate/t=0.250000.csv': '1f1c3908ebc4fae748fd12f91af309ae0f5d86948320e3b62ba4656b2eae85a1',
-        'simulate/t=0.500000.csv': '08044e45980195a534cb06b7570e80f6d7fe2f61506a1b93a53529e5060382cb',
-        'simulate/t=0.750000.csv': '1ee6d986e13666eb679a6232c06fc9c6642169b6a90953a25e2171ee0bd79f95',
-        'simulate/t=1.000000.csv': '40970f9a8c18197304c7dde7ab55f4615d59489edda390a4d9fb99c5f0c8bcbc',
+        'simulate/t=0.0.csv': '6ef248a45aac4bee66d2e2cdb49eb619f6b82454b83063415663a370877e4d13',
+        'simulate/t=0.25.csv': '1f1c3908ebc4fae748fd12f91af309ae0f5d86948320e3b62ba4656b2eae85a1',
+        'simulate/t=0.5.csv': '08044e45980195a534cb06b7570e80f6d7fe2f61506a1b93a53529e5060382cb',
+        'simulate/t=0.75.csv': '1ee6d986e13666eb679a6232c06fc9c6642169b6a90953a25e2171ee0bd79f95',
+        'simulate/t=1.0.csv': '40970f9a8c18197304c7dde7ab55f4615d59489edda390a4d9fb99c5f0c8bcbc',
         'solitary/profile.csv': '5d8ab4b0c233650d5aa3a71eef89e0f911e0a5ee6afae86ed699472e7a37ae17',
         'solitary/profile.json': '7f6ee6f8261f7abce4e8f940a438fcc5995046385400b018845145f4ad174691',
         'solitary/profile_residuals.json': '18fc8a05ff95da4a2a981b2e6d6b5d620ed5c32b7fd6e0874b5aceecc232a147',

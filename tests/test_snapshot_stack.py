@@ -6,7 +6,6 @@ replaced, one transform chain per snapshot or bump.  Every comparison here
 is exact: the stacks may save transform calls, never change a bit.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -30,7 +29,7 @@ from mase.errors import ConstantFieldError
 from mase.evolution import SolverConfig, Termination, Trajectory, _block_rows, detect_breaking, evolve
 from mase.grid import Field, Grid, State
 from mase.scenarios import build_initial_field, scenario_from_dict
-from mase.storage import write_columns_csv, write_trajectory
+from mase.storage import snapshot_filename, write_columns_csv, write_trajectory
 from mase.symmetry import _detect_axes, _reflected, _shifted, track_axis, verify_theorem
 from mase.traveling_wave import TWParams, level_roots, periodic_profile
 from mase.weakform import TestFunction, _steady_residuals, steady_residual_report, unsteady_weak_residual
@@ -134,7 +133,7 @@ def test_more_snapshots_than_one_block(gaussian_trajectory, tmp_path):
     manifest = write_trajectory(tmp_path / "run", traj, {"solver": {}})
     digests = {e["path"]: e["sha256"] for e in manifest["outputs"]}
     for s in traj.snapshots[:: rows - 1]:
-        name = f"t={s.time:.6f}.csv"
+        name = snapshot_filename(s.time)
         ref = write_columns_csv(tmp_path / "ref.csv", ["x", "u"], [grid.points, s.u.values])
         assert digests[name] == ref
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -314,11 +313,17 @@ def test_periodic_run_tw_solves_each_polynomial_once(tmp_path, monkeypatch):
 
 
 def test_run_with_snapshots_on_two_grids_exits_2(acceptance_12, tmp_path, capsys):
+    # a snapshot on another grid, listed with its own digest: the manifest's
+    # grid decides, and the snapshot does not fit it
     run = tmp_path / "run"
-    write_trajectory(run, acceptance_12, {"solver": dataclasses.asdict(acceptance_12.config)})
-    name = f"t={acceptance_12.snapshots[2].time:.6f}.csv"
+    write_trajectory(run, acceptance_12, ACCEPTANCE_12)
+    name = snapshot_filename(acceptance_12.snapshots[2].time)
     coarse = Grid(64, 40.0)
-    write_columns_csv(run / name, ["x", "u"], [coarse.points, gaussian(coarse, 20.0)])
+    digest = write_columns_csv(run / name, ["x", "u"], [coarse.points, gaussian(coarse, 20.0)])
+    manifest = json.loads((run / "manifest.json").read_text())
+    next(e for e in manifest["outputs"] if e["path"] == name)["sha256"] = digest
+    (run / "manifest.json").write_text(json.dumps(manifest))
     assert main(["symmetry", "--run", str(run)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: config:") and "one grid" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: config: snapshot {name}:")
+    assert "does not match grid size" in err[0]

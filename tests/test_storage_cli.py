@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import SingularLineError
+from oracles import SingularLineError, verify_manifest
 
 from mase import cli
 from mase.cli import main
@@ -22,12 +22,11 @@ from mase.errors import (
 )
 from mase.evolution import SolverConfig, Trajectory, evolve
 from mase.grid import Field, Grid, State
-from mase.scenarios import scenario_from_dict
+from mase.scenarios import build_initial_field, load_scenario, scenario_from_dict
 from mase.storage import (
     read_profile,
     read_trajectory,
     snapshot_filename,
-    verify_manifest,
     write_profile,
     write_trajectory,
 )
@@ -59,21 +58,24 @@ def test_trajectory_round_trip(tmp_path):
     x = grid.points
     u0 = Field(grid, 0.05 * np.exp(-((x - 10.0) ** 2) / 4.0))
     traj = evolve([State(0.0, u0)], SolverConfig(t_end=0.5, snapshot_interval=0.25))[0]
-    scenario = {"solver": {"t_end": 0.5, "snapshot_interval": 0.25}}
+    scenario = {"grid": dataclasses.asdict(grid), "solver": {"t_end": 0.5, "snapshot_interval": 0.25}}
     write_trajectory(tmp_path, traj, scenario)
     assert verify_manifest(tmp_path)
     loaded, manifest = read_trajectory(tmp_path)
     assert loaded.termination == traj.termination
+    assert loaded.grid == grid
     assert len(loaded.snapshots) == len(traj.snapshots)
     for a, b in zip(loaded.snapshots, traj.snapshots):
-        assert a.time == pytest.approx(b.time, abs=1e-12)
+        assert a.time == b.time
         # 12 significant digits in the CSV
         assert np.max(np.abs(a.u.values - b.u.values)) < 1e-11 * max(1.0, b.u.sup_norm())
 
 
 def test_snapshot_filename_format():
-    assert snapshot_filename(0.0) == "t=0.000000.csv"
-    assert snapshot_filename(2.5) == "t=2.500000.csv"
+    assert snapshot_filename(0.0) == "t=0.0.csv"
+    assert snapshot_filename(0.25) == "t=0.25.csv"
+    assert snapshot_filename(0.1 + 0.2) == "t=0.30000000000000004.csv"
+    assert snapshot_filename(1e-7) == "t=1e-07.csv"
 
 
 def test_manifest_detects_tampering(tmp_path):
@@ -230,7 +232,7 @@ def test_cli_symmetry_constant_run_exits_4(tmp_path, capsys):
 
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["termination"] == "completed"
-    snap = read_columns_csv(run_dir / "t=1.000000.csv")
+    snap = read_columns_csv(run_dir / "t=1.0.csv")
     assert np.all(snap["u"] == 0.0)
     code = main(["symmetry", "--run", str(run_dir)])
     assert code == 4
@@ -244,7 +246,8 @@ def test_cli_symmetry_on_a_run_scaled_past_the_squares_exits_5(tmp_path, capsys)
     scaled = Trajectory(tuple(State(s.time, Field(grid, 1e155 * s.u.values))
                               for s in traj.snapshots), traj.config, traj.termination)
     run_dir = tmp_path / "run"
-    write_trajectory(run_dir, scaled, {"solver": dataclasses.asdict(traj.config)})
+    write_trajectory(run_dir, scaled, {"grid": dataclasses.asdict(grid),
+                                       "solver": dataclasses.asdict(traj.config)})
     assert main(["symmetry", "--run", str(run_dir)]) == 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: non-finite-field:")
@@ -398,14 +401,16 @@ def test_cli_simulate_bad_file_initial_condition_exits_2(tmp_path, capsys, text)
     assert err.startswith("error: config:") and len(err.splitlines()) == 1
 
 
-def test_snapshot_name_collision_is_a_config_error(tmp_path, scenario_file, capsys):
+def test_snapshots_1e_7_apart_write_4_names_and_read_back(tmp_path, scenario_file):
     run_dir = tmp_path / "close"
-    argv = ["simulate", "--config", str(scenario_file), "--out", str(run_dir),
-            "--set", "solver.snapshot_interval=1e-7", "--set", "solver.t_end=3e-7"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config:") and "t=0.000000.csv" in err
-    assert not list(run_dir.glob("t=*.csv")) and not (run_dir / "manifest.json").exists()
+    settings = ["solver.snapshot_interval=1e-7", "solver.t_end=3e-7"]
+    argv = ["simulate", "--config", str(scenario_file), "--out", str(run_dir)]
+    assert main(argv + [a for setting in settings for a in ("--set", setting)]) == 0
+    assert len(list(run_dir.glob("t=*.csv"))) == 4
+    scenario = load_scenario(scenario_file, settings)
+    expected = evolve([State(0.0, build_initial_field(scenario))], scenario.solver)[0]
+    assert read_trajectory(run_dir)[0].times().tobytes() == expected.times().tobytes()
+    assert main(["symmetry", "--run", str(run_dir)]) == 0
 
 
 def test_read_trajectory_rejects_repeated_snapshot_times(tmp_path, scenario_file, capsys):
@@ -416,7 +421,7 @@ def test_read_trajectory_rejects_repeated_snapshot_times(tmp_path, scenario_file
     first = next(e for e in manifest["outputs"] if e["path"].startswith("t="))
     manifest["outputs"].append(first)
     mpath.write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError, match="more than once"):
+    with pytest.raises(ConfigError, match="snapshot times must be strictly increasing"):
         read_trajectory(run_dir)
     capsys.readouterr()
     for command in (["symmetry", "--run", str(run_dir)], ["weakform", "--run", str(run_dir)]):
@@ -500,6 +505,19 @@ def test_cli_rejects_flags_a_command_does_not_read(tmp_path, capsys, command, fl
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["tw", "--speed", "1.2"],
+    ["simulate", "--config", "missing.json"],
+    ["weakform", "--profile", "missing"],
+    ["sweep", "--config", "missing.json"],
+])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, command):
+    assert main([*command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: --seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_blow_up_keeps_the_run(tmp_path, capsys):
     # a CFL far beyond stability blows up within the first snapshot interval
     doc = {
@@ -528,7 +546,7 @@ def test_truncated_snapshot_is_a_config_error(tmp_path, scenario_file, capsys, r
     snap = sorted(run_dir.glob("t=*.csv"))[1]
     snap.write_text("".join(snap.read_text().splitlines(keepends=True)[:rows + 1]))
     capsys.readouterr()
-    with pytest.raises(ConfigError, match=f"snapshot {snap.name} is not a periodic grid sample"):
+    with pytest.raises(ConfigError, match=f"snapshot {snap.name} does not match its manifest digest"):
         read_trajectory(run_dir)
     assert main(["symmetry", "--run", str(run_dir)]) == 2
     err = capsys.readouterr().err
@@ -696,7 +714,7 @@ def _sweep_config(tmp_path):
 
 
 def _tree_digest(root: Path, skip=("run.log",)) -> dict:
-    from mase.storage import sha256_file
+    from oracles import sha256_file
 
     out = {}
     for p in sorted(root.rglob("*")):
