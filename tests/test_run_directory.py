@@ -41,8 +41,8 @@ def run_cli(argv) -> tuple[int, str, list[str]]:
     return code, out.getvalue(), err.getvalue().splitlines()
 
 
-def one_error(code: int, err: list[str], kind: str = "config") -> bool:
-    return code == 2 and len(err) == 1 and err[0].startswith(f"error: {kind}:")
+def one_error(code: int, err: list[str]) -> bool:
+    return code == 2 and len(err) == 1 and err[0].startswith("error: config:")
 
 
 @pytest.fixture()
@@ -135,14 +135,6 @@ def test_simulate_with_a_bad_tolerance_exits_2_before_writing(tmp_path, setting,
     assert one_error(code, err)
     assert err[0].startswith(f"error: config: {name} must be a finite positive number")
     assert not run_dir.exists()
-
-
-def test_a_scenario_file_with_a_string_tolerance_exits_2(tmp_path):
-    cfg = tmp_path / "abc.json"
-    cfg.write_text(json.dumps({**SMALL, "analysis": {"symmetry": True, "symmetry_tol": "abc"}}))
-    code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    assert one_error(code, err) and "analysis.symmetry_tol" in err[0] and "'abc'" in err[0]
-    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flag", ["--symmetry-tol", "--travel-tol"])

@@ -340,6 +340,15 @@ def test_cli_tw_periodic_skips_a_pair_across_the_singular_line(tmp_path, capsys)
     assert sidecar["period"] == pytest.approx(6.27353, abs=1e-5)
 
 
+@pytest.mark.parametrize("energy", [5e-324, -5e-324])
+def test_a_subnormal_level_gives_the_wave_of_level_zero(energy):
+    # the turning point near 0 rounds to 0.0, where the level is the subnormal E
+    ref = periodic_profile(TWParams(0.0, -1.0, 0.0), n_points=256)
+    prof = periodic_profile(TWParams(0.0, -1.0, energy), n_points=256)
+    assert prof.period == ref.period
+    assert np.max(np.abs(prof.values - ref.values)) <= 1e-15 * np.max(np.abs(ref.values))
+
+
 def test_roots_and_periodic_profiles_on_random_levels():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
