@@ -88,15 +88,15 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
             "sup_norm_history": [[t, v] for t, v in rep.sup_norm_history],
         })
     if analysis.get("symmetry", False):
-        p = run_dir / "symmetry.json"
         # given tolerances, checked as the scenario loaded; verify_theorem's defaults otherwise
         tols = {key: float(analysis[key]) for key in ("symmetry_tol", "travel_tol") if key in analysis}
         try:
-            extra[p.name] = write_json(p, symmetry_report_dict(verify_theorem(traj, **tols)))
+            report = symmetry_report_dict(verify_theorem(traj, **tols))
         except (ConstantFieldError, ValueError) as exc:
             # degenerate or truncated runs still complete; the dedicated
             # symmetry command surfaces the error as an exit code
-            extra[p.name] = write_json(p, {"error": str(exc)})
+            report = {"error": str(exc)}
+        extra["symmetry.json"] = write_json(run_dir / "symmetry.json", report)
     if analysis.get("weakform", False) and len(traj.snapshots) >= 4:
         extra["residuals.json"] = write_json(run_dir / "residuals.json",
                                              residual_report_dict(_unsteady_report(traj, seed)))

@@ -15,6 +15,7 @@ from numbers import Real
 
 import numpy as np
 
+from .errors import ConfigError
 from .grid import Field, Grid, State
 from .operators import FLUX, _rhs_spectrum, _rhs_tables, _spectral_tables
 
@@ -77,7 +78,7 @@ class Trajectory:
     def __post_init__(self):
         times = [s.time for s in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
+            raise ConfigError("snapshot times must be strictly increasing")
 
     @property
     def grid(self) -> Grid:

@@ -156,10 +156,7 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
             snaps.append(State(t, Field(grid, u)))
         except ValueError as exc:
             raise ConfigError(f"snapshot {name}: {exc}") from None
-    try:
-        return Trajectory(tuple(snaps), config, termination), manifest
-    except ValueError as exc:
-        raise ConfigError(f"malformed run {run_dir}: {exc}") from None
+    return Trajectory(tuple(snaps), config, termination), manifest
 
 
 # ---------------------------------------------------------------------------

@@ -677,10 +677,9 @@ def _periodic_wave(params: TWParams, u_mid: float, u_end: float, n_points: int,
     corner canceled (_slope_sq_parts), and a peaked wave's corner sample
     takes the slope of its left limit.
     """
-    # an end the solve did not resolve would end the orbit early; a level below
-    # the smallest normal double is resolved (a root of E ~ 5e-324 rounds to 0)
-    level = level_polynomial(params)
-    tiny = np.finfo(float).tiny
+    # an end the solve did not resolve would end the orbit early; a level below the
+    # smallest normal double is resolved (a root of E = 5e-324 rounds to 0.0)
+    level, tiny = level_polynomial(params), np.finfo(float).tiny
     if any(abs(level(u)) > 1e-9 * Polynomial(np.abs(level.coef))(abs(u)) + tiny for u in (u_mid, u_end)):
         raise _beyond_double_range(params)
     xi_k, u_k, v_k, _ = _segment_knots(params, u_mid, u_end)
