@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import re
 import sys
@@ -25,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConstantFieldError, MaseError, NonexistenceError
+from .errors import ConfigError, ConstantFieldError, MaseError, NonexistenceError, number
 from .evolution import detect_breaking, evolve
 from .grid import State
-from .scenarios import Scenario, apply_overrides, build_initial_field, load_scenario, scenario_from_dict, tolerance
+from .scenarios import Scenario, apply_overrides, build_initial_field, load_scenario, scenario_from_dict
 from .storage import (
     read_profile,
     read_trajectory,
@@ -89,7 +88,7 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
         })
     if analysis.get("symmetry", False):
         # given tolerances, checked as the scenario loaded; verify_theorem's defaults otherwise
-        tols = {key: float(analysis[key]) for key in ("symmetry_tol", "travel_tol") if key in analysis}
+        tols = {key: analysis[key] for key in ("symmetry_tol", "travel_tol") if key in analysis}
         try:
             report = symmetry_report_dict(verify_theorem(traj, **tols))
         except (ConstantFieldError, ValueError) as exc:
@@ -158,16 +157,12 @@ def cmd_simulate(args) -> int:
 
 def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
     """Construct the requested traveling wave and write CSV + JSON sidecar."""
-    try:
-        speed = float(doc["speed"])
-        a = float(doc.get("integration_constant", 0.0))
-        e = float(doc.get("energy", 0.0))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"tw needs a numeric speed, integration_constant and energy: {exc!r}")
-    for name, value in (("speed", speed), ("integration_constant", a), ("energy", e)):
-        if not np.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    speed = number("speed", doc.get("speed"))
+    a = number("integration_constant", doc.get("integration_constant", 0.0))
+    e = number("energy", doc.get("energy", 0.0))
     wave = doc.get("wave", "auto")
+    if wave not in ("auto", "solitary", "periodic", "peaked"):
+        raise ConfigError(f"unknown wave kind {wave!r}")
     if wave == "auto":
         wave = "solitary" if (a == 0.0 and e == 0.0) else "periodic"
     # the solitary wave fixes A = E = 0 and the peaked one fixes E
@@ -180,10 +175,8 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
         profile = solitary_profile(speed)
     elif wave == "periodic":
         profile = periodic_profile(TWParams(speed, a, e))
-    elif wave == "peaked":
-        profile = peaked_composite(speed, a)
     else:
-        raise ConfigError(f"unknown wave kind {wave!r}")
+        profile = peaked_composite(speed, a)
 
     params = profile.params
     # its sums can overflow where the wave itself does not
@@ -232,8 +225,8 @@ def cmd_tw(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
-    symmetry_tol = tolerance("--symmetry-tol", args.symmetry_tol)
-    travel_tol = tolerance("--travel-tol", args.travel_tol)
+    symmetry_tol = number("--symmetry-tol", args.symmetry_tol, positive=True)
+    travel_tol = number("--travel-tol", args.travel_tol, positive=True)
     traj, _ = read_trajectory(Path(args.run))
     if len(traj.snapshots) < 3:
         raise ConfigError("run has fewer than 3 snapshots")
@@ -314,19 +307,12 @@ def _failed(exc: MaseError) -> dict:
     return {"status": "error", "error": str(exc).replace(",", ";").replace("\n", " ")}
 
 
-def _is_finite_number(v: int | float) -> bool:
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the double range
-        return False
-
-
 def cmd_sweep(args) -> int:
     try:
         doc = json.loads(Path(args.config).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond Python's 4,300-digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     if args.set:
         doc = apply_overrides(doc, args.set)
@@ -338,8 +324,9 @@ def cmd_sweep(args) -> int:
     for key, values in sweep.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep values for {key!r} must be a non-empty list")
-        if not all(_is_finite_number(v) for v in values if isinstance(v, (int, float))):
-            raise ConfigError(f"sweep values for {key!r} must be finite")
+        for v in values:
+            if type(v) in (int, float):  # strings, booleans and null are left to each point
+                number(f"sweep.{key}", v)
 
     keys = sorted(sweep.keys())
     combos = list(product(*(sweep[k] for k in keys)))

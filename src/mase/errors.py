@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for numbers from outside."""
+
+import math
+import reprlib
 
 
 class MaseError(Exception):
@@ -31,3 +34,21 @@ class SupportError(MaseError, ValueError):
 
 class ConfigError(MaseError, ValueError):
     """Invalid scenario or solver configuration."""
+
+
+def number(name: str, raw, *, positive: bool = False, integer: bool = False):
+    """``raw`` unchanged if it is a finite number, else ConfigError naming ``name``.
+
+    A number is what JSON can hold: an int or a float, not a bool, a string or
+    null, and an int only if it fits in a double.  ``positive`` asks for a
+    value above 0 and ``integer`` for a whole one (64 or 64.0).
+    """
+    try:
+        ok = (isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw)
+              and (raw > 0 or not positive) and (float(raw).is_integer() or not integer))
+    except OverflowError:  # an int beyond the double range
+        ok = False
+    if not ok:
+        kind = f"a finite {'positive ' if positive else ''}{'whole ' if integer else ''}number"
+        raise ConfigError(f"{name} must be {kind}, got {reprlib.repr(raw)}")
+    return raw

@@ -11,11 +11,10 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, number
 from .grid import Field, Grid, State
 from .operators import FLUX, _rhs_spectrum, _rhs_tables, _spectral_tables
 
@@ -36,6 +35,11 @@ class Termination(str, Enum):
     BLOW_UP = "blow_up"
 
 
+# The most snapshots one run records: evolve lays out every snapshot time
+# before it steps, and each snapshot is one CSV file.
+MAX_SNAPSHOTS = 100_000
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping controls.
@@ -45,6 +49,8 @@ class SolverConfig:
     below dt_min or a step produces non-finite values.  cfl = 0.9 keeps
     dt times the frozen-coefficient spectral radius, at most cfl * pi, inside
     classical RK4's imaginary-axis stability interval |z| <= 2 sqrt(2).
+    Every setting is a finite positive number, kept as given; a run records
+    at most MAX_SNAPSHOTS snapshots after the initial one.
     """
 
     t_end: float
@@ -56,17 +62,14 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, Real) or isinstance(value, bool) or not np.isfinite(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
-        if not 0 < self.dt_min < self.dt_max:
-            raise ValueError("need 0 < dt_min < dt_max")
-        if not 0 < self.snapshot_interval <= self.t_end:
-            raise ValueError("need 0 < snapshot_interval <= t_end")
-        if self.cfl <= 0 or self.breaking_slope_threshold <= 0:
-            raise ValueError("cfl and breaking_slope_threshold must be positive")
+            number(f"solver.{f.name}", getattr(self, f.name), positive=True)
+        if not self.dt_min < self.dt_max:
+            raise ConfigError("need solver.dt_min < solver.dt_max")
+        if not self.snapshot_interval <= self.t_end:
+            raise ConfigError("need solver.snapshot_interval <= solver.t_end")
+        if self.t_end / self.snapshot_interval > MAX_SNAPSHOTS + 0.5:  # evolve rounds it
+            raise ConfigError(f"solver.t_end / solver.snapshot_interval asks for more than "
+                              f"{MAX_SNAPSHOTS} snapshots")
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteFieldError
+from .errors import ConfigError, NonFiniteFieldError, number
+
+# The largest grid: one field of 2**20 doubles is 8 MiB, so a mistyped size
+# is refused instead of asking for terabytes.  The tests use at most 8,192.
+MAX_POINTS = 2**20
 
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic spatial discretization.
 
-    n_points must be at least 16 (powers of two give the fastest FFTs);
-    length is the spatial period.
+    n_points is a whole number in [16, MAX_POINTS] (powers of two give the
+    fastest FFTs); length is the spatial period, a finite positive number.
     """
 
     n_points: int
     length: float
 
     def __post_init__(self):
-        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 16:
-            raise ValueError(f"n_points must be an integer >= 16, got {self.n_points!r}")
-        if not np.isfinite(self.length) or self.length <= 0:
-            raise ValueError(f"length must be a positive real, got {self.length!r}")
+        if not 16 <= number("grid.n_points", self.n_points, integer=True) <= MAX_POINTS:
+            raise ConfigError(f"grid.n_points must lie in [16, {MAX_POINTS}], got {self.n_points!r}")
+        number("grid.length", self.length, positive=True)
         object.__setattr__(self, "n_points", int(self.n_points))
         object.__setattr__(self, "length", float(self.length))
 

@@ -3,24 +3,28 @@
 A scenario is a plain JSON document; command-line ``--set key=value``
 overrides win over the file.  Initial-condition kinds: zero, gaussian
 (amplitude, center, width), mode (amplitude, wavenumber), tw_profile (speed),
-file (path to an x,u CSV).  The analysis tolerances ``symmetry_tol`` and
-``travel_tol`` must be finite positive numbers, checked when a scenario loads.
+file (path to an x,u CSV).  Every numeric setting follows ``errors.number``
+and the analysis toggles are JSON booleans, all checked when a scenario loads.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, number
 from .evolution import SolverConfig
 from .grid import Field, Grid
 from .traveling_wave import profile_to_field, solitary_profile
 
 _IC_KINDS = ("zero", "gaussian", "mode", "tw_profile", "file")
+# The largest initial |u|: near 2.8e76 the 3u^4 term of R(u) leaves the double
+# range, so a larger field cannot take one step, and its transforms overflow.
+MAX_AMPLITUDE = 1e76
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,7 @@ class Scenario:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
-        grid = Grid(int(doc["grid"]["n_points"]), float(doc["grid"]["length"]))
+        grid = Grid(**doc["grid"])
         initial = dict(doc.get("initial", {"kind": "zero"}))
         solver = SolverConfig(**doc["solver"])
         analysis = dict(doc.get("analysis", {}))
@@ -46,9 +50,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ConfigError(f"unknown initial condition kind {kind!r}; choose from {_IC_KINDS}")
     for key in ("symmetry_tol", "travel_tol"):
         if key in analysis:
-            tolerance(f"analysis.{key}", analysis[key])
+            number(f"analysis.{key}", analysis[key], positive=True)
+    for key in ("breaking", "symmetry", "weakform"):
+        if not isinstance(analysis.get(key, False), bool):
+            raise ConfigError(f"analysis.{key} must be true or false, "
+                              f"got {reprlib.repr(analysis[key])}")
     sc = Scenario(grid, initial, solver, analysis)
-    build_initial_field(sc)  # validate parameters eagerly
+    peak = build_initial_field(sc).sup_norm()  # validate parameters eagerly
+    if peak > MAX_AMPLITUDE:
+        raise ConfigError(f"the initial field reaches max|u| = {peak:g}, above {MAX_AMPLITUDE:g}")
     return sc
 
 
@@ -57,7 +67,7 @@ def load_scenario(path: Path, overrides: list[str] | None = None) -> Scenario:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond Python's 4,300-digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     if overrides:
         doc = apply_overrides(doc, overrides)
@@ -72,7 +82,7 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer beyond the 4,300-digit limit
             value = raw
         node = out
         parts = key.split(".")
@@ -84,41 +94,17 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return out
 
 
-def tolerance(name: str, raw) -> float:
-    """``raw`` as a finite positive float; anything else raises ConfigError naming ``name``."""
-    try:
-        if np.isfinite(value := float(raw)) and value > 0:
-            return value
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must be a finite positive number, got {raw!r}")
-
-
 def _periodic_gaussian(grid: Grid, amplitude: float, center: float, width: float) -> np.ndarray:
     d = np.mod(grid.points - center + grid.length / 2, grid.length) - grid.length / 2
-    return amplitude * np.exp(-(d * d) / (2.0 * width * width))
+    with np.errstate(over="ignore"):  # d * d beyond the double range: exp(-inf) = 0 is exact
+        return amplitude * np.exp(-(d * d) / (2.0 * width * width))
 
 
-def _setting(ic: dict, key: str, default: float | None = None) -> float:
-    """initial.<key> as a finite float (``default`` when absent, if given).
-
-    A missing, non-numeric or non-finite value, or an integer beyond the
-    double range, raises ConfigError naming the setting.
-    """
+def _setting(ic: dict, key: str, default: float | None = None, **kind) -> float:
+    """initial.<key> checked by ``errors.number`` (``default`` when absent, if given)."""
     if key not in ic and default is None:
         raise ConfigError(f"{ic['kind']} initial condition needs initial.{key}")
-    raw = ic.get(key, default)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"initial.{key} must be a number, got {raw!r}") from None
-    except OverflowError:
-        raise ConfigError(
-            f"initial.{key} must be a finite number, got an integer beyond the double range"
-        ) from None
-    if not np.isfinite(value):
-        raise ConfigError(f"initial.{key} must be a finite number, got {value}")
-    return value
+    return number(f"initial.{key}", ic.get(key, default), **kind)
 
 
 def build_initial_field(scenario: Scenario) -> Field:
@@ -138,12 +124,11 @@ def build_initial_field(scenario: Scenario) -> Field:
         return Field(grid, _periodic_gaussian(grid, amplitude, center, width))
     if kind == "mode":
         amplitude = _setting(ic, "amplitude")
-        wavenumber = _setting(ic, "wavenumber")
-        if not wavenumber.is_integer():
-            raise ConfigError(f"initial.wavenumber must be an integer, got {wavenumber}")
+        wavenumber = _setting(ic, "wavenumber", integer=True)
+        if not 1 <= wavenumber < grid.n_points // 3:
+            raise ConfigError(f"wavenumber {wavenumber!r} outside the resolved band "
+                              f"[1, {grid.n_points // 3})")
         m = int(wavenumber)
-        if not 1 <= m < grid.n_points // 3:
-            raise ConfigError(f"wavenumber {m} outside the resolved band [1, {grid.n_points // 3})")
         k = 2.0 * np.pi * m / grid.length
         return Field(grid, amplitude * np.sin(k * grid.points))
     if kind == "tw_profile":
@@ -153,8 +138,8 @@ def build_initial_field(scenario: Scenario) -> Field:
     if kind == "file":
         from .storage import read_columns_csv
 
-        if "path" not in ic:
-            raise ConfigError("file initial condition needs a path")
+        if not isinstance(ic.get("path"), str):
+            raise ConfigError("file initial condition needs initial.path, a string")
         cols = read_columns_csv(Path(ic["path"]), require=("u",))
         if len(cols["u"]) != grid.n_points:
             raise ConfigError(

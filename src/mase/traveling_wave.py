@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import ConfigError, NonexistenceError
+from .errors import ConfigError, NonexistenceError, number
 from .grid import Field, Grid
 from .operators import FLUX, REACTION
 
@@ -71,10 +71,7 @@ class TWParams:
 
     def __post_init__(self):
         for name in ("speed", "integration_constant", "energy"):
-            val = float(getattr(self, name)) + 0.0
-            if not np.isfinite(val):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, float(number(name, getattr(self, name))) + 0.0)
 
 
 class Regularity(str, Enum):

@@ -1,10 +1,12 @@
-"""A run directory round-trips exactly, and the commands that read one refuse
-what does not fit it in one line.
+"""A run directory round-trips exactly, and the commands that read or write
+one refuse what does not fit in one line.
 
 The snapshot names carry the exact times, the manifest the grid, and the
-manifest digests the snapshot bytes; the fuzz gates drive ``symmetry`` and
-``weakform`` on one written run and ``simulate`` over the ``analysis``
-settings with values no run should take.
+manifest digests the snapshot bytes.  Every number from outside follows one
+rule (``errors.number``).  The fuzz gates drive ``symmetry`` and ``weakform``
+on one written run, ``simulate`` over its ``analysis``, ``grid``, ``solver``
+and ``initial`` settings, and ``sweep`` over its values, all with values no
+run should take.
 """
 
 import contextlib
@@ -17,8 +19,9 @@ import numpy as np
 import pytest
 
 from mase.cli import main
-from mase.evolution import evolve
-from mase.grid import State
+from mase.errors import ConfigError, number
+from mase.evolution import MAX_SNAPSHOTS, SolverConfig, evolve
+from mase.grid import MAX_POINTS, Grid, State
 from mase.scenarios import build_initial_field, scenario_from_dict
 from mase.storage import read_trajectory, write_trajectory
 
@@ -148,6 +151,107 @@ def test_symmetry_with_a_bad_tolerance_flag_exits_2(small_run, flag, value):
 
 
 # ---------------------------------------------------------------------------
+# the one rule for numbers from outside
+
+
+@pytest.mark.parametrize("raw", [0.5, 3, -0.0, -7, 1e308, 2**1023, 5e-324])
+def test_number_returns_a_finite_number_unchanged(raw):
+    assert number("x", raw) is raw
+
+
+@pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf, 2**1024, -(10**400), True, False,
+                                 "1", "nan", None, [1], {}])
+def test_number_refuses_everything_else_naming_the_setting(raw):
+    with pytest.raises(ConfigError, match=r"^solver\.t_end must be a finite number, got "):
+        number("solver.t_end", raw)
+
+
+@pytest.mark.parametrize("raw, kind, words", [
+    (0, {"positive": True}, "a finite positive number"),
+    (-1e-300, {"positive": True}, "a finite positive number"),
+    (64.7, {"integer": True}, "a finite whole number"),
+    (0.5, {"positive": True, "integer": True}, "a finite positive whole number"),
+])
+def test_number_positive_and_integer(raw, kind, words):
+    assert number("n", 64.0, **kind) == 64.0 and number("n", 64, **kind) == 64
+    with pytest.raises(ConfigError, match=f"^n must be {words}, got "):
+        number("n", raw, **kind)
+
+
+def test_value_types_keep_their_given_numbers_and_raise_config_errors():
+    # integer solver values stay integers, so their manifest bytes do not move
+    assert repr(SolverConfig(t_end=10, snapshot_interval=1).t_end) == "10"
+    # the grid stores an int size and a float length, as before
+    grid = Grid(64.0, 20)
+    assert (repr(grid.n_points), repr(grid.length)) == ("64", "20.0")
+    for make in (lambda: Grid(64.7, 20.0), lambda: Grid(64, "20"),
+                 lambda: SolverConfig(t_end="1", snapshot_interval=0.5)):
+        with pytest.raises(ConfigError):  # still a ValueError for the Python API
+            make()
+
+
+def test_the_grid_and_the_snapshot_count_are_capped():
+    assert Grid(MAX_POINTS, 1.0).n_points == MAX_POINTS
+    with pytest.raises(ConfigError, match=r"^grid\.n_points must lie in \[16, 1048576\]"):
+        Grid(MAX_POINTS + 1, 1.0)
+    assert SolverConfig(t_end=1.0, snapshot_interval=1.0 / MAX_SNAPSHOTS)
+    with pytest.raises(ConfigError, match=f"more than {MAX_SNAPSHOTS} snapshots"):
+        SolverConfig(t_end=1.0, snapshot_interval=1.0 / (MAX_SNAPSHOTS + 1))
+
+
+@pytest.mark.parametrize("settings, name", [
+    (['analysis.breaking="False"'], "analysis.breaking"),
+    (["analysis.weakform=False"], "analysis.weakform"),   # not JSON: the string "False"
+    (["analysis.symmetry=1"], "analysis.symmetry"),
+    (["grid.n_points=64.7"], "grid.n_points"),
+    (['grid.n_points="64"'], "grid.n_points"),
+    (["grid.length=true"], "grid.length"),
+    (["initial.amplitude=true"], "initial.amplitude"),
+    (['solver.t_end="1"'], "solver.t_end"),
+    (['analysis.travel_tol="1e-3"'], "analysis.travel_tol"),
+    (['initial.kind="file"', "initial.path=5"], "initial.path"),
+    # beyond Python's 4,300-digit limit for int(), so not JSON: the string
+    (["grid.n_points=" + "9" * 5000], "grid.n_points"),
+    # the caps: neither allocates the size it would have asked for
+    (["grid.n_points=1000000000000"], "grid.n_points"),
+    (["solver.snapshot_interval=1e-15"], "solver.snapshot_interval"),
+    (["initial.amplitude=1e308"], "max|u|"),
+])
+def test_simulate_refuses_a_value_outside_the_rule_before_writing(tmp_path, settings, name):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(SMALL))
+    run_dir = tmp_path / "run"
+    argv = ["simulate", "--config", str(cfg), "--out", str(run_dir)]
+    for setting in settings:
+        argv += ["--set", setting]
+    code, _, err = run_cli(argv)
+    assert one_error(code, err) and name in err[0]
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_config_with_an_integer_beyond_the_digit_limit_exits_2(tmp_path, command):
+    cfg = tmp_path / "long.json"
+    doc = SMALL if command == "simulate" else {"base": SMALL, "sweep": {"initial.amplitude": [0]}}
+    cfg.write_text(json.dumps(doc).replace("0.05", "9" * 5000))
+    code, _, err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert one_error(code, err) and err[0].startswith("error: config: config is not valid JSON")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_tw_sweep_point_with_a_boolean_speed_is_that_points_error(tmp_path):
+    cfg = tmp_path / "tw.json"
+    cfg.write_text(json.dumps({"command": "tw", "base": {}, "sweep": {"speed": [True, 1.2]}}))
+    code, _, err = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
+    assert code == 0 and not err
+    rows = (tmp_path / "sweep" / "aggregate.csv").read_text().splitlines()[1:]
+    assert rows[0].startswith("point_0000,true,error,")
+    assert rows[0].endswith("speed must be a finite number; got True")
+    assert ",ok,smooth_solitary," in rows[1]
+    assert not (tmp_path / "sweep" / "point_0000").exists()
+
+
+# ---------------------------------------------------------------------------
 # fuzz gates; any RuntimeWarning fails the suite (pyproject's filterwarnings)
 
 
@@ -208,5 +312,92 @@ def test_simulate_analysis_fuzz_ends_in_a_run_or_one_error_line(tmp_path):
             assert one_error(code, err)
         else:
             assert not err and out.startswith("run written to ")
+
+    check()
+
+
+# values no setting should take, as JSON text
+ODD_VALUES = ["NaN", "Infinity", "-Infinity", "0", "-1", "1e308", HUGE_INT, '"abc"', "true",
+              "null", "64.7"]
+FUZZED = {
+    "grid": ["n_points", "length"],
+    "solver": ["t_end", "snapshot_interval", "cfl", "dt_max", "dt_min", "breaking_slope_threshold"],
+    "initial": ["amplitude", "width", "center", "wavenumber", "speed"],
+}
+# one base per initial-condition kind with numeric settings
+BASES = [
+    {**SMALL, "solver": {"t_end": 0.5, "snapshot_interval": 0.125}},
+    {**SMALL, "initial": {"kind": "mode", "amplitude": 0.05, "wavenumber": 2},
+     "solver": {"t_end": 0.5, "snapshot_interval": 0.125}},
+    {**SMALL, "initial": {"kind": "tw_profile", "speed": 1.2},
+     "solver": {"t_end": 0.5, "snapshot_interval": 0.125}},
+]
+
+
+def _ends_in_a_result_or_one_error_line(code: int, out: str, err: list[str], written: str) -> None:
+    if code:
+        assert code in (2, 3, 4, 5) and len(err) == 1 and err[0].startswith("error: "), err
+    else:
+        assert not err and out.startswith(written)
+
+
+def test_simulate_settings_fuzz_ends_in_a_run_or_one_error_line(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    setting = st.sampled_from([f"{section}.{key}" for section, keys in FUZZED.items()
+                               for key in keys])
+    # at most one setting per section: t_end and snapshot_interval both 1e308
+    # is a valid run that never ends
+    settings = st.lists(st.tuples(setting, st.sampled_from(ODD_VALUES)), min_size=1, max_size=2,
+                        unique_by=lambda item: item[0].split(".")[0])
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(base=st.sampled_from(range(len(BASES))), settings=settings)
+    @hypothesis.example(base=0, settings=[("grid.length", "1e308")])
+    @hypothesis.example(base=1, settings=[("initial.amplitude", "1e308")])
+    @hypothesis.example(base=0, settings=[("solver.t_end", "1e308")])
+    def check(base, settings):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(BASES[base]))
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        for key, value in settings:
+            argv += ["--set", f"{key}={value}"]
+        code, out, err = run_cli(argv)
+        _ends_in_a_result_or_one_error_line(code, out, err, "run written to ")
+
+    check()
+
+
+def test_sweep_values_fuzz_ends_in_a_table_or_one_error_line(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    simulate_keys = [f"{section}.{key}" for section, keys in FUZZED.items() for key in keys]
+    tw_keys = ["speed", "integration_constant", "energy", "wave"]
+    values = st.lists(st.sampled_from(ODD_VALUES + ["1.2", '"periodic"']), min_size=1, max_size=2)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(command=st.sampled_from(["simulate", "tw"]), data=st.data())
+    def check(command, data):
+        if command == "simulate":
+            base = BASES[data.draw(st.sampled_from(range(len(BASES))))]
+            key = data.draw(st.sampled_from(simulate_keys))
+        else:
+            base, key = {"speed": 1.2}, data.draw(st.sampled_from(tw_keys))
+        drawn = data.draw(values)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text('{"command": "%s", "base": %s, "sweep": {"%s": [%s]}}'
+                       % (command, json.dumps(base), key, ", ".join(drawn)))
+        sweep_dir = tmp_path / "sweep"
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--out", str(sweep_dir)])
+        _ends_in_a_result_or_one_error_line(code, out, err, "sweep of ")
+        if code:
+            # only a swept number outside the double's finite range stops the sweep
+            assert {"NaN", "Infinity", "-Infinity", HUGE_INT} & set(drawn)
+            assert err[0].startswith(f"error: config: sweep.{key} must be a finite number")
+        else:
+            rows = (sweep_dir / "aggregate.csv").read_text().splitlines()[1:]
+            assert len(rows) == len(drawn)
 
     check()

@@ -308,7 +308,8 @@ def test_cli_tw_non_finite_arguments_exit_2(tmp_path, capsys, flag, value):
     argv = ["tw", "--speed", "1.2", f"{flag}={value}", "--out", str(tmp_path / "tw")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config:") and "must be finite" in err
+    name = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: config: {name} must be a finite number")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "tw").exists()
 
@@ -437,8 +438,8 @@ def test_cli_non_finite_solver_setting_exits_2(tmp_path, scenario_file, capsys, 
     argv = ["simulate", "--config", str(scenario_file), "--out", str(run_dir), "--set", setting]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    name = setting.split("=")[0].split(".")[1]
-    assert err.startswith(f"error: config: invalid scenario: {name} must be a finite number")
+    name = setting.split("=")[0]
+    assert err.startswith(f"error: config: {name} must be a finite positive number")
     assert len(err.splitlines()) == 1
     assert not run_dir.exists()
 
@@ -804,7 +805,7 @@ def test_sweep_tw_non_numeric_point_is_recorded_as_error(tmp_path):
     sweep_dir = tmp_path / "twbad"
     assert main(["sweep", "--config", str(cfg), "--out", str(sweep_dir)]) == 0
     rows = (sweep_dir / "aggregate.csv").read_text().splitlines()[1:]
-    assert rows[0].startswith('point_0000,"abc",error,') and "numeric speed" in rows[0]
+    assert rows[0].startswith('point_0000,"abc",error,') and "speed must be a finite number" in rows[0]
     assert ",ok,smooth_solitary," in rows[1]
 
 
@@ -820,7 +821,7 @@ def test_sweep_non_finite_value_exits_2(tmp_path, capsys, value):
     cfg.write_text('{"base": {}, "sweep": {"initial.amplitude": [0.01, %s]}}' % value)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config: sweep values for 'initial.amplitude' must be finite")
+    assert err.startswith("error: config: sweep.initial.amplitude must be a finite number")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "x").exists()
 

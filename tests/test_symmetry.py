@@ -130,6 +130,32 @@ def test_detect_axis_on_constructed_symmetric(grid, rng):
     assert asymmetry < 1e-8
 
 
+def test_detect_axes_finds_the_axis_of_random_even_fields_and_their_shifts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(n=st.sampled_from([32, 64, 128, 256, 512]), length=st.floats(1.0, 300.0),
+                      axis=st.floats(0.0, 1.0, exclude_max=True), modes=st.integers(1, 12),
+                      shifts=st.lists(st.floats(-1.0, 1.0), max_size=3), seed=st.integers(0, 2**32 - 1))
+    def check(n, length, axis, modes, shifts, seed):
+        # sum_k c_k cos(k (x - a)) over the lowest modes, each |c_k| at least
+        # its decay, so no mode vanishes and the field has no second period
+        grid = Grid(n, length)
+        rng = np.random.default_rng(seed)
+        m = np.arange(1, min(modes, n // 8) + 1)
+        coef = rng.choice([-1.0, 1.0], m.size) * (1.0 + rng.random(m.size)) * np.exp(-m / m.size)
+        a = axis * length
+        even = np.cos(np.outer(grid.points - a, 2.0 * np.pi * m / length)) @ coef
+        moves = length * np.append(0.0, shifts)
+        axes, asymmetry, _ = _detect_axes(_shifted(even, grid, moves), grid)
+        d = np.mod(axes - (a + moves), length / 2)
+        assert np.all(np.minimum(d, length / 2 - d) < 1e-9 * length)
+        assert np.all(asymmetry < 1e-10)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # track_axis
 
