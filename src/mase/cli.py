@@ -27,7 +27,8 @@ from . import __version__
 from .errors import ConfigError, ConstantFieldError, MaseError, NonexistenceError, number
 from .evolution import detect_breaking, evolve
 from .grid import State
-from .scenarios import Scenario, apply_overrides, build_initial_field, load_scenario, scenario_from_dict
+from .scenarios import (Scenario, apply_overrides, build_initial_field, load_scenario, read_config,
+                        scenario_from_dict)
 from .storage import (
     read_profile,
     read_trajectory,
@@ -308,12 +309,7 @@ def _failed(exc: MaseError) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}")
-    except ValueError as exc:  # also an integer beyond Python's 4,300-digit limit
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    doc = read_config(args.config)
     if args.set:
         doc = apply_overrides(doc, args.set)
     command = doc.get("command", "simulate")

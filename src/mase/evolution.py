@@ -38,6 +38,9 @@ class Termination(str, Enum):
 # The most snapshots one run records: evolve lays out every snapshot time
 # before it steps, and each snapshot is one CSV file.
 MAX_SNAPSHOTS = 100_000
+# The largest t_end / dt_max, the fewest steps a run can take: a run that
+# needs more would not end in reasonable time.  The tests go up to 600.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,8 @@ class SolverConfig:
     dt times the frozen-coefficient spectral radius, at most cfl * pi, inside
     classical RK4's imaginary-axis stability interval |z| <= 2 sqrt(2).
     Every setting is a finite positive number, kept as given; a run records
-    at most MAX_SNAPSHOTS snapshots after the initial one.
+    at most MAX_SNAPSHOTS snapshots after the initial one, and t_end / dt_max
+    is at most MAX_STEPS.
     """
 
     t_end: float
@@ -70,6 +74,8 @@ class SolverConfig:
         if self.t_end / self.snapshot_interval > MAX_SNAPSHOTS + 0.5:  # evolve rounds it
             raise ConfigError(f"solver.t_end / solver.snapshot_interval asks for more than "
                               f"{MAX_SNAPSHOTS} snapshots")
+        if not self.t_end / self.dt_max <= MAX_STEPS:
+            raise ConfigError(f"solver.t_end / solver.dt_max asks for more than {MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ from .errors import ConfigError, NonFiniteFieldError, number
 # The largest grid: one field of 2**20 doubles is 8 MiB, so a mistyped size
 # is refused instead of asking for terabytes.  The tests use at most 8,192.
 MAX_POINTS = 2**20
+# The largest wavenumber pi/h: the third-derivative table holds (pi/h)^3,
+# which must stay below the largest double (its cube root is 5.6e102).
+MAX_WAVENUMBER = 1e102
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,8 @@ class Grid:
     """Uniform periodic spatial discretization.
 
     n_points is a whole number in [16, MAX_POINTS] (powers of two give the
-    fastest FFTs); length is the spatial period, a finite positive number.
+    fastest FFTs); length is the spatial period, a finite positive number
+    with pi * n_points / length at most MAX_WAVENUMBER.
     """
 
     n_points: int
@@ -33,6 +37,10 @@ class Grid:
         if not 16 <= number("grid.n_points", self.n_points, integer=True) <= MAX_POINTS:
             raise ConfigError(f"grid.n_points must lie in [16, {MAX_POINTS}], got {self.n_points!r}")
         number("grid.length", self.length, positive=True)
+        if not np.pi * self.n_points / self.length <= MAX_WAVENUMBER:
+            raise ConfigError(f"grid.length must be at least pi * {self.n_points} / "
+                              f"{MAX_WAVENUMBER:g} = {np.pi * self.n_points / MAX_WAVENUMBER:.3g} "
+                              f"for {self.n_points} points, got {self.length!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
         object.__setattr__(self, "length", float(self.length))
 

@@ -62,13 +62,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return sc
 
 
-def load_scenario(path: Path, overrides: list[str] | None = None) -> Scenario:
+def read_config(path: Path):
+    """The JSON document at ``path``; one that cannot be read or parsed is a ConfigError."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        return json.loads(Path(path).read_text())
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}")
     except ValueError as exc:  # also an integer beyond Python's 4,300-digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
+
+
+def load_scenario(path: Path, overrides: list[str] | None = None) -> Scenario:
+    doc = read_config(path)
     if overrides:
         doc = apply_overrides(doc, overrides)
     return scenario_from_dict(doc)

@@ -27,7 +27,6 @@ square-root substitution and tabulates any other end plainly in U.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -235,26 +234,12 @@ def level_roots(params: TWParams) -> tuple[tuple[float, ...], tuple[float, ...]]
 
 
 # ---------------------------------------------------------------------------
-# piecewise-cubic interpolants
+# the piecewise-cubic interpolant
 #
 # Coefficients, interval search and evaluation order follow scipy's
-# CubicHermiteSpline / PPoly, and the slopes follow PchipInterpolator, so the
-# profiles are bitwise equal to the scipy-built ones (tests/test_interp.py
-# holds that) without importing scipy at run time.
-
-
-def _checked_knots(x, *arrays) -> tuple[np.ndarray, ...]:
-    x = np.asarray(x, dtype=np.float64)
-    arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
-    if x.ndim != 1 or len(x) < 2:
-        raise ValueError("knots must be a 1-d array of at least 2 points")
-    if any(a.shape != x.shape for a in arrays):
-        raise ValueError("knot data must match the knots in shape")
-    if not all(np.all(np.isfinite(a)) for a in (x,) + arrays):
-        raise ValueError("knots and knot data must be finite")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("knots must be strictly increasing")
-    return (x,) + arrays
+# CubicHermiteSpline / PPoly, so the profiles are bitwise equal to the
+# scipy-built ones (tests/test_interp.py holds that) without importing scipy
+# at run time.
 
 
 class _PiecewiseCubic:
@@ -265,7 +250,15 @@ class _PiecewiseCubic:
     """
 
     def __init__(self, x, y, dydx):
-        x, y, dydx = _checked_knots(x, y, dydx)
+        x, y, dydx = (np.asarray(a, dtype=np.float64) for a in (x, y, dydx))
+        if x.ndim != 1 or len(x) < 2:
+            raise ValueError("knots must be a 1-d array of at least 2 points")
+        if y.shape != x.shape or dydx.shape != x.shape:
+            raise ValueError("knot data must match the knots in shape")
+        if not all(np.all(np.isfinite(a)) for a in (x, y, dydx)):
+            raise ValueError("knots and knot data must be finite")
+        if np.any(np.diff(x) <= 0):
+            raise ValueError("knots must be strictly increasing")
         dx = np.diff(x)
         slope = np.diff(y) / dx
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
@@ -283,45 +276,6 @@ class _PiecewiseCubic:
             res += row[i] * z
             z *= s
         return res
-
-    def derivative(self) -> "_PiecewiseCubic":
-        out = copy.copy(self)
-        out.c = self.c[:-1] * np.arange(len(self.c) - 1, 0, -1.0)[:, None]
-        return out
-
-
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point end slope, held to the data's shape (Moler's pchiptx)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(x, y) -> _PiecewiseCubic:
-    """Monotone piecewise cubic through (x, y) (PCHIP, Fritsch & Carlson).
-
-    The knot slope is zero at extrema and next to flat segments and the
-    weighted harmonic mean of the adjacent secants elsewhere; two points
-    give the chord.
-    """
-    x, y = _checked_knots(x, y)
-    h = x[1:] - x[:-1]
-    m = (y[1:] - y[:-1]) / h
-    if len(x) == 2:
-        return _PiecewiseCubic(x, y, np.array([m[0], m[0]]))
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d = np.zeros_like(y)
-    d[1:-1][~flat] = 1.0 / whmean[~flat]
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return _PiecewiseCubic(x, y, d)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +448,6 @@ def solitary_profile(c: float, branch: str = "auto") -> TWProfile:
         )
 
     if contact is not None:
-        num, den = _slope_sq_parts(params, (contact,))
         if _is_root(level, contact):  # the level passes through: a corner
             if force_poly(params)(contact) >= 0:
                 raise NonexistenceError(
@@ -504,7 +457,6 @@ def solitary_profile(c: float, branch: str = "auto") -> TWProfile:
         else:
             regularity = Regularity.CUSPED
         u_top = contact
-        u_head, xi_head = _end_knots(num, den, contact, 0.5 * contact, 800)
     else:
         u_top = first_root
         if not _traversable(params, *sorted((0.0, u_top)), [0.0, u_top]):
@@ -512,14 +464,18 @@ def solitary_profile(c: float, branch: str = "auto") -> TWProfile:
                 f"level is not traversable between 0 and {u_top:.6g} at speed {c}"
             )
         regularity = Regularity.SMOOTH_SOLITARY
-        u_head, xi_head = _end_knots(level, uxx_coeff_poly(params), u_top, 0.5 * u_top, 320)
+    num, den = _slope_sq_parts(params, (u_top,))
+    n_head = 320 if regularity is Regularity.SMOOTH_SOLITARY else 800
+    u_head, xi_head = _end_knots(num, den, u_top, 0.5 * u_top, n_head)
     kappa = float(np.sqrt(-fprime0 / d0))  # saddle decay rate
-    return _solitary_from_head(params, u_top, xi_head, u_head, regularity, kappa)
+    return _solitary_from_head(params, u_top, num, den, xi_head, u_head, regularity, kappa)
 
 
 def _solitary_from_head(
     params: TWParams,
     u_top: float,
+    num: Polynomial,
+    den: Polynomial,
     xi_head: np.ndarray,
     u_head: np.ndarray,
     regularity: Regularity,
@@ -527,12 +483,15 @@ def _solitary_from_head(
 ) -> TWProfile:
     """Solitary profile from its tabulated head, crest ``u_top`` down to u_top/2.
 
+    ``num`` and ``den`` are the squared slope's parts (_slope_sq_parts).
+
     Appends the saddle tail U = (u_top/2) exp(-tau) down to 1e-9 |u_top|,
-    interpolates (cubic Hermite on the exact slopes for smooth waves, PCHIP
-    at a singular contact), continues analytically with the saddle decay rate
-    ``kappa`` beyond the table, and samples 4096 points over a window whose
-    edges sit where the tail reaches 1e-7 |u_top|.  A speed so large that
-    no positive window or no increasing knots exist is a ConfigError.
+    interpolates by cubic Hermite on the exact slopes (a cusp's crest knot
+    takes the chord of its panel), continues analytically with the saddle
+    decay rate ``kappa`` beyond the table, and samples 4096 points over a
+    window whose edges sit where the tail reaches 1e-7 |u_top|.  A speed so
+    large that no positive window or no increasing knots exist is a
+    ConfigError.
     """
     sign = np.sign(u_top)
     u_mid = 0.5 * u_top
@@ -557,12 +516,13 @@ def _solitary_from_head(
     # below c ~ -3e12 the cusped tail is shorter than ln(100)/kappa
     if not (window > 0 and np.all(np.diff(xi_knots) > 0)):
         raise _beyond_double_range(params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_knots = -sign * np.sqrt(np.abs(num(u_knots) / den(u_knots)))
     if regularity is Regularity.SMOOTH_SOLITARY:
-        v_knots = -sign * np.sqrt(np.abs(slope_squared(u_knots, params)))
         v_knots[0] = 0.0
-        interp = _PiecewiseCubic(xi_knots, u_knots, v_knots)
-    else:
-        interp = _pchip(xi_knots, u_knots)
+    elif regularity is Regularity.CUSPED:  # unbounded at the crest: the first head panel's chord
+        v_knots[0] = (u_knots[1] - u_knots[0]) / (xi_knots[1] - xi_knots[0])
+    interp = _PiecewiseCubic(xi_knots, u_knots, v_knots)
 
     def evaluator(x: np.ndarray) -> np.ndarray:
         s = np.abs(np.asarray(x, dtype=np.float64))
@@ -574,13 +534,11 @@ def _solitary_from_head(
 
     xi = (np.arange(4096) - 2048) * (window / 4096)
     values = evaluator(xi)
-    # the slope is unbounded at a cusp contact; cap non-finite entries with
-    # the interpolant's derivative there
     with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = -np.sign(xi) * sign * np.sqrt(np.abs(slope_squared(values, params)))
-    bad = ~np.isfinite(slopes)
-    if np.any(bad):
-        slopes[bad] = interp.derivative()(np.abs(xi[bad])) * -np.sign(xi[bad])
+        slopes = -np.sign(xi) * sign * np.sqrt(np.abs(num(values) / den(values)))
+    # at a cusp's xi = 0 sample -sign(0) meets an infinite slope; its one-sided
+    # slopes are opposite, so it takes 0, as every other crest sample does
+    slopes[~np.isfinite(slopes)] = 0.0
     return TWProfile(
         params=params,
         xi=xi,

@@ -37,9 +37,9 @@ SIMULATE = {
 
 DIGESTS = {
     ('2.4.6', 'x86_64'): {
-        'cusped/profile.csv': 'ada4ba61fc8f0cf76c026dc418c34de0fb3f5bd4598eecba1ea86862ee753065',
-        'cusped/profile.json': '02e8a3b755e71c5fba8481e5821889376b01d78258a3d24a5bc0629920c531e1',
-        'cusped/profile_residuals.json': '9cf81d50e876ed408133510441a32487466a7565689fc98b2657d2e8945869ba',
+        'cusped/profile.csv': '07aae11006dcb04e0efcd8156002d0b849daaafbcecab9660daf78abba2dad40',
+        'cusped/profile.json': 'c0b3f4d163b797a5f255fd4ad1a60100fa575b19583f3d25df0ca667de122245',
+        'cusped/profile_residuals.json': '1e7cec5b91436943518799303e7f14d8d0f5895328c373e8a68061fc22baa5e6',
         'peaked/profile.csv': '14a2c6458386a78375a681d9b1231fd34ab480ce6e0790dbab00761975cc1df5',
         'peaked/profile.json': '7601cf766c6e7309da71017d02e3a0f059a81d09ed1a5b68942121f706aa7079',
         'peaked/profile_residuals.json': 'a571b5e458db6d279fa8b561f8e65af3d5d281437b56efd7b147d52350bcb6d7',

@@ -20,8 +20,9 @@ import pytest
 
 from mase.cli import main
 from mase.errors import ConfigError, number
-from mase.evolution import MAX_SNAPSHOTS, SolverConfig, evolve
-from mase.grid import MAX_POINTS, Grid, State
+from mase.evolution import MAX_SNAPSHOTS, MAX_STEPS, SolverConfig, evolve
+from mase.grid import MAX_POINTS, MAX_WAVENUMBER, Grid, State
+from mase.operators import _spectral_tables
 from mase.scenarios import build_initial_field, scenario_from_dict
 from mase.storage import read_trajectory, write_trajectory
 
@@ -199,6 +200,29 @@ def test_the_grid_and_the_snapshot_count_are_capped():
         SolverConfig(t_end=1.0, snapshot_interval=1.0 / (MAX_SNAPSHOTS + 1))
 
 
+def test_the_wavenumber_and_the_step_count_are_capped():
+    # the shortest grid keeps the cube of its largest wavenumber in the tables finite
+    shortest = Grid(64, np.pi * 64 / MAX_WAVENUMBER)
+    assert all(np.all(np.isfinite(t)) for t in _spectral_tables(64, shortest.length).values())
+    with pytest.raises(ConfigError, match=r"^grid\.length must be at least"):
+        Grid(64, 0.5 * shortest.length)
+    assert SolverConfig(t_end=MAX_STEPS * 0.1, snapshot_interval=100.0, dt_max=0.1)
+    with pytest.raises(ConfigError, match=f"more than {MAX_STEPS} steps"):
+        SolverConfig(t_end=1e308, snapshot_interval=1e308)
+
+
+@pytest.mark.parametrize("length", ["1e-110", "1e-300", "5e-324"])
+def test_simulate_refuses_a_grid_too_short_for_the_spectral_tables(tmp_path, length):
+    cfg = tmp_path / "mode.json"
+    cfg.write_text(json.dumps({**SMALL, "grid": {"n_points": 64, "length": 20.0},
+                               "initial": {"kind": "mode", "amplitude": 0.05, "wavenumber": 2}}))
+    run_dir = tmp_path / "run"
+    code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(run_dir),
+                            "--set", f"grid.length={length}"])
+    assert one_error(code, err) and "grid.length" in err[0]
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("settings, name", [
     (['analysis.breaking="False"'], "analysis.breaking"),
     (["analysis.weakform=False"], "analysis.weakform"),   # not JSON: the string "False"
@@ -236,6 +260,13 @@ def test_a_config_with_an_integer_beyond_the_digit_limit_exits_2(tmp_path, comma
     cfg.write_text(json.dumps(doc).replace("0.05", "9" * 5000))
     code, _, err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert one_error(code, err) and err[0].startswith("error: config: config is not valid JSON")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_config_that_is_a_directory_exits_2(tmp_path, command):
+    code, _, err = run_cli([command, "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert one_error(code, err) and "cannot be read" in err[0]
     assert not (tmp_path / "out").exists()
 
 
@@ -347,16 +378,16 @@ def test_simulate_settings_fuzz_ends_in_a_run_or_one_error_line(tmp_path):
 
     setting = st.sampled_from([f"{section}.{key}" for section, keys in FUZZED.items()
                                for key in keys])
-    # at most one setting per section: t_end and snapshot_interval both 1e308
-    # is a valid run that never ends
     settings = st.lists(st.tuples(setting, st.sampled_from(ODD_VALUES)), min_size=1, max_size=2,
-                        unique_by=lambda item: item[0].split(".")[0])
+                        unique_by=lambda item: item[0])
 
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(base=st.sampled_from(range(len(BASES))), settings=settings)
     @hypothesis.example(base=0, settings=[("grid.length", "1e308")])
     @hypothesis.example(base=1, settings=[("initial.amplitude", "1e308")])
     @hypothesis.example(base=0, settings=[("solver.t_end", "1e308")])
+    @hypothesis.example(base=0, settings=[("solver.t_end", "1e308"),
+                                          ("solver.snapshot_interval", "1e308")])
     def check(base, settings):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(BASES[base]))

@@ -269,6 +269,19 @@ def test_cusp_head_length_matches_adaptive_quadrature(c, branch):
     assert xi_half == pytest.approx(head, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [-3.0, -10.0, -100.0])
+def test_cusped_evaluator_slope_is_the_phase_plane_slope(c):
+    # the cusped head is a cubic Hermite on the exact knot slopes sqrt(|W|)
+    prof = solitary_profile(c)
+    assert prof.regularity is Regularity.CUSPED
+    assert prof.slopes[len(prof.xi) // 2] == 0.0  # the cusp sample
+    xi = prof.xi[np.abs(prof.xi) > 0.01 * prof.xi[-1]]
+    h = 1e-6 * prof.xi[-1]
+    fd = (prof.evaluator(xi + h) - prof.evaluator(xi - h)) / (2.0 * h)
+    exact = np.sqrt(np.abs(slope_squared(prof.evaluator(xi), prof.params)))
+    assert np.max(np.abs(np.abs(fd) - exact)) <= 1e-5 * np.max(exact)
+
+
 # ---------------------------------------------------------------------------
 # periodic profile
 
