@@ -32,6 +32,7 @@ from .scenarios import (Scenario, apply_overrides, build_initial_field, load_sce
 from .storage import (
     read_profile,
     read_trajectory,
+    record_output,
     residual_report_dict,
     symmetry_report_dict,
     write_json,
@@ -225,16 +226,28 @@ def cmd_tw(args) -> int:
 # symmetry / weakform
 
 
+def _write_report(path: Path, report: dict, run: Path | None = None) -> None:
+    """Write an analysis report; one written into the ``run`` directory also
+    updates its entry in the run's manifest, so the run stays verifiable."""
+    inside = run is not None and path.parent.resolve() == run.resolve()
+    if inside and path.name == "manifest.json":
+        raise ConfigError("--out must not name the run's manifest.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    digest = write_json(path, report)
+    if inside:
+        record_output(run, path.name, digest)
+
+
 def cmd_symmetry(args) -> int:
     symmetry_tol = number("--symmetry-tol", args.symmetry_tol, positive=True)
     travel_tol = number("--travel-tol", args.travel_tol, positive=True)
-    traj, _ = read_trajectory(Path(args.run))
+    run = Path(args.run)
+    traj, _ = read_trajectory(run)
     if len(traj.snapshots) < 3:
         raise ConfigError("run has fewer than 3 snapshots")
     rep = verify_theorem(traj, symmetry_tol=symmetry_tol, travel_tol=travel_tol)
-    out = Path(args.out) if args.out else Path(args.run) / "symmetry.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_json(out, symmetry_report_dict(rep))
+    _write_report(Path(args.out) if args.out else run / "symmetry.json",
+                  symmetry_report_dict(rep), run)
     print(
         f"verdict: {rep.verdict.value} (speed estimate {rep.speed_estimate:.6g}, "
         f"travel error {rep.travel_error:.3e})"
@@ -248,16 +261,17 @@ def cmd_weakform(args) -> int:
     if not 1 <= args.n_bumps <= 1000:  # each bump is one more pass over the samples
         raise ConfigError(f"--n-bumps must lie in [1, 1000], got {args.n_bumps}")
     if args.run:
-        traj, _ = read_trajectory(Path(args.run))
+        run = Path(args.run)
+        traj, _ = read_trajectory(run)
         if len(traj.snapshots) < 4:
             raise ConfigError("the unsteady residual needs a run with at least 4 snapshots")
         report = _unsteady_report(traj, args.seed, args.n_bumps)
-        out = Path(args.out) if args.out else Path(args.run) / "residuals.json"
+        _write_report(Path(args.out) if args.out else run / "residuals.json",
+                      residual_report_dict(report), run)
     else:
         report = _steady_report(read_profile(Path(args.profile)), args.seed, args.n_bumps)
-        out = Path(args.out) if args.out else Path(args.profile).parent / "residuals.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_json(out, residual_report_dict(report))
+        _write_report(Path(args.out) if args.out else Path(args.profile).parent / "residuals.json",
+                      residual_report_dict(report))
     print(f"max residual {report.max_residual():.3e} over {len(report.per_test_function)} test functions")
     return 0
 

@@ -7,11 +7,12 @@ The equation evolves as
 
 on a periodic grid.  All derivatives are Fourier collocation derivatives and
 the Helmholtz inverse is the multiplier 1/(1+k^2).  The right-hand side
-(_rhs_spectrum) is the one dealiased nonlinearity: under the 2/3 rule each
-of its products multiplies two band-truncated factors, so it is alias-free
-in the kept band and commutes exactly with band-limited translations and
-reflections.  The term-by-term dealiased R(u) it is checked against lives
-with the test oracles (tests/oracles.py).
+(_rhs_spectrum) is its linear part ``lin * uh`` plus _nonlinear_spectrum,
+the one dealiased nonlinearity: under the 2/3 rule each of its products
+multiplies two band-truncated factors, so it is alias-free in the kept band
+and commutes exactly with band-limited translations and reflections.  The
+term-by-term dealiased R(u) it is checked against lives with the test
+oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _rhs_tables(n_points: int, length: float):
         # rows 1 and d1: one irfft of (this * uh) gives u and u_x together
         "value_slope": np.stack((np.ones_like(d1), d1)),
         # the right-hand side as multipliers of uh, of the kept band of the
-        # u^2 spectrum and of the rest of the nonlinearity (see _rhs_spectrum)
+        # u^2 spectrum and of the rest of the nonlinearity (_nonlinear_spectrum)
         "lin": d1 * (FLUX[1] - REACTION[1] * helm),
         "quad": (d1 * (FLUX[2] - REACTION[2] * helm))[:band],
         "rest": (-d1 * helm)[:band],
@@ -111,28 +112,40 @@ def helmholtz_inverse(f: Field) -> Field:
     )
 
 
-def _rhs_spectrum(uh: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectrum of the evolution right-hand side from the spectrum of u.
+def _nonlinear_spectrum(ubh: np.ndarray, grid: Grid) -> np.ndarray:
+    """Kept band of the right-hand side without its linear part ``lin * uh``.
 
-    Acts on the last axis, so a (B, n//2 + 1) stack of spectra costs the
-    same four transform calls as one spectrum, and each row equals its own
-    evaluation bitwise.  Five transforms in four calls: one stacked irfft of
-    the kept band of u and u_x, the rfft of u^2 and its irfft, and one rfft
-    of the remaining nonlinearity u^2 (r3 u + r4 u^2) + SLOPE_SQ u_x^2.  Each
-    of its three terms is a product of two kept-band factors, so the sum is
+    ``ubh`` is the kept band of the spectrum of u, ``uh[..., :band]``; above
+    the band this part is 0.  Acts on the last axis, so a (B, band) stack
+    costs the same four transform calls as one row, and each row equals its
+    own evaluation bitwise.  Five transforms in four calls: one stacked
+    irfft of u and u_x, the rfft of u^2 and its irfft, and one rfft of the
+    remaining nonlinearity u^2 (r3 u + r4 u^2) + SLOPE_SQ u_x^2.  Each of its
+    three terms is a product of two kept-band factors, so the sum is
     alias-free in the kept band, which is all that is kept of it.
     """
     t = _rhs_tables(grid.n_points, grid.length)
     n = grid.n_points
     quad, rest = t["quad"], t["rest"]
     band = len(quad)
-    ubh = uh[..., None, :band]
-    both = np.fft.irfft(t["value_slope"][:, :band] * ubh, n)
+    both = np.fft.irfft(t["value_slope"][:, :band] * ubh[..., None, :], n)
     ub, ubx = both[..., 0, :], both[..., 1, :]
     u2h = np.fft.rfft(ub * ub)[..., :band]
     u2 = np.fft.irfft(u2h, n)
     _, _, _, r3, r4 = REACTION
     nlh = np.fft.rfft(u2 * (r3 * ub + r4 * u2) + SLOPE_SQ * (ubx * ubx))[..., :band]
+    return quad * u2h + rest * nlh
+
+
+def _rhs_spectrum(uh: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spectrum of the evolution right-hand side from the spectrum of u.
+
+    ``lin * uh`` plus the kept band of _nonlinear_spectrum, on the last axis:
+    a (B, n//2 + 1) stack of spectra costs the same four transform calls as
+    one spectrum, and each row equals its own evaluation bitwise.
+    """
+    t = _rhs_tables(grid.n_points, grid.length)
+    band = len(t["quad"])
     out = t["lin"] * uh
-    out[..., :band] += quad * u2h + rest * nlh
+    out[..., :band] += _nonlinear_spectrum(uh[..., :band], grid)
     return out

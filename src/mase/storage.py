@@ -4,10 +4,12 @@ All numeric CSV output carries 12 significant digits; JSON is pretty-printed
 with sorted keys.  A run directory records each fact once: a snapshot's
 exact time in its name (``t=<repr(time)>.csv``), the grid in the manifest's
 scenario, and the bytes of each file in the manifest's sha256 digest, which
-the writer returns as it writes them.  ``read_trajectory`` checks each
-snapshot's bytes against it before parsing ``u``.  Volatile metadata (wall
-clock, tool version) goes to run.log, outside the manifest, so repeated runs
-produce byte-identical CSV/JSON.
+the writer returns as it writes them.  An analysis report written into the
+run later updates its own entry (``record_output``), and ``read_trajectory``
+checks every listed file against its digest before parsing a snapshot's
+``u``.  Volatile metadata (wall clock, tool version, how the run stepped)
+goes to run.log, outside the manifest, so repeated runs produce
+byte-identical CSV/JSON.
 """
 
 from __future__ import annotations
@@ -116,18 +118,31 @@ def write_trajectory(
         "outputs": [{"path": p, "sha256": d} for p, d in sorted(digests.items())],
     }
     write_json(run_dir / "manifest.json", manifest)
-    (run_dir / "run.log").write_text(
-        f"tool_version={__version__}\nwall_clock_seconds={wall_clock:.3f}\n"
-    )
+    log = f"tool_version={__version__}\nwall_clock_seconds={wall_clock:.3f}\n"
+    if traj.steps is not None:
+        st = traj.steps
+        log += (f"steps accepted={st.accepted} rejected={st.rejected} "
+                f"dt_smallest={st.dt_smallest!r} dt_largest={st.dt_largest!r}\n")
+    (run_dir / "run.log").write_text(log)
     return manifest
+
+
+def record_output(run_dir: Path, name: str, digest: str) -> None:
+    """Set the manifest entry of ``name``, a file just written into ``run_dir``, to ``digest``."""
+    mpath = run_dir / "manifest.json"
+    manifest = json.loads(mpath.read_text())  # read_trajectory has checked it
+    digests = {e["path"]: e["sha256"] for e in manifest["outputs"]}
+    digests[name] = digest
+    manifest["outputs"] = [{"path": p, "sha256": d} for p, d in sorted(digests.items())]
+    write_json(mpath, manifest)
 
 
 def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
     """Trajectory and manifest of a run directory.
 
-    A malformed manifest, a missing snapshot, one whose bytes differ from its
-    digest or do not fit the grid, and a time listed twice raise ConfigError.
-    Only snapshots are checked: the analysis commands rewrite their reports.
+    A malformed manifest, a missing listed file, one whose bytes differ from
+    its digest, a snapshot that does not fit the grid, and a time listed twice
+    raise ConfigError.
     """
     mpath = run_dir / "manifest.json"
     if not mpath.exists():
@@ -137,25 +152,29 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
         grid = Grid(**manifest["scenario"]["grid"])
         config = SolverConfig(**manifest["scenario"]["solver"])
         termination = Termination(manifest["termination"])
-        timed = sorted((float(e["path"][2:-4]), e["path"], e["sha256"])
-                       for e in manifest["outputs"]
-                       if e["path"].startswith("t=") and e["path"].endswith(".csv"))
+        listed = [(e["path"], e["sha256"]) for e in manifest["outputs"]]
+        times = {name: float(name[2:-4]) for name, _ in listed
+                 if name.startswith("t=") and name.endswith(".csv")}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed run {run_dir}: {type(exc).__name__}: {exc}") from None
     snaps = []
-    for t, name, digest in timed:
+    for name, digest in listed:
+        kind = "snapshot" if name in times else "output"
         try:
             data = (run_dir / name).read_bytes()
         except OSError as exc:
-            raise ConfigError(f"cannot read snapshot {name}: {exc}") from None
+            raise ConfigError(f"cannot read {kind} {name}: {exc}") from None
         if hashlib.sha256(data).hexdigest() != digest:
-            raise ConfigError(f"snapshot {name} does not match its manifest digest")
+            raise ConfigError(f"{kind} {name} does not match its manifest digest")
+        if name not in times:
+            continue
         try:
             # the u column: what follows the comma of each row under the header
             u = np.array([row.partition(b",")[2] for row in data.splitlines()[1:]], dtype=float)
-            snaps.append(State(t, Field(grid, u)))
+            snaps.append(State(times[name], Field(grid, u)))
         except ValueError as exc:
             raise ConfigError(f"snapshot {name}: {exc}") from None
+    snaps.sort(key=lambda s: s.time)
     return Trajectory(tuple(snaps), config, termination), manifest
 
 

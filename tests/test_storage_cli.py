@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from oracles import SingularLineError, verify_manifest
 
-from mase import cli
+from mase import cli, evolution
 from mase.cli import main
 from mase.errors import (
     ConfigError,
@@ -111,6 +111,64 @@ def test_cli_simulate_and_symmetry(tmp_path, scenario_file, capsys):
     assert main(["symmetry", "--run", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "verdict:" in out
+
+
+def test_analysis_commands_keep_the_manifest_true(tmp_path, scenario_file, capsys):
+    # each report written into the run updates its manifest entry, so every
+    # listed file keeps its digest; a report written elsewhere leaves it alone
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    assert verify_manifest(run_dir)
+    for command in (["symmetry", "--symmetry-tol", "1e-3"], ["weakform", "--n-bumps", "3"]):
+        assert main([*command, "--run", str(run_dir)]) == 0
+        assert verify_manifest(run_dir)
+    manifest = (run_dir / "manifest.json").read_bytes()
+    elsewhere = tmp_path / "elsewhere"
+    for command in ("symmetry", "weakform"):
+        assert main([command, "--run", str(run_dir), "--out", str(elsewhere / f"{command}.json")]) == 0
+    assert (run_dir / "manifest.json").read_bytes() == manifest
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["symmetry.json", "weakform.json"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("report", ["symmetry.json", "diagnostics.csv"])
+def test_an_edited_report_is_refused_in_one_line(tmp_path, scenario_file, capsys, report):
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    path = run_dir / report
+    path.write_text(path.read_text() + " ")
+    capsys.readouterr()
+    assert main(["symmetry", "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: output {report} does not match its manifest digest\n"
+
+
+def test_an_out_naming_the_manifest_is_refused(tmp_path, scenario_file, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    assert main(["symmetry", "--run", str(run_dir), "--out", str(run_dir / "manifest.json")]) == 2
+    assert capsys.readouterr().err == "error: config: --out must not name the run's manifest.json\n"
+    assert verify_manifest(run_dir)
+
+
+def step_line(run_dir: Path) -> str:
+    lines = [ln for ln in (run_dir / "run.log").read_text().splitlines() if ln.startswith("steps ")]
+    assert len(lines) == 1
+    return lines[0]
+
+
+def expected_step_line(doc: dict) -> str:
+    scenario = scenario_from_dict(doc)
+    st = evolve([State(0.0, build_initial_field(scenario))], scenario.solver)[0].steps
+    assert st.accepted > 0 and 0.0 < st.dt_smallest <= st.dt_largest <= scenario.solver.dt_max
+    return (f"steps accepted={st.accepted} rejected={st.rejected} "
+            f"dt_smallest={st.dt_smallest!r} dt_largest={st.dt_largest!r}")
+
+
+def test_run_log_says_how_the_run_stepped(tmp_path, scenario_file):
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    assert step_line(run_dir) == expected_step_line(json.loads(scenario_file.read_text()))
 
 
 def test_cli_invalid_config_exits_2(tmp_path, capsys):
@@ -519,8 +577,10 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_blow_up_keeps_the_run(tmp_path, capsys):
-    # a CFL far beyond stability blows up within the first snapshot interval
+def test_cli_blow_up_keeps_the_run(tmp_path, capsys, monkeypatch):
+    # with the error control off, a cap far beyond stability (cfl = 5) blows
+    # up within the first snapshot interval
+    monkeypatch.setattr(evolution, "TOL", np.inf)
     doc = {
         "grid": {"n_points": 256, "length": 40.0},
         "initial": {"kind": "gaussian", "amplitude": 1.0, "width": 0.5},
@@ -741,6 +801,15 @@ def test_sweep_single_point_matches_simulate(tmp_path):
     assert main(["simulate", "--config", str(sc), "--out", str(plain)]) == 0
 
     assert _tree_digest(sweep_dir / "point_0000") == _tree_digest(plain)
+
+
+def test_a_sweep_point_run_log_says_how_its_row_stepped(tmp_path):
+    # the three points step as one batch; each row keeps its own count
+    cfg = _sweep_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    point = dict(doc["base"], initial=dict(doc["base"]["initial"], amplitude=0.08))
+    assert step_line(tmp_path / "s" / "point_0002") == expected_step_line(point)
 
 
 def test_sweep_deterministic_across_workers(tmp_path):
