@@ -323,6 +323,8 @@ def _failed(exc: MaseError) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     doc = read_config(args.config)
     if args.set:
         doc = apply_overrides(doc, args.set)
@@ -349,7 +351,8 @@ def cmd_sweep(args) -> int:
         point_dir = sweep_dir / f"point_{i:04d}"
         tasks.append((i, command, point_doc, str(point_dir), args.seed))
 
-    n_chunks = max(1, min(args.workers, len(tasks)))
+    # at most one process per CPU: more would only share the cores
+    n_chunks = min(args.workers, len(tasks), os.cpu_count() or 1)
     chunks = [tasks[len(tasks) * j // n_chunks:len(tasks) * (j + 1) // n_chunks]
               for j in range(n_chunks)]
     if n_chunks == 1:
@@ -407,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                            help="override a config entry (repeatable; flags win)")
         if workers:
-            p.add_argument("--workers", type=int, default=1, help="worker processes for the sweep")
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes for the sweep (at most one per CPU)")
 
     p = sub.add_parser("simulate", help="evolve a scenario and write a run directory")
     common(p, scenario=True)

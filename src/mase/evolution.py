@@ -63,8 +63,10 @@ class SolverConfig:
     keeps dt times the kept band's frozen-coefficient spectral radius, at
     most cfl * 2 pi/3 + O(h), inside classical RK4's imaginary-axis
     stability interval |z| <= 2 sqrt(2).  Every setting is a finite positive
-    number, kept as given; a run records at most MAX_SNAPSHOTS snapshots
-    after the initial one, and t_end / dt_max is at most MAX_STEPS.
+    number, kept as given.  A run records a snapshot at every multiple of
+    snapshot_interval below t_end and at t_end, ceil(t_end / snapshot_interval)
+    after the initial one, so t_end / snapshot_interval is at most
+    MAX_SNAPSHOTS; t_end / dt_max is at most MAX_STEPS.
     """
 
     t_end: float
@@ -81,7 +83,7 @@ class SolverConfig:
             raise ConfigError("need solver.dt_min < solver.dt_max")
         if not self.snapshot_interval <= self.t_end:
             raise ConfigError("need solver.snapshot_interval <= solver.t_end")
-        if self.t_end / self.snapshot_interval > MAX_SNAPSHOTS + 0.5:  # evolve rounds it
+        if self.t_end / self.snapshot_interval > MAX_SNAPSHOTS:
             raise ConfigError(f"solver.t_end / solver.snapshot_interval asks for more than "
                               f"{MAX_SNAPSHOTS} snapshots")
         if not self.t_end / self.dt_max <= MAX_STEPS:
@@ -216,20 +218,23 @@ def _rk4(uh: np.ndarray, nl: np.ndarray, grid: Grid, dt):
 def evolve(initials: Sequence[State], config: SolverConfig) -> list[Trajectory]:
     """Integrate each initial state to t_end, recording snapshots every snapshot_interval.
 
-    The states must share one grid and one start time; they step together
-    as one (B, n//2 + 1) stack of spectra, so a step costs the same transform
-    calls for any B.  Each row keeps its own step: it tries
-    min(proposal, dt_max, cfl * h / max|14u|, time to the next snapshot),
-    accepts the step when its error estimate is at most TOL and proposes
-    dt * clip(0.9 (TOL/err)^(1/4), 0.2, 5) next.  A step shortened to land on
-    a snapshot does not shrink the next proposal.  A row that rejects its
-    step tries a smaller one on the next pass while the others step on, and
-    a row that reaches the current snapshot time waits for the others.
-    Trajectory i equals ``evolve([initials[i]], config)[0]`` bitwise, and its
-    ``steps`` says how it stepped.
+    The snapshot times are every t0 + k * snapshot_interval strictly before
+    t_end, then t_end.  The states must share one grid and one start time
+    before t_end; they step together as one (B, n//2 + 1) stack of spectra,
+    so a step costs the same transform calls for any B.  Each pass steps
+    every unfinished row once toward its own next snapshot.  A row tries
+    free = min(proposal, dt_max, cfl * h / max|14u|) or, when that snapshot
+    is at most free * (1 + 1e-9) away, exactly the time left, after which
+    its time is the snapshot time.  It accepts the step when its error
+    estimate is at most TOL and proposes dt * clip(0.9 (TOL/err)^(1/4), 0.2,
+    5) next; a step shortened to land on a snapshot does not shrink the next
+    proposal.  A row that rejects its step tries a smaller one on the next
+    pass while the others step on.  Trajectory i equals
+    ``evolve([initials[i]], config)[0]`` bitwise, and its ``steps`` says how
+    it stepped.
 
-    Snapshot times are hit exactly.  A row stops early with the matching
-    termination code when a step crosses the breaking threshold
+    A row finishes at its last snapshot, t_end, or stops early with the
+    matching termination code when a step crosses the breaking threshold
     (BREAKING_DETECTED), when the step it would try falls below dt_min
     (DT_UNDERFLOW) or when a step gives non-finite values (BLOW_UP); the
     state at the stop time, the last finite one, is appended as its final
@@ -241,6 +246,8 @@ def evolve(initials: Sequence[State], config: SolverConfig) -> list[Trajectory]:
     t0 = initials[0].time
     if any(s.u.grid != grid or s.time != t0 for s in initials):
         raise ValueError("the initial states must share one grid and one start time")
+    if not t0 < config.t_end:
+        raise ValueError("the initial states must start before t_end")
     tables = _rhs_tables(grid.n_points, grid.length)
     value_slope, band = tables["value_slope"], len(tables["quad"])
     # the stability cap is cfl * h / (this * max|u|): 14u is the advection
@@ -255,75 +262,67 @@ def evolve(initials: Sequence[State], config: SolverConfig) -> list[Trajectory]:
     dt_lo = np.full(n_rows, np.inf)
     dt_hi = np.zeros(n_rows)
     snapshots = [[s] for s in initials]
-    n_snaps = int(round((config.t_end - t0) / config.snapshot_interval))
-    snap_times = t0 + config.snapshot_interval * np.arange(1, n_snaps + 1)
-    if len(snap_times) == 0 or snap_times[-1] < config.t_end - 1e-12:
-        snap_times = np.append(snap_times, config.t_end)
-
-    done = np.zeros(n_rows, dtype=bool)
+    # every t0 + k * snapshot_interval strictly before t_end, then t_end
+    schedule = t0 + config.snapshot_interval * np.arange(
+        1, np.ceil((config.t_end - t0) / config.snapshot_interval) + 1)
+    schedule = np.append(schedule[schedule < config.t_end], config.t_end)
+    # each row's next snapshot in the schedule; a finished row is past the end
+    nxt = np.zeros(n_rows, dtype=int)
     termination = [Termination.COMPLETED] * n_rows
 
+    def record(i) -> None:
+        snapshots[i].append(State(t[i], Field(grid, values[i])))
+
     def stop(rows: np.ndarray, code: Termination) -> None:
-        done[rows] = True
+        """Finish the rows, each with its state at the stop time as its last snapshot."""
+        nxt[rows] = len(schedule)
         for i in rows:
             termination[i] = code
+            if t[i] > snapshots[i][-1].time:
+                record(i)
 
     # overflow shows as non-finite values, and a zero state or error as an
     # infinite cap or growth factor
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         uh = np.fft.rfft(values)
         nl = _nonlinear_spectrum(uh[:, :band], grid)
-        for t_target in snap_times:
-            live = np.flatnonzero(~done)
-            rows = live[t[live] < t_target - 1e-12]
-            while rows.size:
-                # a slice while every row steps: views instead of copies
-                at = slice(None) if rows.size == n_rows else rows
-                cap = config.cfl * grid.spacing / (advection * np.max(np.abs(values[at]), axis=-1))
-                free = np.minimum(np.minimum(proposal[at], cap), config.dt_max)
-                under = free < config.dt_min
-                if under.any():
-                    stop(rows[under], Termination.DT_UNDERFLOW)
-                    at = rows = rows[~under]
-                    free = free[~under]
-                    if not rows.size:
-                        break
-                dt = np.minimum(free, t_target - t[at])
-                new, k5, err = _rk4(uh[at], nl[at], grid, dt[:, None])
-                finite = np.isfinite(err) & np.isfinite(new).all(axis=-1)
-                if not finite.all():
-                    stop(rows[~finite], Termination.BLOW_UP)
-                    at = rows = rows[finite]
-                    free, dt, new, k5, err = (a[finite] for a in (free, dt, new, k5, err))
-                    if not rows.size:
-                        break
-                ok = err <= TOL
-                grown = dt * np.clip(0.9 * (TOL / err) ** 0.25, 0.2, 5.0)
-                proposal[at] = np.where(ok & (dt < free), np.maximum(proposal[at], grown), grown)
-                stay = ~ok
-                if stay.any():
-                    rejected[rows[stay]] += 1
-                    at = rows[ok]
-                    new, k5, dt = new[ok], k5[ok], dt[ok]
-                uh[at] = new
-                nl[at] = k5
-                t[at] += dt
-                accepted[at] += 1
-                dt_lo[at] = np.minimum(dt_lo[at], dt)
-                dt_hi[at] = np.maximum(dt_hi[at], dt)
-                # values for the next cap and the snapshot, slope for breaking
-                both = np.fft.irfft(value_slope * new[:, None, :], grid.n_points)
-                values[at] = both[:, 0]
-                smooth = np.max(np.abs(both[:, 1]), axis=-1) < config.breaking_slope_threshold
-                stay[ok] = smooth & (t[at] < t_target - 1e-12)
-                if not smooth.all():
-                    stop(rows[ok][~smooth], Termination.BREAKING_DETECTED)
-                rows = rows[stay]
-            for i in live:
-                if t[i] > snapshots[i][-1].time + 1e-12:
-                    snapshots[i].append(State(t[i], Field(grid, values[i])))
-            if done.all():
-                break
+        while (rows := np.flatnonzero(nxt < len(schedule))).size:
+            # a slice while every row steps: views instead of copies
+            at = slice(None) if rows.size == n_rows else rows
+            cap = config.cfl * grid.spacing / (advection * np.max(np.abs(values[at]), axis=-1))
+            free = np.minimum(np.minimum(proposal[at], cap), config.dt_max)
+            under = free < config.dt_min
+            if under.any():
+                stop(rows[under], Termination.DT_UNDERFLOW)
+                continue
+            # a row within free * (1 + 1e-9) of its next snapshot steps exactly onto it
+            target = schedule[nxt[at]]
+            land = target - t[at] <= free * (1.0 + 1e-9)
+            dt = np.where(land, target - t[at], free)
+            new, k5, err = _rk4(uh[at], nl[at], grid, dt[:, None])
+            blown = ~(np.isfinite(err) & np.isfinite(new).all(axis=-1))
+            stop(rows[blown], Termination.BLOW_UP)
+            ok = (err <= TOL) & ~blown
+            grown = dt * np.clip(0.9 * (TOL / err) ** 0.25, 0.2, 5.0)
+            proposal[at] = np.where(ok & (dt < free), np.maximum(proposal[at], grown), grown)
+            rejected[rows[~(ok | blown)]] += 1
+            if not ok.all():
+                at = rows = rows[ok]
+                new, k5, dt, land, target = new[ok], k5[ok], dt[ok], land[ok], target[ok]
+            uh[at] = new
+            nl[at] = k5
+            t[at] = np.where(land, target, t[at] + dt)
+            nxt[at] += land
+            accepted[at] += 1
+            dt_lo[at] = np.minimum(dt_lo[at], dt)
+            dt_hi[at] = np.maximum(dt_hi[at], dt)
+            # values for the next cap and the snapshot, slope for breaking
+            both = np.fft.irfft(value_slope * new[:, None, :], grid.n_points)
+            values[at] = both[:, 0]
+            for i in rows[land]:
+                record(i)
+            smooth = np.max(np.abs(both[:, 1]), axis=-1) < config.breaking_slope_threshold
+            stop(rows[~smooth], Termination.BREAKING_DETECTED)
 
     return [Trajectory(tuple(s), config, code,
                        StepStats(int(n), int(r), float(lo) if n else None, float(hi) if n else None))

@@ -2,9 +2,10 @@
 
 A scenario is a plain JSON document; command-line ``--set key=value``
 overrides win over the file.  Initial-condition kinds: zero, gaussian
-(amplitude, center, width), mode (amplitude, wavenumber), tw_profile (speed),
-file (path to an x,u CSV).  Every numeric setting follows ``errors.number``
-and the analysis toggles are JSON booleans, all checked when a scenario loads.
+(amplitude, center, width), mode (amplitude, wavenumber), tw_profile (speed,
+center), file (path to an x,u CSV).  Every numeric setting follows
+``errors.number``, the analysis toggles are JSON booleans and a setting the
+scenario does not read is refused, all checked when a scenario loads.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from .evolution import SolverConfig
 from .grid import Field, Grid
 from .traveling_wave import profile_to_field, solitary_profile
 
-_IC_KINDS = ("zero", "gaussian", "mode", "tw_profile", "file")
+# the settings each initial-condition kind reads besides its kind
+_IC_KINDS = {"zero": (), "gaussian": ("amplitude", "center", "width"),
+             "mode": ("amplitude", "wavenumber"), "tw_profile": ("center", "speed"),
+             "file": ("path",)}
+_SECTIONS = ("grid", "initial", "solver", "analysis")
+_ANALYSIS = ("breaking", "symmetry", "weakform", "symmetry_tol", "travel_tol")
 # The largest initial |u|: near 2.8e76 the 3u^4 term of R(u) leaves the double
 # range, so a larger field cannot take one step, and its transforms overflow.
 MAX_AMPLITUDE = 1e76
@@ -46,8 +52,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except Exception as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
     kind = initial.get("kind")
-    if kind not in _IC_KINDS:
-        raise ConfigError(f"unknown initial condition kind {kind!r}; choose from {_IC_KINDS}")
+    kinds = tuple(_IC_KINDS)  # a tuple: the kind may be any JSON value, a list too
+    if kind not in kinds:
+        raise ConfigError(f"unknown initial condition kind {kind!r}; choose from {kinds}")
     for key in ("symmetry_tol", "travel_tol"):
         if key in analysis:
             number(f"analysis.{key}", analysis[key], positive=True)
@@ -59,7 +66,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     peak = build_initial_field(sc).sup_norm()  # validate parameters eagerly
     if peak > MAX_AMPLITUDE:
         raise ConfigError(f"the initial field reaches max|u| = {peak:g}, above {MAX_AMPLITUDE:g}")
+    # after the values, so that a bad value of a setting that is read is named first
+    _refuse_unknown(doc, "", _SECTIONS, "a scenario")
+    _refuse_unknown(initial, "initial.", ("kind", *_IC_KINDS[kind]), f"a {kind} initial condition")
+    _refuse_unknown(analysis, "analysis.", _ANALYSIS, "analysis")
     return sc
+
+
+def _refuse_unknown(section: dict, prefix: str, known: tuple, owner: str) -> None:
+    """A setting the scenario does not read is a ConfigError, not silently ignored."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown setting {prefix}{unknown[0]}: {owner} reads {', '.join(known)}")
 
 
 def read_config(path: Path):

@@ -255,6 +255,8 @@ def test_evolve_refuses_rows_on_different_grids_or_times(grid):
     with pytest.raises(ValueError):
         evolve([State(0.0, zero_field(grid)), State(0.5, zero_field(grid))], cfg)
     with pytest.raises(ValueError):
+        evolve([State(cfg.t_end, zero_field(grid))], cfg)
+    with pytest.raises(ValueError):
         evolve([], cfg)
 
 
@@ -269,7 +271,42 @@ def test_evolve_zero_data(grid):
 def test_evolve_snapshot_times_exact(grid):
     traj = evolve([State(0.0, gaussian(grid, 0.05, 3.0))],
                   SolverConfig(t_end=1.0, snapshot_interval=0.2))[0]
-    assert np.allclose(traj.times(), [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
+    assert traj.times().tolist() == scheduled_times(traj.config)
+
+
+def scheduled_times(cfg):
+    """0, then every k * snapshot_interval strictly before t_end, then t_end."""
+    times, k = [0.0], 1
+    while k * cfg.snapshot_interval < cfg.t_end:
+        times.append(k * cfg.snapshot_interval)
+        k += 1
+    return times + [cfg.t_end]
+
+
+@pytest.mark.parametrize("t_end, interval, times", [
+    (1.5, 1.0, [0.0, 1.0, 1.5]),  # t_end halfway between two multiples of the interval
+    (1e-13, 1e-13, [0.0, 1e-13]),  # a run shorter than a fixed 1e-12 time tolerance
+    (3e-12, 1e-12, [0.0, 1e-12, 2e-12, 3e-12]),  # snapshots 1e-12 apart
+])
+def test_evolve_reaches_t_end_with_every_scheduled_snapshot(grid, t_end, interval, times):
+    cfg = SolverConfig(t_end=t_end, snapshot_interval=interval)
+    traj = evolve([State(0.0, gaussian(grid, 0.05, 2.0))], cfg)[0]
+    assert traj.termination is Termination.COMPLETED
+    assert traj.times().tolist() == times == scheduled_times(cfg)
+    assert traj.steps.accepted >= len(times) - 1
+
+
+def test_every_snapshot_of_a_batch_with_different_steps_is_a_scheduled_time(grid):
+    # 3 * 0.1 and 6 * 0.1 are not the doubles nearest 0.3 and 0.6; each row
+    # steps onto them from its own last step
+    cfg = SolverConfig(t_end=0.7, snapshot_interval=0.1)
+    rows = [gaussian(grid, 0.02, 2.0), gaussian(grid, 0.3, 1.0), gaussian(grid, 2.0, 1.0)]
+    batch = evolve([State(0.0, u) for u in rows], cfg)
+    assert len({traj.steps.accepted for traj in batch}) == len(rows)
+    for traj in batch:
+        assert traj.termination is Termination.COMPLETED
+        assert traj.times().tolist() == scheduled_times(cfg)
+    assert_rows_equal_solo_runs(batch, rows, cfg)
 
 
 def test_evolve_mean_preserved(grid):

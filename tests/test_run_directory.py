@@ -282,6 +282,44 @@ def test_a_tw_sweep_point_with_a_boolean_speed_is_that_points_error(tmp_path):
     assert not (tmp_path / "sweep" / "point_0000").exists()
 
 
+@pytest.mark.parametrize("setting, name", [
+    ("solvr.t_end=5", "unknown setting solvr: a scenario reads"),
+    ("analysis.symetry=true", "unknown setting analysis.symetry: analysis reads"),
+    ("initial.widht=9", "unknown setting initial.widht: a gaussian initial condition reads"),
+    ('initial.kind=["gaussian"]', "unknown initial condition kind ['gaussian']"),
+])
+def test_simulate_refuses_a_setting_the_scenario_does_not_read(tmp_path, setting, name):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(SMALL))
+    run_dir = tmp_path / "run"
+    code, _, err = run_cli(["simulate", "--config", str(cfg), "--out", str(run_dir),
+                            "--set", setting])
+    assert one_error(code, err) and name in err[0]
+    assert not run_dir.exists()
+
+
+def test_a_sweep_point_with_a_setting_its_kind_does_not_read_is_that_points_error(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    base = {**SMALL, "analysis": {}}
+    cfg.write_text(json.dumps({"base": base, "sweep": {"initial.kind": ["gaussian", "zero"]}}))
+    code, _, err = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
+    assert code == 0 and not err
+    rows = (tmp_path / "sweep" / "aggregate.csv").read_text().splitlines()[1:]
+    assert ',ok,completed,' in rows[0]
+    assert rows[1].startswith('point_0001,"zero",error,')
+    assert rows[1].endswith("unknown setting initial.amplitude: a zero initial condition reads kind")
+
+
+def test_a_run_to_1_5_with_snapshots_every_1_writes_0_1_and_1_5(tmp_path):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({**SMALL, "solver": {"t_end": 1.5, "snapshot_interval": 1.0}}))
+    run_dir = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(run_dir)])[0] == 0
+    assert sorted(p.name for p in run_dir.glob("t=*.csv")) == ["t=0.0.csv", "t=1.0.csv",
+                                                              "t=1.5.csv"]
+    assert read_trajectory(run_dir)[0].times().tolist() == [0.0, 1.0, 1.5]
+
+
 # ---------------------------------------------------------------------------
 # fuzz gates; any RuntimeWarning fails the suite (pyproject's filterwarnings)
 

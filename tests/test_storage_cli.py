@@ -821,6 +821,44 @@ def test_sweep_deterministic_across_workers(tmp_path):
     assert _tree_digest(d1) == _tree_digest(d4)
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_with_fewer_than_one_worker_exits_2(tmp_path, capsys, workers):
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(_sweep_config(tmp_path)), "--out", str(out),
+                 "--workers", workers]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: config: --workers must be at least 1, got {workers}"]
+    assert not out.exists()
+
+
+def test_sweep_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = _sweep_config(tmp_path)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "64"]) == 0
+    assert pools == [2]
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s1")]) == 0
+    assert _tree_digest(out) == _tree_digest(tmp_path / "s1")
+
+
 def test_sweep_batches_each_grid_and_records_invalid_points_for_any_workers(tmp_path):
     doc = json.loads(_sweep_config(tmp_path).read_text())
     doc["sweep"] = {"grid.n_points": [128, 256], "initial.amplitude": [0.02, 0.08],
