@@ -11,45 +11,23 @@ exit 4 and every other package error exit 5, each with a one-line
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import csv
+import io
 import json
 import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError, ConstantFieldError, MaseError, NonexistenceError, number
-from .evolution import detect_breaking, evolve
-from .grid import State
-from .scenarios import (Scenario, apply_overrides, build_initial_field, load_scenario, read_config,
-                        scenario_from_dict)
-from .storage import (
-    read_profile,
-    read_trajectory,
-    record_output,
-    residual_report_dict,
-    symmetry_report_dict,
-    write_json,
-    write_profile,
-    write_trajectory,
-)
-from .symmetry import verify_theorem
-from .traveling_wave import (
-    TWParams,
-    _beyond_double_range,
-    level_roots,
-    peaked_composite,
-    periodic_profile,
-    singular_line,
-    solitary_profile,
-)
-from .weakform import ResidualReport, TestFunction, random_bumps, steady_residual_report, unsteady_weak_residual
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario
+    from .weakform import ResidualReport
 
 
 def _out_root() -> Path:
@@ -66,6 +44,10 @@ def _resolve_out(out: str | None, default_name: str) -> Path:
 
 def run_simulate(scenario: Scenario, run_dir: Path, seed: int = 0) -> dict:
     """Evolve a scenario and write the full run directory; returns headline stats."""
+    from .evolution import evolve
+    from .grid import State
+    from .scenarios import build_initial_field
+
     t_start = time.perf_counter()
     traj = evolve([State(0.0, build_initial_field(scenario))], scenario.solver)[0]
     return _write_run(scenario, traj, run_dir, seed, t_start)
@@ -77,6 +59,12 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
     ``t_start`` is when the work on this run began; run.log records the wall
     clock since then.
     """
+    import dataclasses
+
+    from .evolution import detect_breaking
+    from .storage import residual_report_dict, symmetry_report_dict, write_json, write_trajectory
+    from .symmetry import verify_theorem
+
     run_dir.mkdir(parents=True, exist_ok=True)
     extra: dict[str, str] = {}  # report name -> sha256 of its bytes
     analysis = scenario.analysis
@@ -116,6 +104,10 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
 
 
 def _unsteady_report(traj, seed: int, n_bumps: int = 5) -> ResidualReport:
+    import numpy as np
+
+    from .weakform import ResidualReport, TestFunction, random_bumps, unsteady_weak_residual
+
     rng = np.random.default_rng(seed)
     grid = traj.grid
     times = traj.times()
@@ -136,6 +128,10 @@ def _steady_report(profile, seed: int, n_bumps: int = 5) -> ResidualReport:
 
     Widths lie in [max(span/24, 33 h), min(span/6, 512 h)] for sample spacing h.
     """
+    import numpy as np
+
+    from .weakform import random_bumps, steady_residual_report
+
     rng = np.random.default_rng(seed)
     lo, hi = profile.xi[0], profile.xi[-1]
     h = profile.xi[1] - profile.xi[0]
@@ -146,6 +142,8 @@ def _steady_report(profile, seed: int, n_bumps: int = 5) -> ResidualReport:
 
 
 def cmd_simulate(args) -> int:
+    from .scenarios import load_scenario
+
     scenario = load_scenario(args.config, args.set)
     run_dir = _resolve_out(args.out, "run")
     stats = run_simulate(scenario, run_dir, args.seed)
@@ -159,6 +157,12 @@ def cmd_simulate(args) -> int:
 
 def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
     """Construct the requested traveling wave and write CSV + JSON sidecar."""
+    import numpy as np
+
+    from .storage import residual_report_dict, write_json, write_profile
+    from .traveling_wave import (TWParams, _beyond_double_range, level_roots, peaked_composite,
+                                 periodic_profile, singular_line, solitary_profile)
+
     speed = number("speed", doc.get("speed"))
     a = number("integration_constant", doc.get("integration_constant", 0.0))
     e = number("energy", doc.get("energy", 0.0))
@@ -212,7 +216,8 @@ def cmd_tw(args) -> int:
         "energy": args.energy,
         "wave": args.wave,
     }
-    out_prefix = _resolve_out(args.out, "tw") / f"profile_c={args.speed:g}"
+    out_prefix = _resolve_out(args.out, "tw") / _tw_name(
+        args.speed, args.integration_constant, args.energy)
     info = run_tw(doc, out_prefix, args.seed)
     period = "-" if info["period"] is None else f"{info['period']:.6g}"
     print(
@@ -222,6 +227,19 @@ def cmd_tw(args) -> int:
     return 0
 
 
+def _tw_name(speed: float, a: float, e: float) -> str:
+    """``profile_c=<c>[_A=<A>][_E=<E>]``, A and E only when nonzero.
+
+    Each number is its shortest round-trip ``repr`` without a trailing
+    ``.0``, so waves of different parameters never share a name.
+    """
+    def text(v: float) -> str:
+        return repr(v).removesuffix(".0")
+
+    return f"profile_c={text(speed)}" + "".join(
+        f"_{flag}={text(v)}" for flag, v in (("A", a), ("E", e)) if v != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # symmetry / weakform
 
@@ -229,6 +247,8 @@ def cmd_tw(args) -> int:
 def _write_report(path: Path, report: dict, run: Path | None = None) -> None:
     """Write an analysis report; one written into the ``run`` directory also
     updates its entry in the run's manifest, so the run stays verifiable."""
+    from .storage import record_output, write_json
+
     inside = run is not None and path.parent.resolve() == run.resolve()
     if inside and path.name == "manifest.json":
         raise ConfigError("--out must not name the run's manifest.json")
@@ -239,6 +259,9 @@ def _write_report(path: Path, report: dict, run: Path | None = None) -> None:
 
 
 def cmd_symmetry(args) -> int:
+    from .storage import read_trajectory, symmetry_report_dict
+    from .symmetry import verify_theorem
+
     symmetry_tol = number("--symmetry-tol", args.symmetry_tol, positive=True)
     travel_tol = number("--travel-tol", args.travel_tol, positive=True)
     run = Path(args.run)
@@ -256,6 +279,8 @@ def cmd_symmetry(args) -> int:
 
 
 def cmd_weakform(args) -> int:
+    from .storage import read_profile, read_trajectory, residual_report_dict
+
     if bool(args.run) == bool(args.profile):
         raise ConfigError("give exactly one of --run or --profile")
     if not 1 <= args.n_bumps <= 1000:  # each bump is one more pass over the samples
@@ -288,6 +313,10 @@ def _sweep_point(chunk) -> list[tuple[int, dict]]:
     each point's analyses and writes then run on its own.  A point that
     fails to parse or in its own analysis is recorded as that point's error.
     """
+    from .evolution import evolve
+    from .grid import State
+    from .scenarios import build_initial_field, scenario_from_dict
+
     results = []
     groups: dict[tuple, list] = {}
     for index, command, doc, out_dir, seed in chunk:
@@ -323,6 +352,8 @@ def _failed(exc: MaseError) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    from .scenarios import apply_overrides, read_config
+
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     doc = read_config(args.config)
@@ -358,6 +389,11 @@ def cmd_sweep(args) -> int:
     if n_chunks == 1:
         done = [_sweep_point(chunks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the modules the points import, loaded once here: forked workers inherit them
+        from . import storage, symmetry, weakform
+
         with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             done = list(pool.map(_sweep_point, chunks))
     results = {i: stats for chunk in done for i, stats in chunk}
@@ -366,8 +402,9 @@ def cmd_sweep(args) -> int:
         stat_cols = ["termination", "t_final", "sup_final", "max_slope_final", "mean_drift"]
     else:
         stat_cols = ["regularity", "period", "singular_line", "max_residual"]
-    header = ["point"] + keys + ["status"] + stat_cols + ["error"]
-    lines = [",".join(header)]
+    buf = io.StringIO()
+    table = csv.writer(buf, lineterminator="\n")  # quotes a cell holding a comma or a quote
+    table.writerow(["point"] + keys + ["status"] + stat_cols + ["error"])
     for i, combo in enumerate(combos):
         stats = results[i]
         row = [f"point_{i:04d}"] + [json.dumps(v) for v in combo] + [stats.get("status", "error")]
@@ -380,8 +417,8 @@ def cmd_sweep(args) -> int:
             else:
                 row.append(str(v))
         row.append(stats.get("error", ""))
-        lines.append(",".join(row))
-    (sweep_dir / "aggregate.csv").write_text("\n".join(lines) + "\n")
+        table.writerow(row)
+    (sweep_dir / "aggregate.csv").write_text(buf.getvalue())
     n_err = sum(1 for s in results.values() if s.get("status") != "ok")
     print(f"sweep of {len(combos)} points written to {sweep_dir} ({n_err} failures)")
     return 0

@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,9 +26,11 @@ from . import __version__
 from .errors import ConfigError
 from .evolution import SolverConfig, Termination, Trajectory, _series, _sup_norms
 from .grid import Field, Grid, State
-from .symmetry import SymmetryReport
-from .traveling_wave import Regularity, TWParams, TWProfile
-from .weakform import ResidualReport
+
+if TYPE_CHECKING:  # the analyses' modules load with the commands that run them
+    from .symmetry import SymmetryReport
+    from .traveling_wave import TWProfile
+    from .weakform import ResidualReport
 
 FMT = "%.12g"
 
@@ -200,6 +203,8 @@ def write_profile(prefix: Path, profile: TWProfile, extras: dict | None = None) 
 
 def read_profile(prefix: Path) -> TWProfile:
     """Profile from ``prefix``.csv and its JSON sidecar; a missing or malformed one raises ConfigError."""
+    from .traveling_wave import Regularity, TWParams, TWProfile
+
     cols = read_columns_csv(Path(str(prefix) + ".csv"), require=("xi", "U"))
     try:
         sidecar = json.loads(Path(str(prefix) + ".json").read_text())

@@ -26,6 +26,7 @@ one array evaluation each per block of snapshot times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,7 +41,9 @@ from .operators import (
     helmholtz_inverse,
     spectral_derivative,
 )
-from .traveling_wave import TWProfile
+
+if TYPE_CHECKING:
+    from .traveling_wave import TWProfile
 
 __all__ = [
     "TestFunction",

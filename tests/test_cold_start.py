@@ -1,0 +1,73 @@
+"""A cold start loads only what its command runs.
+
+``import mase`` loads no submodule, the CLI's argument handling loads no
+numpy, and only ``sweep`` loads the process pool.  Each case runs a fresh
+interpreter under ``-X importtime`` and reads the modules it imported.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mase
+from mase.cli import main
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(mase.__file__).parents[1]))
+NUMERICAL = {f"mase.{name}" for name in ("evolution", "grid", "operators", "scenarios", "storage",
+                                          "symmetry", "traveling_wave", "weakform")}
+
+
+def _imports(*args: str, cwd=None) -> tuple[int, set[str]]:
+    """Exit code of ``python -X importtime ARGS`` and the modules it imported."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=ENV, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, names
+
+
+def _numpy(names: set[str]) -> set[str]:
+    return {name for name in names if name.split(".")[0] == "numpy"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["tw", "--help"], 0),
+    (["tw", "--wave", "periodic"], 2),   # --speed is required
+    (["simulate"], 2),                   # --config is required
+    (["frobnicate"], 2),
+])
+def test_argument_handling_imports_no_numpy_and_no_numerical_module(argv, code):
+    rc, names = _imports("-m", "mase.cli", *argv)
+    assert rc == code
+    assert "mase.errors" in names
+    assert not _numpy(names)
+    assert not names & NUMERICAL
+
+
+def test_import_mase_imports_no_submodule_until_a_name_is_used():
+    rc, names = _imports("-c", "import mase; assert mase.__version__")
+    assert rc == 0 and "mase" in names
+    assert not _numpy(names)
+    assert not {name for name in names if name.startswith("mase.")}
+    # import_module, which resolves the name, is not listed by -X importtime
+    loads = "import mase, sys; mase.Grid; print(*sorted(m for m in sys.modules if m[:4] == 'mase'))"
+    proc = subprocess.run([sys.executable, "-c", loads], env=ENV, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.split() == ["mase", "mase.errors", "mase.grid"]
+
+
+def test_symmetry_command_imports_no_process_pool_and_no_module_it_does_not_run(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"grid": {"n_points": 128, "length": 40.0}, '
+                        '"initial": {"kind": "gaussian", "amplitude": 0.05, "width": 2.0}, '
+                        '"solver": {"t_end": 0.5, "snapshot_interval": 0.125}}')
+    assert main(["simulate", "--config", str(scenario), "--out", str(tmp_path / "run")]) == 0
+    rc, names = _imports("-m", "mase.cli", "symmetry", "--run", "run", cwd=tmp_path)
+    assert rc == 0 and {"mase.storage", "mase.symmetry"} <= names
+    assert not {name for name in names if name.split(".")[0] in ("concurrent", "multiprocessing")}
+    assert not names & {"mase.weakform", "mase.traveling_wave", "mase.scenarios"}

@@ -306,7 +306,7 @@ def test_a_sweep_point_with_a_setting_its_kind_does_not_read_is_that_points_erro
     assert code == 0 and not err
     rows = (tmp_path / "sweep" / "aggregate.csv").read_text().splitlines()[1:]
     assert ',ok,completed,' in rows[0]
-    assert rows[1].startswith('point_0001,"zero",error,')
+    assert rows[1].startswith('point_0001,"""zero""",error,')
     assert rows[1].endswith("unknown setting initial.amplitude: a zero initial condition reads kind")
 
 

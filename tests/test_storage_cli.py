@@ -1,4 +1,6 @@
+import concurrent.futures
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -240,7 +242,7 @@ def test_cli_tw_peaked_is_sampled_over_one_period(tmp_path):
     out = tmp_path / "tw"
     argv = ["tw", "--speed", "-3", "-A", "-1", "--wave", "peaked", "--out", str(out)]
     assert main(argv) == 0
-    sidecar = json.loads((out / "profile_c=-3.json").read_text())
+    sidecar = json.loads((out / "profile_c=-3_A=-1.json").read_text())
     assert sidecar["regularity"] == "peaked"
     assert sidecar["max_steady_residual"] < 1e-6
 
@@ -427,11 +429,39 @@ def test_cli_tw_takes_negative_values_in_exponent_notation_after_a_space(tmp_pat
     out = tmp_path / "tw"
     argv = ["tw", "--speed", "1.2", "--energy", "-1.6e-4", "--wave", "periodic", "--out", str(out)]
     assert main(argv) == 0
-    assert json.loads((out / "profile_c=1.2.json").read_text())["energy"] == -1.6e-4
+    assert json.loads((out / "profile_c=1.2_E=-0.00016.json").read_text())["energy"] == -1.6e-4
     assert main(["tw", "-c", "-3E0", "-A", "-1e0", "-E", "0", "--wave", "peaked",
                  "--out", str(out)]) == 0
-    sidecar = json.loads((out / "profile_c=-3.json").read_text())
+    sidecar = json.loads((out / "profile_c=-3_A=-1.json").read_text())
     assert (sidecar["speed"], sidecar["integration_constant"]) == (-3.0, -1.0)
+
+
+@pytest.mark.parametrize("speed, a, e, name", [
+    (1.2, 0.0, 0.0, "profile_c=1.2"),
+    (1200.0, 0.0, 0.0, "profile_c=1200"),
+    (-3.0, 0.0, 0.0, "profile_c=-3"),
+    (1.2000001, 0.0, 0.0, "profile_c=1.2000001"),
+    (-3.0, -1.0, 0.0, "profile_c=-3_A=-1"),
+    (1.2, 0.0, -1.6e-4, "profile_c=1.2_E=-0.00016"),
+    (1.2, 0.5, -1e-4, "profile_c=1.2_A=0.5_E=-0.0001"),
+])
+def test_cli_tw_name_is_every_nonzero_parameter_read_back_exactly(speed, a, e, name):
+    assert cli._tw_name(speed, a, e) == name
+
+
+def test_cli_tw_waves_of_different_parameters_keep_their_own_files(tmp_path):
+    # six significant digits without A and E would name all three profile_c=1.2
+    out = tmp_path / "tw"
+    runs = [("1.2", "-1e-4", "periodic"), ("1.2", "-2e-4", "periodic"), ("1.2000001", "0", "auto")]
+    for speed, energy, wave in runs:
+        assert main(["tw", "--speed", speed, f"--energy={energy}", "--wave", wave,
+                     "--out", str(out)]) == 0
+    sidecars = {p.name: json.loads(p.read_text()) for p in out.glob("*.json")
+                if not p.name.endswith("_residuals.json")}
+    assert sorted(sidecars) == ["profile_c=1.2000001.json", "profile_c=1.2_E=-0.0001.json",
+                                "profile_c=1.2_E=-0.0002.json"]
+    assert [(sidecars[name]["speed"], sidecars[name]["energy"]) for name in sorted(sidecars)] == [
+        (1.2000001, 0.0), (1.2, -1e-4), (1.2, -2e-4)]
 
 
 @pytest.mark.parametrize(
@@ -849,7 +879,7 @@ def test_sweep_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = _sweep_config(tmp_path)
     out = tmp_path / "s"
@@ -912,8 +942,26 @@ def test_sweep_tw_non_numeric_point_is_recorded_as_error(tmp_path):
     sweep_dir = tmp_path / "twbad"
     assert main(["sweep", "--config", str(cfg), "--out", str(sweep_dir)]) == 0
     rows = (sweep_dir / "aggregate.csv").read_text().splitlines()[1:]
-    assert rows[0].startswith('point_0000,"abc",error,') and "speed must be a finite number" in rows[0]
+    assert rows[0].startswith('point_0000,"""abc""",error,') and "speed must be a finite number" in rows[0]
     assert ",ok,smooth_solitary," in rows[1]
+
+
+def test_sweep_aggregate_has_one_field_per_column_for_list_values(tmp_path):
+    # a bare "[1, 2]" would read as two fields and move every later column
+    doc = json.loads(_sweep_config(tmp_path).read_text())
+    doc["sweep"] = {"initial.amplitude": [0.05, [1, 2]]}
+    cfg = tmp_path / "lists.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "lists"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "aggregate.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [len(row) for row in rows] == [len(header)] * 2
+    table = [dict(zip(header, row)) for row in rows]
+    assert [row["initial.amplitude"] for row in table] == ["0.05", "[1, 2]"]
+    assert [row["status"] for row in table] == ["ok", "error"]
+    assert table[0]["termination"] == "completed"
+    assert "initial.amplitude must be a finite number" in table[1]["error"]
 
 
 def test_sweep_rejects_bad_config(tmp_path, capsys):
