@@ -15,7 +15,7 @@ from .errors import ConfigError, NonFiniteFieldError, number
 
 # The largest grid: one field of 2**20 doubles is 8 MiB, so a mistyped size
 # is refused instead of asking for terabytes.  The tests use at most 8,192.
-MAX_POINTS = 2**20
+MIN_POINTS, MAX_POINTS = 16, 2**20
 # The largest wavenumber pi/h: the third-derivative table holds (pi/h)^3,
 # which must stay below the largest double (its cube root is 5.6e102).
 MAX_WAVENUMBER = 1e102
@@ -25,7 +25,7 @@ MAX_WAVENUMBER = 1e102
 class Grid:
     """Uniform periodic spatial discretization.
 
-    n_points is a whole number in [16, MAX_POINTS] (powers of two give the
+    n_points is a whole number in [MIN_POINTS, MAX_POINTS] (powers of two give the
     fastest FFTs); length is the spatial period, a finite positive number
     with pi * n_points / length at most MAX_WAVENUMBER.
     """
@@ -34,8 +34,9 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if not 16 <= number("grid.n_points", self.n_points, integer=True) <= MAX_POINTS:
-            raise ConfigError(f"grid.n_points must lie in [16, {MAX_POINTS}], got {self.n_points!r}")
+        if not MIN_POINTS <= number("grid.n_points", self.n_points, integer=True) <= MAX_POINTS:
+            raise ConfigError(f"grid.n_points must lie in [{MIN_POINTS}, {MAX_POINTS}], "
+                              f"got {self.n_points!r}")
         number("grid.length", self.length, positive=True)
         if not np.pi * self.n_points / self.length <= MAX_WAVENUMBER:
             raise ConfigError(f"grid.length must be at least pi * {self.n_points} / "
@@ -52,10 +53,6 @@ class Grid:
     def points(self) -> np.ndarray:
         """Sample coordinates x_j = j * spacing, j = 0 .. n_points-1."""
         return np.arange(self.n_points) * self.spacing
-
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers matching numpy's rfft layout."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing)
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:

@@ -6,13 +6,13 @@ The equation evolves as
     R(u) = 2u + 10u^2 - 2u^3 + 3u^4 - 7 u_x^2,
 
 on a periodic grid.  All derivatives are Fourier collocation derivatives and
-the Helmholtz inverse is the multiplier 1/(1+k^2).  The right-hand side
-(_rhs_spectrum) is its linear part ``lin * uh`` plus _nonlinear_spectrum,
-the one dealiased nonlinearity: under the 2/3 rule each of its products
+the Helmholtz inverse is the multiplier 1/(1+k^2).  The right-hand side is
+``lin * uh`` plus _nonlinear_spectrum, the one dealiased nonlinearity, which
+evolution._rk4 steps apart: under the 2/3 rule each of its products
 multiplies two band-truncated factors, so it is alias-free in the kept band
 and commutes exactly with band-limited translations and reflections.  The
-term-by-term dealiased R(u) it is checked against lives with the test
-oracles (tests/oracles.py).
+composed right-hand side and the term-by-term dealiased R(u) it is checked
+against live with the test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -136,16 +136,3 @@ def _nonlinear_spectrum(ubh: np.ndarray, grid: Grid) -> np.ndarray:
     nlh = np.fft.rfft(u2 * (r3 * ub + r4 * u2) + SLOPE_SQ * (ubx * ubx))[..., :band]
     return quad * u2h + rest * nlh
 
-
-def _rhs_spectrum(uh: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectrum of the evolution right-hand side from the spectrum of u.
-
-    ``lin * uh`` plus the kept band of _nonlinear_spectrum, on the last axis:
-    a (B, n//2 + 1) stack of spectra costs the same four transform calls as
-    one spectrum, and each row equals its own evaluation bitwise.
-    """
-    t = _rhs_tables(grid.n_points, grid.length)
-    band = len(t["quad"])
-    out = t["lin"] * uh
-    out[..., :band] += _nonlinear_spectrum(uh[..., :band], grid)
-    return out

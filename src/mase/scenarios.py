@@ -42,6 +42,9 @@ class Scenario:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    for name in _SECTIONS:
+        if not isinstance(doc.get(name, {}), dict):
+            raise ConfigError(f"{name} must be a JSON object, got {reprlib.repr(doc[name])}")
     try:
         grid = Grid(**doc["grid"])
         initial = dict(doc.get("initial", {"kind": "zero"}))
@@ -80,14 +83,17 @@ def _refuse_unknown(section: dict, prefix: str, known: tuple, owner: str) -> Non
         raise ConfigError(f"unknown setting {prefix}{unknown[0]}: {owner} reads {', '.join(known)}")
 
 
-def read_config(path: Path):
-    """The JSON document at ``path``; one that cannot be read or parsed is a ConfigError."""
+def read_config(path: Path) -> dict:
+    """The JSON object at ``path``; a file that holds none, or cannot be read, is a ConfigError."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except OSError as exc:  # missing, a directory, unreadable
         raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}")
     except ValueError as exc:  # also an integer beyond Python's 4,300-digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {reprlib.repr(doc)}")
+    return doc
 
 
 def load_scenario(path: Path, overrides: list[str] | None = None) -> Scenario:

@@ -204,6 +204,7 @@ def write_profile(prefix: Path, profile: TWProfile, extras: dict | None = None) 
 def read_profile(prefix: Path) -> TWProfile:
     """Profile from ``prefix``.csv and its JSON sidecar; a missing or malformed one raises ConfigError."""
     from .traveling_wave import Regularity, TWParams, TWProfile
+    from .weakform import _profile_grid
 
     cols = read_columns_csv(Path(str(prefix) + ".csv"), require=("xi", "U"))
     try:
@@ -211,13 +212,15 @@ def read_profile(prefix: Path) -> TWProfile:
         params = TWParams(
             sidecar["speed"], sidecar["integration_constant"], sidecar["energy"]
         )
-        return TWProfile(
+        profile = TWProfile(
             params=params,
             xi=cols["xi"],
             values=cols["U"],
             regularity=Regularity(sidecar["regularity"]),
             period=sidecar.get("period"),
         )
+        _profile_grid(profile)  # the uniform grid the steady weak form integrates on
+        return profile
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read profile {prefix}: {type(exc).__name__}: {exc}") from None
 

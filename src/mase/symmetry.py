@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConstantFieldError, NonFiniteFieldError
 from .evolution import Trajectory, _value_blocks
 from .grid import Grid
+from .operators import _spectral_tables
 
 __all__ = [
     "AxisSeries",
@@ -102,7 +103,7 @@ def _shifted(values: np.ndarray, grid: Grid, shifts: np.ndarray) -> np.ndarray:
     out = np.empty((len(shifts), n))
     out[whole] = values[(np.arange(n) - m[:, None]) % n]
     if not whole.all():
-        k = grid.wavenumbers()
+        k = _spectral_tables(n, grid.length)["k"]
         wh = np.fft.rfft(values) * np.exp(-1j * k * shifts[~whole, None])
         out[~whole] = _band_limited(wh, n)
     return out
@@ -116,7 +117,7 @@ def _reflected(values: np.ndarray, grid: Grid, axes: np.ndarray) -> np.ndarray:
     out = np.empty_like(values)
     out[whole] = np.take_along_axis(values[whole], (m[:, None] - np.arange(n)) % n, axis=-1)
     if not whole.all():
-        k = grid.wavenumbers()
+        k = _spectral_tables(n, grid.length)["k"]
         wh = np.conj(np.fft.rfft(values[~whole])) * np.exp(-1j * k * shift[~whole, None])
         out[~whole] = _band_limited(wh, n)
     return out
@@ -189,7 +190,7 @@ def _polished_peaks(C: np.ndarray, A: np.ndarray, grid: Grid) -> tuple[np.ndarra
         off = np.where(denom != 0, 0.5 * (cm1 - cp1) / denom, 0.0)
     delta = (m + off) * h
 
-    k = grid.wavenumbers()
+    k = _spectral_tables(n, grid.length)["k"]
     ik = 1j * k
     live = np.ones(len(rows), dtype=bool)
     # near the double range a mode sum can overflow; that peak stops there

@@ -53,7 +53,6 @@ __all__ = [
     "solitary_profile",
     "periodic_profile",
     "peaked_composite",
-    "evaluate_profile",
     "profile_to_field",
 ]
 
@@ -550,44 +549,28 @@ def _solitary_from_head(
     )
 
 
-def periodic_profile(
-    params: TWParams,
-    pair: tuple[float, float] | None = None,
-    n_points: int = 4096,
-) -> TWProfile:
-    """Periodic wave between two adjacent simple turning points.
+def periodic_profile(params: TWParams, n_points: int = 4096) -> TWProfile:
+    """Periodic wave between the first two adjacent simple turning points that bound an orbit.
 
-    With ``pair`` unset, the first adjacent root pair with positive squared
-    slope in between and a sign-definite U'' coefficient is used.  The crest
-    sits at xi = 0 and the n_points samples cover one period [-P/2, P/2)
-    half-open (_periodic_wave).  A turning point on the singular line is a
-    corner, so no smooth periodic wave exists there: see peaked_composite.
+    Between them the squared slope is positive and the U'' coefficient keeps its sign.  The
+    crest sits at xi = 0 and the n_points samples cover one period [-P/2, P/2) half-open
+    (_periodic_wave).  A turning point on the singular line is a corner, so no smooth
+    periodic wave exists there: see peaked_composite.
     """
     roots, tangent = level_roots(params)
+    pair = next(((u1, u2) for u1, u2 in zip(roots, roots[1:]) if u1 not in tangent
+                 and u2 not in tangent and _traversable(params, u1, u2, roots)), None)
     if pair is None:
-        for u1, u2 in zip(roots, roots[1:]):
-            if u1 not in tangent and u2 not in tangent and _traversable(params, u1, u2, roots):
-                pair = (u1, u2)
-                break
-        if pair is None:
-            raise NonexistenceError(
-                "no adjacent turning-point pair bounds a periodic orbit at this level"
-            )
-    u1, u2 = sorted(pair)
-    for end in (u1, u2):
+        raise NonexistenceError("no adjacent turning-point pair bounds a periodic orbit "
+                                "at this level")
+    for end in pair:
         if _is_root(uxx_coeff_poly(params), end):
             raise NonexistenceError(
                 f"turning point U = {end:.12g} lies on the singular line U_s = "
                 f"{singular_line(params) + 0.0:.12g}: the orbit has a corner there "
                 "(a peaked wave), not a smooth periodic one"
             )
-    if not _traversable(params, u1, u2, roots):
-        raise NonexistenceError(
-            "the singular line crosses the requested orbit or the squared slope "
-            "is not positive between the turning points"
-        )
-
-    return _periodic_wave(params, u2, u1, n_points, Regularity.SMOOTH_PERIODIC)
+    return _periodic_wave(params, pair[1], pair[0], n_points, Regularity.SMOOTH_PERIODIC)
 
 
 def peaked_composite(speed: float, integration_constant: float, n_points: int = 4096) -> TWProfile:
@@ -671,37 +654,11 @@ def _periodic_wave(params: TWParams, u_mid: float, u_end: float, n_points: int,
 
 
 # ---------------------------------------------------------------------------
-# evaluation and gridding
-
-
-def evaluate_profile(profile: TWProfile, xi) -> np.ndarray:
-    """Profile elevation at arbitrary coordinates, from the constructor's evaluator.
-
-    A profile without one (read back from CSV, or built by hand) is refused.
-    """
-    if profile.evaluator is None:
-        raise ValueError("profile has no evaluator; only constructed profiles can be evaluated")
-    return np.asarray(profile.evaluator(np.asarray(xi, dtype=np.float64)), dtype=np.float64)
+# gridding
 
 
 def profile_to_field(profile: TWProfile, grid: Grid, center: float = 0.0) -> Field:
-    """Sample a profile onto a periodic grid as initial data.
-
-    Solitary profiles are periodized by summing the three nearest images;
-    periodic profiles require the grid length to be an integer number of
-    periods.
-    """
-    x = grid.points - center
-    if profile.period is None:
-        half = 0.5 * grid.length
-        xi = np.mod(x + half, grid.length) - half
-        vals = sum(evaluate_profile(profile, xi + m * grid.length) for m in (-1, 0, 1))
-    else:
-        n_per = grid.length / profile.period
-        if abs(n_per - round(n_per)) > 1e-8 * max(1.0, n_per):
-            raise ValueError(
-                f"grid length {grid.length} is not a whole number of periods "
-                f"({profile.period})"
-            )
-        vals = evaluate_profile(profile, np.mod(x, profile.period))
-    return Field(grid, vals)
+    """A solitary profile's evaluator on a periodic grid, summed over its three nearest images."""
+    half = 0.5 * grid.length
+    xi = np.mod(grid.points - center + half, grid.length) - half
+    return Field(grid, sum(profile.evaluator(xi + m * grid.length) for m in (-1, 0, 1)))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import SupportError
 from .evolution import Trajectory, _value_blocks
-from .grid import Field, Grid
+from .grid import MIN_POINTS, Field, Grid
 from .operators import (
     FLUX,
     REACTION,
@@ -123,14 +123,13 @@ class ResidualReport:
 # quadrature helpers
 
 
-def _profile_grid(profile: TWProfile) -> tuple[Grid, float]:
-    xi = profile.xi
-    d = np.diff(xi)
+def _profile_grid(profile: TWProfile) -> Grid:
+    """The periodic grid of the samples; too few or unequally spaced ones raise ValueError."""
+    n, d = len(profile.xi), np.diff(profile.xi)
     # tolerance wide enough for 12-significant-digit CSV round trips
-    if np.max(d) - np.min(d) > 1e-6 * np.mean(d):
-        raise ValueError("weak residuals need a uniformly sampled profile")
-    spacing = float(np.mean(d))
-    return Grid(len(xi), spacing * len(xi)), float(xi[0])
+    if n < MIN_POINTS or np.max(d) - np.min(d) > 1e-6 * np.mean(d):
+        raise ValueError(f"weak residuals need at least {MIN_POINTS} uniformly spaced samples")
+    return Grid(n, float(np.mean(d)) * n)
 
 
 def _pointwise_reaction(u: np.ndarray, ux: np.ndarray) -> np.ndarray:
@@ -160,7 +159,7 @@ def _steady_residuals(profile: TWProfile, psis: list[TestFunction]) -> list[floa
     available (spectral differentiation otherwise).  The bracket
     (c + 1) U + 7 U^2 - P(R(U)) is formed once and paired with every bump.
     """
-    grid, x0 = _profile_grid(profile)
+    grid = _profile_grid(profile)
     for psi in psis:
         lo, hi = psi.support
         if lo < profile.xi[0] or hi > profile.xi[-1]:

@@ -8,6 +8,9 @@ shared by both sides:
 
 - ``kernel_convolve``, a direct quadrature of the periodized Helmholtz
   kernel, for ``helmholtz_inverse`` (acceptance 1);
+- ``rhs_spectrum`` (with ``_rhs_values`` and ``evolution_rhs``), the
+  right-hand side composed from the two parts the stepper takes apart:
+  ``lin * uh`` and the kept band of ``_nonlinear_spectrum``;
 - ``reaction_term`` (on ``_nonlinear_spectra``, ``_product_spectrum``,
   ``_truncate`` and ``_reaction_spectrum``), R(u) one dealiased product per
   power, for the fused right-hand side;
@@ -52,8 +55,8 @@ import numpy as np
 from mase.errors import ConstantFieldError, MaseError, SupportError
 from mase.grid import Field, Grid, State
 from mase.evolution import _rk4
-from mase.operators import (REACTION, SLOPE_SQ, _nonlinear_spectrum, _rhs_spectrum, _rhs_tables,
-                            _spectral_tables, helmholtz_inverse)
+from mase.operators import (REACTION, SLOPE_SQ, _nonlinear_spectrum, _rhs_tables, _spectral_tables,
+                            helmholtz_inverse)
 from mase.traveling_wave import (
     SINGULAR_GUARD,
     TWParams,
@@ -183,7 +186,7 @@ def _nonlinear_spectra(values: np.ndarray, grid: Grid) -> dict:
     Returns the full spectrum ``uh`` plus band-truncated spectra of u^2, u^3,
     u^4 and u_x^2, and the physical-space truncated factors used to build
     them.  reaction_term and local_form_residual draw from it; the package's
-    right-hand side (_rhs_spectrum) fuses the same products into fewer
+    right-hand side (_nonlinear_spectrum) fuses the same products into fewer
     transforms, so these check it from separate code.
     """
     t = _spectral_tables(grid.n_points, grid.length)
@@ -228,9 +231,23 @@ def reaction_term(u: Field) -> Field:
     return u.with_values(np.fft.irfft(_reaction_spectrum(parts), u.grid.n_points))
 
 
+def rhs_spectrum(uh: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spectrum of the evolution right-hand side from the spectrum of u.
+
+    ``lin * uh`` plus the kept band of _nonlinear_spectrum, the two parts
+    mase.evolution._rk4 steps, on the last axis: each row of a
+    (B, n//2 + 1) stack equals its own evaluation bitwise.
+    """
+    t = _rhs_tables(grid.n_points, grid.length)
+    band = len(t["quad"])
+    out = t["lin"] * uh
+    out[..., :band] += _nonlinear_spectrum(uh[..., :band], grid)
+    return out
+
+
 def _rhs_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Evolution right-hand side at the grid points."""
-    return np.fft.irfft(_rhs_spectrum(np.fft.rfft(values), grid), grid.n_points)
+    return np.fft.irfft(rhs_spectrum(np.fft.rfft(values), grid), grid.n_points)
 
 
 def evolution_rhs(s: State) -> Field:
@@ -473,7 +490,8 @@ def shift_field_loop(u: Field, s: float) -> Field:
     steps = s / u.grid.spacing
     if abs(steps - round(steps)) < 1e-9:
         return u.with_values(np.roll(u.values, int(round(steps)) % n))
-    wh = np.fft.rfft(u.values) * np.exp(-1j * u.grid.wavenumbers() * s)
+    k = _spectral_tables(n, u.grid.length)["k"]
+    wh = np.fft.rfft(u.values) * np.exp(-1j * k * s)
     if n % 2 == 0:
         wh[-1] = 0.0
     return u.with_values(np.fft.irfft(wh, n))
@@ -487,7 +505,8 @@ def reflect_loop(u: Field, axis: float) -> Field:
     if abs(steps - round(steps)) < 1e-9:
         m = int(round(steps)) % n
         return u.with_values(u.values[(m - np.arange(n)) % n])
-    wh = np.conj(np.fft.rfft(u.values)) * np.exp(-1j * u.grid.wavenumbers() * shift)
+    k = _spectral_tables(n, u.grid.length)["k"]
+    wh = np.conj(np.fft.rfft(u.values)) * np.exp(-1j * k * shift)
     if n % 2 == 0:
         wh[-1] = 0.0
     return u.with_values(np.fft.irfft(wh, n))
@@ -512,7 +531,7 @@ def detect_axis_loop(u: Field) -> tuple[float, float, bool]:
         raise ConstantFieldError("symmetry axis of a constant field is undefined")
     flip = dev[(-np.arange(n)) % n]
     A = np.fft.rfft(dev) * np.conj(np.fft.rfft(flip))
-    k = u.grid.wavenumbers()
+    k = _spectral_tables(n, L)["k"]
     C = np.fft.irfft(A, n)
 
     c_max, c_min = float(np.max(C)), float(np.min(C))
@@ -580,7 +599,7 @@ def travel_error_loop(snapshots: Sequence[State], speed: float) -> float:
 
 def max_slope_loop(u: Field) -> float:
     """max|u_x| of one field by its own transform pair."""
-    k = u.grid.wavenumbers()
+    k = _spectral_tables(u.grid.n_points, u.grid.length)["k"]
     d1 = 1j * k
     if u.grid.n_points % 2 == 0:
         d1[-1] = 0.0
@@ -593,7 +612,7 @@ def unsteady_residual_loop(snapshots: Sequence[State], phis, rho) -> list[float]
     times = np.array([s.time for s in snapshots])
     t_lo, t_hi = rho.support
     x = grid.points
-    k = grid.wavenumbers()
+    k = _spectral_tables(grid.n_points, grid.length)["k"]
     d1 = 1j * k
     if grid.n_points % 2 == 0:
         d1[-1] = 0.0

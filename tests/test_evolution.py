@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import constant_field, linear_phase_speed, rk4_step, zero_field
+from oracles import constant_field, linear_phase_speed, rhs_spectrum, rk4_step, zero_field
 
 from mase import evolution
 from mase.evolution import (
@@ -15,7 +15,7 @@ from mase.evolution import (
     _rk4,
 )
 from mase.grid import Field, Grid, State
-from mase.operators import _rhs_spectrum, _rhs_tables
+from mase.operators import _rhs_tables
 
 
 @pytest.fixture()
@@ -99,7 +99,7 @@ def test_evolve_ends_with_blow_up_and_the_last_finite_state(grid, monkeypatch):
 def test_default_cfl_keeps_frozen_coefficient_modes_in_the_rk4_stability_interval(n, length):
     # The step takes the linear part lin * uh exactly and RK4 acts on the
     # rest.  A constant state u = a is translation-invariant, so that rest,
-    # linearised, is diagonal in k: one central difference of _rhs_spectrum
+    # linearised, is diagonal in k: one central difference of rhs_spectrum
     # along every mode at once, minus lin, gives each eigenvalue.  They are
     # imaginary, and classical RK4 is stable on the imaginary axis up to
     # |dt lambda| = 2 sqrt(2).  The largest step is min(dt_max, cfl h / 14|a|),
@@ -113,7 +113,7 @@ def test_default_cfl_keeps_frozen_coefficient_modes_in_the_rk4_stability_interva
     probe[0] = 0.0
     for a in np.append(np.linspace(-1.0, 1.0, 41), -1.0 / 14.0):
         uh = np.fft.rfft(np.full(n, a))
-        lam = (_rhs_spectrum(uh + eps * probe, grid) - _rhs_spectrum(uh - eps * probe, grid)) / (2 * eps)
+        lam = (rhs_spectrum(uh + eps * probe, grid) - rhs_spectrum(uh - eps * probe, grid)) / (2 * eps)
         with np.errstate(divide="ignore"):
             dt = min(config.dt_max, config.cfl * grid.spacing / (14.0 * abs(a)))
         z = dt * (lam - lin)
@@ -142,12 +142,12 @@ def test_rhs_and_rk4_on_a_stack_equal_the_rows_bitwise(grid):
     rows = np.stack([gaussian(grid, a, w).values for a, w in ((0.05, 2.0), (0.2, 1.0), (-0.1, 3.0))])
     uh = np.fft.rfft(rows)
     dt = np.array([0.01, 0.003, 0.02])
-    rhs = _rhs_spectrum(uh, grid)
+    rhs = rhs_spectrum(uh, grid)
     stepped = rk4_step(uh, grid, dt[:, None])
     assert rhs.shape == stepped[0].shape == uh.shape
     assert stepped[2].shape == dt.shape
     for i in range(len(rows)):
-        assert np.array_equal(rhs[i], _rhs_spectrum(uh[i], grid))
+        assert np.array_equal(rhs[i], rhs_spectrum(uh[i], grid))
         for part, solo in zip(stepped, rk4_step(uh[i], grid, float(dt[i])), strict=True):
             assert np.array_equal(part[i], solo)
 

@@ -9,9 +9,9 @@ import mase
 # none of them, and the references among them live in tests/oracles.py
 REMOVED = {
     "AxisFit", "BlowUpError", "COMPOSITE", "GridMismatchError", "SingularLineError",
-    "constant_field", "detect_axis", "level_tangencies", "reaction_term", "reflect",
-    "reflection_bracket_check", "shift_field", "steady_weak_residual", "step",
-    "turning_points", "zero_field",
+    "_rhs_spectrum", "constant_field", "detect_axis", "evaluate_profile", "level_tangencies",
+    "reaction_term", "reflect", "reflection_bracket_check", "shift_field",
+    "steady_weak_residual", "step", "turning_points", "zero_field",
 }
 
 

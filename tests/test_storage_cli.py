@@ -188,6 +188,37 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, text, overrides", [
+    ("sweep", "[1, 2]", []),
+    ("sweep", '"base"', []),
+    ("simulate", "[1, 2]", ["--set", "a.b=1"]),
+    ("sweep", "[1, 2]", ["--set", "a=1"]),
+], ids=["sweep-list", "sweep-string", "simulate-list-set", "sweep-list-set"])
+def test_cli_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, command, text, overrides):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r"), *overrides]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: config must be a JSON object, got ")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("section, value", [
+    ("analysis", []),
+    ("initial", [["kind", "gaussian"], ["amplitude", 0.05], ["width", 2.0]]),
+    ("grid", [["n_points", 128], ["length", 40.0]]),
+], ids=["empty-list", "list-of-pairs", "grid-pairs"])
+def test_cli_scenario_section_that_is_not_a_json_object_exits_2(tmp_path, scenario_file, capsys,
+                                                                section, value):
+    doc = json.loads(scenario_file.read_text())
+    doc[section] = value
+    scenario_file.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: {section} must be a JSON object")
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_set_overrides_win(tmp_path, scenario_file):
     run_dir = tmp_path / "run_o"
     assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir),
@@ -707,6 +738,24 @@ def test_cli_weakform_composite_profile_sidecar_exits_2(tmp_path, solitary_c12, 
     assert main(["weakform", "--profile", str(prefix)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: config: cannot read profile")
+
+
+@pytest.mark.parametrize("rows", [
+    [(float(x), 0.1) for x in (*range(5), 5.5, *range(6, 32))],
+    [(0.0, 0.1)],
+    [],
+], ids=["non-uniform", "one-row", "no-rows"])
+def test_cli_weakform_profile_off_a_uniform_grid_exits_2(tmp_path, solitary_c12, capsys, rows):
+    # the steady weak form integrates on the profile's own uniform grid of at least 16 points
+    prefix = tmp_path / "profile_c=1.2"
+    write_profile(prefix, solitary_c12)
+    Path(str(prefix) + ".csv").write_text("xi,U\n" + "".join(f"{x},{u}\n" for x, u in rows))
+    with pytest.raises(ConfigError, match="cannot read profile"):
+        read_profile(prefix)
+    assert main(["weakform", "--profile", str(prefix)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: cannot read profile")
+    assert not (tmp_path / "residuals.json").exists()
 
 
 @pytest.mark.parametrize(

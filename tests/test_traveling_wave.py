@@ -25,7 +25,6 @@ from mase.traveling_wave import (
     Regularity,
     TWParams,
     TWProfile,
-    evaluate_profile,
     force_poly,
     level_polynomial,
     level_roots,
@@ -291,7 +290,7 @@ def periodic():
     params, uc = center_level_params()
     roots = level_roots(params)[0]
     pair = next((a, b) for a, b in zip(roots, roots[1:]) if a < uc < b)
-    return periodic_profile(params, pair=pair), params, pair
+    return periodic_profile(params), params, pair
 
 
 def test_periodic_attains_turning_points(periodic):
@@ -403,7 +402,7 @@ def test_compose_half_with_mirror_reproduces_periodic(periodic):
     full = concatenate_segments_unchecked([half, mirror_profile(half)])
     assert float(full.xi[-1]) == pytest.approx(prof.period, abs=1e-9)
     s = np.linspace(0.0, prof.period / 2, 301)
-    assert np.max(np.abs(evaluate_profile(prof, s) - evaluate_profile(full, s))) < 1e-10
+    assert np.max(np.abs(prof.evaluator(s) - full.evaluator(s))) < 1e-10
 
 
 def test_peaked_wave_matches_the_segment_composition():
@@ -427,7 +426,7 @@ def test_peaked_wave_matches_the_segment_composition():
         period = float(ref.xi[-1])
         assert prof.period == pytest.approx(period, rel=1e-12)
         x = np.linspace(-0.5 * prof.period, 0.5 * prof.period, 513)
-        gap = np.max(np.abs(evaluate_profile(prof, x) - evaluate_profile(ref, x + 0.5 * period)))
+        gap = np.max(np.abs(prof.evaluator(x) - ref.evaluator(x + 0.5 * period)))
         assert gap <= 1e-12 * np.max(np.abs(prof.values))
         corner = np.sqrt(-force_poly(params)(u_s) / 7.0)
         assert prof.slopes[len(prof.xi) // 2] == pytest.approx(corner, rel=1e-12)
@@ -538,15 +537,6 @@ def test_profile_to_field_is_periodic_and_even(solitary_c12):
     left = vals[(i - np.arange(1, k)) % grid.n_points]
     right = vals[(i + np.arange(1, k)) % grid.n_points]
     assert np.max(np.abs(left - right)) < 1e-10
-
-
-def test_profile_to_field_periodic_requires_commensurate_grid(peaked):
-    grid = Grid(256, 10.0)
-    with pytest.raises(ValueError):
-        profile_to_field(peaked, grid)
-    grid_ok = Grid(256, 2.0 * peaked.period)
-    f = profile_to_field(peaked, grid_ok)
-    assert f.sup_norm() <= abs(peaked.values.min()) + 1e-9
 
 
 def test_profile_dataclass_validation():

@@ -110,7 +110,7 @@ def test_steady_residual_linear_in_test_function(solitary_c12):
     p = solitary_c12
     from mase.weakform import _profile_grid, _profile_reaction
 
-    grid, _ = _profile_grid(p)
+    grid = _profile_grid(p)
     r = _profile_reaction(p, grid)
     pr = helmholtz_inverse(Field(grid, r)).values
     c = p.params.speed
