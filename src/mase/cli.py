@@ -123,15 +123,25 @@ def _unsteady_report(traj, seed: int, n_bumps: int = 5) -> ResidualReport:
     return ResidualReport(tuple(entries), mean_mass)
 
 
+# the fewest samples whose window holds a whole bump of the widest short-window
+# width, 1.01 * 33 h on either side of its centre: 67 spacings >= 66.66 h
+_MIN_STEADY_SAMPLES = 68
+
+
 def _steady_report(profile, seed: int, n_bumps: int = 5) -> ResidualReport:
     """Steady residuals against random bumps inside the sampled window.
 
-    Widths lie in [max(span/24, 33 h), min(span/6, 512 h)] for sample spacing h.
+    Widths lie in [max(span/24, 33 h), min(span/6, 512 h)] for sample spacing h;
+    a profile of fewer than _MIN_STEADY_SAMPLES samples holds no such bump and
+    raises ConfigError.
     """
     import numpy as np
 
     from .weakform import random_bumps, steady_residual_report
 
+    if len(profile.xi) < _MIN_STEADY_SAMPLES:
+        raise ConfigError(f"the steady weak form needs a profile of at least {_MIN_STEADY_SAMPLES} "
+                          f"samples to hold a test bump, got {len(profile.xi)}")
     rng = np.random.default_rng(seed)
     lo, hi = profile.xi[0], profile.xi[-1]
     h = profile.xi[1] - profile.xi[0]

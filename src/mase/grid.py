@@ -16,7 +16,7 @@ from .errors import ConfigError, NonFiniteFieldError, number
 # The largest grid: one field of 2**20 doubles is 8 MiB, so a mistyped size
 # is refused instead of asking for terabytes.  The tests use at most 8,192.
 MIN_POINTS, MAX_POINTS = 16, 2**20
-# The largest wavenumber pi/h: the third-derivative table holds (pi/h)^3,
+# The largest wavenumber pi/h: the third-derivative multiplier holds (pi/h)^3,
 # which must stay below the largest double (its cube root is 5.6e102).
 MAX_WAVENUMBER = 1e102
 

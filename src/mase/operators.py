@@ -39,27 +39,36 @@ SLOPE_SQ = -7.0
 # spectral helpers
 
 
-@lru_cache(maxsize=64)
-def _spectral_tables(n_points: int, length: float):
-    """Wavenumbers, dealias mask and derivative multipliers for a grid size.
+# Grids whose tables each cache keeps: the most any command reuses, since a run
+# or a sweep group evolves one grid and the canonical acceptance runs cycle
+# three.  The steady weak form meets a new grid length with every profile, so
+# a larger cache would only keep tables that are never read again.
+_CACHED_GRIDS = 4
 
-    Cached per (n, L); entries are read-only, so sharing across threads is
-    safe and invisible to callers.
-    """
-    k = 2.0 * np.pi * np.fft.rfftfreq(n_points, d=length / n_points)
-    mode = np.arange(n_points // 2 + 1)
-    keep = mode < max(1, n_points // 3)
-    ik = 1j * k
-    # odd-order derivatives of real data have no consistent Nyquist mode
+
+def _nyquist_mask(n_points: int, k: np.ndarray) -> np.ndarray:
+    """Ones but at the Nyquist mode of an even grid, which odd-order derivatives of real data drop."""
     nyq = np.ones_like(k)
     if n_points % 2 == 0:
         nyq[-1] = 0.0
+    return nyq
+
+
+@lru_cache(maxsize=_CACHED_GRIDS)
+def _spectral_tables(n_points: int, length: float):
+    """Wavenumbers, dealias mask, first derivative and Helmholtz multiplier.
+
+    Only what the package reads more than once is kept; spectral_derivative
+    builds its order-2 and order-3 multipliers from ``k`` per call.  Cached
+    per (n, L); entries are read-only, so sharing across threads is safe and
+    invisible to callers.
+    """
+    k = 2.0 * np.pi * np.fft.rfftfreq(n_points, d=length / n_points)
+    mode = np.arange(n_points // 2 + 1)
     tables = {
         "k": k,
-        "keep": keep,
-        "d1": ik * nyq,
-        "d2": (ik) ** 2,
-        "d3": (ik) ** 3 * nyq,
+        "keep": mode < max(1, n_points // 3),
+        "d1": 1j * k * _nyquist_mask(n_points, k),
         "helmholtz": 1.0 / (1.0 + k**2),
     }
     for arr in tables.values():
@@ -67,12 +76,13 @@ def _spectral_tables(n_points: int, length: float):
     return tables
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=_CACHED_GRIDS)
 def _rhs_tables(n_points: int, length: float):
     """Multipliers of the spectral right-hand side for a grid size.
 
-    Kept apart from _spectral_tables, which the weak forms fill with many
-    grid lengths, so that only evolved grids pay for these.  Read-only.
+    Kept apart from _spectral_tables, which the steady weak form and the
+    symmetry analysis also read, so that only evolved grids pay for these.
+    Read-only.
     """
     t = _spectral_tables(n_points, length)
     d1, helm = t["d1"], t["helmholtz"]
@@ -91,6 +101,20 @@ def _rhs_tables(n_points: int, length: float):
     return tables
 
 
+def _derivative_multiplier(n_points: int, length: float, order: int) -> np.ndarray:
+    """Multiplier of the derivative of order 1, 2 or 3.
+
+    Orders 2 and 3 are built per call from the cached ``k``: the package
+    never reads them twice, so the cache does not keep them.
+    """
+    t = _spectral_tables(n_points, length)
+    if order == 1:
+        return t["d1"]
+    k = t["k"]
+    ik = 1j * k
+    return ik**2 if order == 2 else ik**3 * _nyquist_mask(n_points, k)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -99,8 +123,7 @@ def spectral_derivative(u: Field, order: int) -> Field:
     """Fourier-collocation derivative of order 1, 2 or 3."""
     if order not in (1, 2, 3):
         raise DerivativeOrderError(f"derivative order must be 1, 2 or 3, got {order!r}")
-    t = _spectral_tables(u.grid.n_points, u.grid.length)
-    mult = t[f"d{order}"]
+    mult = _derivative_multiplier(u.grid.n_points, u.grid.length, order)
     return u.with_values(np.fft.irfft(mult * np.fft.rfft(u.values), u.grid.n_points))
 
 

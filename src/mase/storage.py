@@ -42,8 +42,9 @@ def write_json(path: Path, obj) -> str:
 
 def _write_text(path: Path, text: str) -> str:
     """Write text without newline translation; returns the sha256 of the bytes written."""
-    path.write_text(text, encoding="utf-8", newline="")
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> str:

@@ -277,16 +277,18 @@ def local_form_residual(u: Field, ut: Field) -> Field:
     t = parts["tables"]
     keep = t["keep"]
     ub, ubx = parts["ub"], parts["ubx"]
-    ubxx = np.fft.irfft(t["d2"] * parts["ubh"], n)
-    ubxxx = np.fft.irfft(t["d3"] * parts["ubh"], n)
+    d2 = (1j * t["k"]) ** 2
+    d3 = d2 * t["d1"]  # d1 carries the Nyquist zero of odd orders
+    ubxx = np.fft.irfft(d2 * parts["ubh"], n)
+    ubxxx = np.fft.irfft(d3 * parts["ubh"], n)
     u2 = parts["u2"]
     u3 = np.fft.irfft(parts["u3h"], n)
     uth = np.fft.rfft(ut.values)
     res = (
         uth
         + t["d1"] * parts["uh"]
-        + t["d3"] * parts["uh"]
-        - t["d2"] * uth
+        + d3 * parts["uh"]
+        - d2 * uth
         + 6.0 * _product_spectrum(ub, ubx, keep)
         - 6.0 * _product_spectrum(u2, ubx, keep)
         + 12.0 * _product_spectrum(u3, ubx, keep)

@@ -14,9 +14,12 @@ from oracles import (
     zero_field,
 )
 
+from mase.cli import run_tw
 from mase.errors import DerivativeOrderError, NonFiniteFieldError
+from mase.evolution import SolverConfig, evolve
 from mase.grid import Field, Grid, State
-from mase.operators import helmholtz_inverse, spectral_derivative
+from mase.operators import (_derivative_multiplier, _rhs_tables, _spectral_tables, helmholtz_inverse,
+                            spectral_derivative)
 
 
 @pytest.fixture()
@@ -48,6 +51,33 @@ def test_derivative_rejects_bad_order(grid):
     for order in (0, 4, -1):
         with pytest.raises(DerivativeOrderError):
             spectral_derivative(f, order)
+
+
+@pytest.mark.parametrize("n,length", [(256, 40.0), (255, 40.0), (64, 1e-3), (16, 7.0)])
+def test_derivative_multipliers_are_the_table_expressions_bitwise(n, length):
+    # orders 2 and 3 are built per call from k, with the expressions the
+    # tables used to keep
+    k = _spectral_tables(n, length)["k"]
+    ik = 1j * k
+    nyq = np.ones_like(k)
+    if n % 2 == 0:
+        nyq[-1] = 0.0
+    for order, table in [(1, ik * nyq), (2, (ik) ** 2), (3, (ik) ** 3 * nyq)]:
+        mult = _derivative_multiplier(n, length, order)
+        assert mult.dtype == table.dtype and mult.tobytes() == table.tobytes()
+
+
+def test_the_spectral_caches_keep_at_most_four_grids(tmp_path):
+    # every profile's steady residual runs on its own grid length, and each
+    # evolved grid builds both tables
+    for i, speed in enumerate(np.linspace(1.05, 3.0, 24)):
+        run_tw({"speed": float(speed)}, tmp_path / f"profile_{i}")
+    cfg = SolverConfig(t_end=0.01, snapshot_interval=0.01)
+    for n in (32, 48, 64, 80, 96):
+        grid = Grid(n, 40.0)
+        evolve([State(0.0, Field(grid, 0.05 * np.exp(-((grid.points - 20.0) ** 2))))], cfg)
+    assert _spectral_tables.cache_info().currsize <= 4
+    assert _rhs_tables.cache_info().currsize <= 4
 
 
 # ---------------------------------------------------------------------------

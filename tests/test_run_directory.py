@@ -21,8 +21,8 @@ import pytest
 from mase.cli import main
 from mase.errors import ConfigError, number
 from mase.evolution import MAX_SNAPSHOTS, MAX_STEPS, SolverConfig, evolve
-from mase.grid import MAX_POINTS, MAX_WAVENUMBER, Grid, State
-from mase.operators import _spectral_tables
+from mase.grid import MAX_POINTS, MAX_WAVENUMBER, Field, Grid, State
+from mase.operators import _spectral_tables, spectral_derivative
 from mase.scenarios import build_initial_field, scenario_from_dict
 from mase.storage import read_trajectory, write_trajectory
 
@@ -201,9 +201,12 @@ def test_the_grid_and_the_snapshot_count_are_capped():
 
 
 def test_the_wavenumber_and_the_step_count_are_capped():
-    # the shortest grid keeps the cube of its largest wavenumber in the tables finite
+    # the shortest grid keeps the cube of its largest wavenumber finite, in the tables and the derivatives
     shortest = Grid(64, np.pi * 64 / MAX_WAVENUMBER)
     assert all(np.all(np.isfinite(t)) for t in _spectral_tables(64, shortest.length).values())
+    # orders 2 and 3 are built per call, so their multipliers are checked through the derivative
+    field = Field(shortest, np.sin(2 * np.pi * shortest.points / shortest.length))
+    assert all(np.all(np.isfinite(spectral_derivative(field, order).values)) for order in (2, 3))
     with pytest.raises(ConfigError, match=r"^grid\.length must be at least"):
         Grid(64, 0.5 * shortest.length)
     assert SolverConfig(t_end=MAX_STEPS * 0.1, snapshot_interval=100.0, dt_max=0.1)

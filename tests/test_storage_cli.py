@@ -758,6 +758,26 @@ def test_cli_weakform_profile_off_a_uniform_grid_exits_2(tmp_path, solitary_c12,
     assert not (tmp_path / "residuals.json").exists()
 
 
+@pytest.mark.parametrize("n_rows, refused", [(40, True), (67, True), (68, False)])
+def test_cli_weakform_profile_too_short_for_a_bump_exits_2(tmp_path, solitary_c12, capsys,
+                                                           n_rows, refused):
+    # the narrowest bump spans 2 * 33 sample spacings, which 67 samples cannot hold
+    prefix = tmp_path / "profile_c=1.2"
+    write_profile(prefix, solitary_c12)
+    Path(str(prefix) + ".csv").write_text(
+        "xi,U\n" + "".join(f"{0.25 * i},0.1\n" for i in range(n_rows)))
+    code = main(["weakform", "--profile", str(prefix)])
+    err = capsys.readouterr().err.splitlines()
+    if refused:
+        assert code == 2 and len(err) == 1
+        assert err[0] == ("error: config: the steady weak form needs a profile of at least 68 "
+                          f"samples to hold a test bump, got {n_rows}")
+        assert not (tmp_path / "residuals.json").exists()
+    else:
+        assert code == 0 and err == []
+        assert (tmp_path / "residuals.json").exists()
+
+
 @pytest.mark.parametrize(
     "error, kind",
     [
