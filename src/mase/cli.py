@@ -5,7 +5,8 @@ JSON; ``--set key.path=value`` overrides win over the file.  Science
 outcomes (including detected wave breaking) exit 0; configuration faults
 exit 2, nonexistent traveling waves exit 3, degenerate symmetry inputs
 exit 4 and every other package error exit 5, each with a one-line
-``error: <kind>: <message>`` on stderr.
+``error: <kind>: <message>`` on stderr.  An output that cannot be written is
+a configuration fault.
 """
 
 from __future__ import annotations
@@ -514,6 +515,9 @@ def main(argv=None) -> int:
     except MaseError as exc:
         print(f"error: {_error_kind(exc)}: {exc}", file=sys.stderr)
         return 5
+    except OSError as exc:  # each read turns its OSError into a ConfigError, so this one is a write
+        print(f"error: config: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def _error_kind(exc: MaseError) -> str:

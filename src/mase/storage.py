@@ -159,7 +159,7 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
         listed = [(e["path"], e["sha256"]) for e in manifest["outputs"]]
         times = {name: float(name[2:-4]) for name, _ in listed
                  if name.startswith("t=") and name.endswith(".csv")}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed run {run_dir}: {type(exc).__name__}: {exc}") from None
     snaps = []
     for name, digest in listed:

@@ -1,11 +1,19 @@
 """Shared fixtures; the expensive runs are session-scoped and reused."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mase
 from mase.evolution import SolverConfig, evolve, _max_slope
 from mase.grid import Field, Grid, State
 from mase.traveling_wave import profile_to_field, solitary_profile
+
+
+def pytest_report_header(config):
+    # the checkout's src/ or an installed package: whichever the tests import
+    return f"mase {mase.__version__} from {Path(mase.__file__).parent}"
 
 
 @pytest.fixture(scope="session")

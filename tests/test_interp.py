@@ -6,9 +6,10 @@ run-time interpolant must equal.
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline
 
 from mase.traveling_wave import _PiecewiseCubic
+
+CubicHermiteSpline = pytest.importorskip("scipy.interpolate").CubicHermiteSpline
 
 
 def assert_bitwise(ours, theirs):

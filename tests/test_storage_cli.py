@@ -120,10 +120,14 @@ def test_analysis_commands_keep_the_manifest_true(tmp_path, scenario_file, capsy
     # listed file keeps its digest; a report written elsewhere leaves it alone
     run_dir = tmp_path / "run"
     assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    assert capsys.readouterr().out == f"run written to {run_dir} (termination: completed)\n"
     assert verify_manifest(run_dir)
     for command in (["symmetry", "--symmetry-tol", "1e-3"], ["weakform", "--n-bumps", "3"]):
         assert main([*command, "--run", str(run_dir)]) == 0
         assert verify_manifest(run_dir)
+    # it lists every file but itself and run.log
+    listed = {e["path"] for e in json.loads((run_dir / "manifest.json").read_text())["outputs"]}
+    assert listed == {p.name for p in run_dir.iterdir()} - {"manifest.json", "run.log"}
     manifest = (run_dir / "manifest.json").read_bytes()
     elsewhere = tmp_path / "elsewhere"
     for command in ("symmetry", "weakform"):
@@ -364,7 +368,7 @@ def test_symmetry_of_a_run_whose_mean_overflows_the_squares_is_an_error(tmp_path
     assert len(err) == 1 and err[0].startswith("error: non-finite-field:")
 
 
-def test_cli_weakform_on_run_and_profile(tmp_path, scenario_file):
+def test_cli_weakform_on_run_and_profile(tmp_path, scenario_file, capsys):
     run_dir = tmp_path / "run_w"
     main(["simulate", "--config", str(scenario_file), "--out", str(run_dir),
           "--set", "solver.snapshot_interval=0.05", "--set", "analysis.weakform=false"])
@@ -374,8 +378,10 @@ def test_cli_weakform_on_run_and_profile(tmp_path, scenario_file):
     tw_dir = tmp_path / "tw_w"
     main(["tw", "--speed", "1.2", "--out", str(tw_dir)])
     out = tmp_path / "steady.json"
+    capsys.readouterr()
     assert main(["weakform", "--profile", str(tw_dir / "profile_c=1.2"),
                  "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("max residual ")
     doc = json.loads(out.read_text())
     assert all(abs(e["residual"]) < 1e-4 for e in doc["per_test_function"])
 
@@ -800,8 +806,10 @@ def test_cli_other_package_errors_exit_5_without_traceback(monkeypatch, capsys, 
 
 
 def test_import_needs_no_scipy():
+    # nor any other test dependency
     blocked = "import sys; sys.modules['scipy'] = None; import mase.cli"
-    listed = "import sys, mase.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    listed = ("import sys, mase.cli; "
+              "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'pytest', 'hypothesis'}))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", blocked], env=env).returncode == 0
     out = subprocess.run([sys.executable, "-c", listed], env=env, capture_output=True, text=True)
@@ -818,6 +826,7 @@ def test_cli_tw_profile_run_keeps_amplitude(tmp_path):
     cfg.write_text(json.dumps(doc))
     run_dir = tmp_path / "tw_run"
     assert main(["simulate", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    assert json.loads((run_dir / "manifest.json").read_text())["termination"] == "completed"
     from mase.storage import read_columns_csv
 
     diag = read_columns_csv(run_dir / "diagnostics.csv")
@@ -833,6 +842,52 @@ def test_cli_out_root_env(tmp_path, scenario_file, monkeypatch):
     monkeypatch.setenv("MASE_OUT_ROOT", str(tmp_path / "root"))
     assert main(["simulate", "--config", str(scenario_file)]) == 0
     assert (tmp_path / "root" / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tw", "--speed", "1.2", "--out", "afile/x"],
+    ["tw", "--speed", "1.2"],  # under MASE_OUT_ROOT=afile
+    ["simulate", "--config", "scenario.json", "--out", "afile/x"],
+    ["sweep", "--config", "sweep.json", "--out", "afile/x"],
+    ["symmetry", "--run", "run", "--out", "afile/x"],
+    ["weakform", "--run", "run", "--out", "afile/x"],
+], ids=["tw", "tw-out-root", "simulate", "sweep", "symmetry", "weakform"])
+def test_an_output_that_cannot_be_written_exits_2_in_one_line(tmp_path, scenario_file, capsys,
+                                                              monkeypatch, argv):
+    # afile is a regular file, so no directory can be made under it or in its place
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MASE_OUT_ROOT", "afile")
+    Path("afile").write_text("")
+    Path("sweep.json").write_text(json.dumps({"base": json.loads(scenario_file.read_text()),
+                                              "sweep": {"initial.amplitude": [0.05]}}))
+    if "run" in argv:
+        assert main(["simulate", "--config", "scenario.json", "--out", "run"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: cannot write afile")
+    assert Path("afile").read_text() == ""
+
+
+def test_a_run_whose_manifest_is_a_directory_is_refused_in_one_line(tmp_path, capsys):
+    # a read's OSError is a malformed run, not an output that cannot be written
+    (tmp_path / "manifest.json").mkdir()
+    for command in ("symmetry", "weakform"):
+        assert main([command, "--run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: malformed run")
+
+
+@pytest.mark.parametrize("argv, name, regularity", [
+    (["--speed", "1200"], "profile_c=1200", "smooth_solitary"),
+    (["--speed", "-3"], "profile_c=-3", "cusped"),
+    (["--speed", "1.2", "--energy=-1.58e-4", "--wave", "periodic"], "profile_c=1.2_E=-0.000158",
+     "smooth_periodic"),
+])
+def test_cli_tw_writes_the_wave_its_parameters_give(tmp_path, capsys, argv, name, regularity):
+    assert main(["tw", *argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith(f"profile written to {tmp_path / name}.csv ({regularity}, ")
+    assert json.loads((tmp_path / f"{name}.json").read_text())["regularity"] == regularity
 
 
 def test_cli_breaking_scenario_exits_0(tmp_path):

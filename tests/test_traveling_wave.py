@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from oracles import (
     COMPOSITE,
     PhasePoint,
@@ -16,7 +15,6 @@ from oracles import (
     orbit_segment,
     planar_field,
 )
-from scipy.optimize import brentq
 
 from mase.cli import main, run_tw
 from mase.errors import ConfigError, NonexistenceError
@@ -253,6 +251,8 @@ def test_solitary_positive_branch_cusps_at_singular_line(solitary_c12):
 def test_cusp_head_length_matches_adaptive_quadrature(c, branch):
     # dxi = dU / sqrt(W) from the cusp U_s down to U_s/2; with U = U_s -+ s^2
     # and D = 14 (U - U_s) the integrand is 2 s^2 sqrt(14/|E - 2G|)
+    quad = pytest.importorskip("scipy.integrate").quad
+    brentq = pytest.importorskip("scipy.optimize").brentq
     prof = solitary_profile(c, branch=branch)
     assert prof.regularity is Regularity.CUSPED
     u_s = singular_line(prof.params)
@@ -308,6 +308,7 @@ def test_periodic_even_about_crest(periodic):
 
 
 def test_periodic_period_matches_adaptive_quadrature(periodic):
+    quad = pytest.importorskip("scipy.integrate").quad
     prof, params, pair = periodic
     u1, u2 = pair
     amp = 0.5 * (u2 - u1)
