@@ -516,7 +516,8 @@ def main(argv=None) -> int:
         print(f"error: {_error_kind(exc)}: {exc}", file=sys.stderr)
         return 5
     except OSError as exc:  # each read turns its OSError into a ConfigError, so this one is a write
-        print(f"error: config: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        path = "" if exc.filename is None else f" {exc.filename}"
+        print(f"error: config: cannot write{path}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -149,8 +149,6 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
     raise ConfigError.
     """
     mpath = run_dir / "manifest.json"
-    if not mpath.exists():
-        raise ConfigError(f"no manifest.json in {run_dir}")
     try:
         manifest = json.loads(mpath.read_text())
         grid = Grid(**manifest["scenario"]["grid"])
@@ -159,6 +157,8 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
         listed = [(e["path"], e["sha256"]) for e in manifest["outputs"]]
         times = {name: float(name[2:-4]) for name, _ in listed
                  if name.startswith("t=") and name.endswith(".csv")}
+    except (FileNotFoundError, NotADirectoryError):
+        raise ConfigError(f"no manifest.json in {run_dir}") from None
     except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed run {run_dir}: {type(exc).__name__}: {exc}") from None
     snaps = []

@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -876,6 +877,35 @@ def test_a_run_whose_manifest_is_a_directory_is_refused_in_one_line(tmp_path, ca
         assert main([command, "--run", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: malformed run")
+
+
+def test_a_run_directory_that_cannot_be_searched_is_refused_in_one_line(tmp_path, capsys):
+    # looking for the manifest fails with ENAMETOOLONG under a name longer than any file system
+    # allows, and with EACCES under a directory without search permission (not for a superuser)
+    runs = [tmp_path / ("r" * 300)]
+    locked = tmp_path / "locked"
+    (locked / "run").mkdir(parents=True)
+    if os.geteuid() != 0:
+        runs.append(locked / "run")
+    locked.chmod(0)
+    try:
+        for run in runs:
+            for command in ("symmetry", "weakform"):
+                assert main([command, "--run", str(run)]) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error: config: malformed run")
+    finally:
+        locked.chmod(0o700)
+
+
+def test_a_failed_write_that_names_no_file_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
+    def disk_full(path, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+    assert main(["tw", "--speed", "1.2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: cannot write: {os.strerror(errno.ENOSPC)}"]
 
 
 @pytest.mark.parametrize("argv, name, regularity", [
