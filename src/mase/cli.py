@@ -50,6 +50,7 @@ def run_simulate(scenario: Scenario, run_dir: Path, seed: int = 0) -> dict:
     from .scenarios import build_initial_field
 
     t_start = time.perf_counter()
+    run_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the evolution
     traj = evolve([State(0.0, build_initial_field(scenario))], scenario.solver)[0]
     return _write_run(scenario, traj, run_dir, seed, t_start)
 
@@ -74,8 +75,6 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
         extra["breaking.json"] = write_json(run_dir / "breaking.json", {
             "detected": rep.detected,
             "t_detect": rep.t_detect if rep.detected else None,
-            "max_slope_history": [[t, v] for t, v in rep.max_slope_history],
-            "sup_norm_history": [[t, v] for t, v in rep.sup_norm_history],
         })
     if analysis.get("symmetry", False):
         # given tolerances, checked as the scenario loaded; verify_theorem's defaults otherwise
@@ -359,11 +358,12 @@ def _ok(stats: dict) -> dict:
 
 
 def _failed(exc: MaseError) -> dict:
-    return {"status": "error", "error": str(exc).replace(",", ";").replace("\n", " ")}
+    return {"status": "error", "error": str(exc).replace("\n", " ")}
 
 
 def cmd_sweep(args) -> int:
     from .scenarios import apply_overrides, read_config
+    from .storage import FMT
 
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
@@ -422,7 +422,7 @@ def cmd_sweep(args) -> int:
         for col in stat_cols:
             v = stats.get(col)
             if isinstance(v, float):
-                row.append("%.12g" % v)
+                row.append(FMT % v)
             elif v is None:
                 row.append("")
             else:

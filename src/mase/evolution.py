@@ -135,8 +135,6 @@ class Trajectory:
 class BreakingReport:
     detected: bool
     t_detect: float
-    max_slope_history: tuple[tuple[float, float], ...]
-    sup_norm_history: tuple[tuple[float, float], ...]
 
 
 _BLOCK_VALUES = 4096  # snapshot values per stack of a trajectory analysis
@@ -339,12 +337,9 @@ def detect_breaking(traj: Trajectory) -> BreakingReport:
     """
     if not traj.snapshots:
         raise ValueError("trajectory has no snapshots")
-    times = traj.times().tolist()
-    slopes = traj.max_slopes
     sups = _series(traj.snapshots, _sup_norms)
     bounded = sups <= 2.0 * max(float(sups[0]), 1e-300)
-    hits = np.flatnonzero((slopes >= traj.config.breaking_slope_threshold) & bounded)
-    detected = bool(hits.size)
-    t_detect = times[hits[0]] if detected else float("nan")
-    return BreakingReport(detected, t_detect, tuple(zip(times, slopes.tolist())),
-                          tuple(zip(times, sups.tolist())))
+    hits = np.flatnonzero((traj.max_slopes >= traj.config.breaking_slope_threshold) & bounded)
+    if not hits.size:
+        return BreakingReport(False, float("nan"))
+    return BreakingReport(True, float(traj.snapshots[hits[0]].time))

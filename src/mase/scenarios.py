@@ -3,7 +3,8 @@
 A scenario is a plain JSON document; command-line ``--set key=value``
 overrides win over the file.  Initial-condition kinds: zero, gaussian
 (amplitude, center, width), mode (amplitude, wavenumber), tw_profile (speed,
-center), file (path to an x,u CSV).  Every numeric setting follows
+center), file (path to a CSV with a ``u`` column, such as a run's
+snapshot).  Every numeric setting follows
 ``errors.number``, the analysis toggles are JSON booleans and a setting the
 scenario does not read is refused, all checked when a scenario loads.
 """

@@ -15,7 +15,6 @@ byte-identical CSV/JSON.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -56,26 +55,30 @@ def write_columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) 
 
 
 def read_columns_csv(path: Path, require: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
-    """Columns of a header-plus-numbers CSV by name.
-
-    Each number parses to the double ``float()`` gives.  An unreadable file, a
-    non-numeric cell, a row whose length differs from the header's, or a
-    missing ``require``d column raises ConfigError.
-    """
+    """Columns of a header-plus-numbers CSV file by name (``_parse_columns``);
+    an unreadable or malformed file raises ConfigError."""
     try:
-        header, _, body = path.read_text().strip().partition("\n")
-        names = header.split(",")
-        data = (np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-                if body else np.empty((0, len(names))))
+        return _parse_columns(path.read_text(), require)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}") from None
+
+
+def _parse_columns(text: str, require: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Columns of a header-plus-numbers CSV text by name.
+
+    Each number parses to the double ``float()`` gives.  A non-numeric cell,
+    a row whose length differs from the header's, or a missing ``require``d
+    column raises ValueError.
+    """
+    header, *rows = text.strip().splitlines() or [""]
+    names = header.split(",")
+    data = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            if rows else np.empty((0, len(names))))
     if data.shape[1] != len(names):
-        raise ConfigError(
-            f"CSV {path} has {data.shape[1]} values per row under {len(names)} header names"
-        )
+        raise ValueError(f"{data.shape[1]} values per row under {len(names)} header names")
     missing = [name for name in require if name not in names]
     if missing:
-        raise ConfigError(f"CSV {path} lacks column(s) {', '.join(missing)}")
+        raise ValueError(f"no {', '.join(missing)} column")
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
@@ -102,12 +105,9 @@ def write_trajectory(
     """
     run_dir.mkdir(parents=True, exist_ok=True)
     digests = dict(extra_outputs or {})
-    # every snapshot shares the x column: it is formatted once, into the
-    # row template that each snapshot's u values fill
-    template = "x,u\n" + "".join([f"{FMT % x},{FMT}\n" for x in traj.grid.points.tolist()])
     for s in traj.snapshots:
         name = snapshot_filename(s.time)
-        digests[name] = _write_text(run_dir / name, template % tuple(s.u.values.tolist()))
+        digests[name] = write_columns_csv(run_dir / name, ["u"], [s.u.values])
 
     means = _series(traj.snapshots, lambda values: np.mean(values, axis=-1))
     digests["diagnostics.csv"] = write_columns_csv(
@@ -173,8 +173,7 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
         if name not in times:
             continue
         try:
-            # the u column: what follows the comma of each row under the header
-            u = np.array([row.partition(b",")[2] for row in data.splitlines()[1:]], dtype=float)
+            u = _parse_columns(data.decode(), require=("u",))["u"]
             snaps.append(State(times[name], Field(grid, u)))
         except ValueError as exc:
             raise ConfigError(f"snapshot {name}: {exc}") from None

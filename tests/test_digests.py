@@ -46,16 +46,16 @@ DIGESTS = {
         'periodic/profile.csv': '61d275aca673581b58b468e71c9c430c0697ed4b1d87341188b8809862a624bd',
         'periodic/profile.json': 'e9352884d02b24cf686a74a529cc5af65f677ca75ceffd89afcf714ba7f76501',
         'periodic/profile_residuals.json': '83dc6b78c98e30d1afbea13d746100d5172da0deabcf7fea9bc5746da57b254b',
-        'simulate/breaking.json': 'b20bd204ead70cf8169b4a0af49f120319f2661053b65129458b4522e16972dc',
+        'simulate/breaking.json': '4f903fa2b541930249ae82b54db42acdfbf847ad9c77b258d25d6c193615b010',
         'simulate/diagnostics.csv': '555a1f0a7f114d6d4befd16272760b055f311ab6e7a5dd2bb214116ebe5cbd07',
-        'simulate/manifest.json': '2f04c996eebcc0723f9875bd385e51133754b467f95e297b8cfe35894e68c74b',
+        'simulate/manifest.json': '030229e51164e32a558646ca14abd6d4941601d499b0b1e7ff3f88c20befbf10',
         'simulate/residuals.json': 'e6ca08e704000c19afa326c1d29b700a8a10f3e1c9c7b36873157c3758bea5ef',
         'simulate/symmetry.json': 'ec94a9e19811e7c3a4b52819a948e885a5ec14cef6e56b186d641f6e7c988846',
-        'simulate/t=0.0.csv': '6ef248a45aac4bee66d2e2cdb49eb619f6b82454b83063415663a370877e4d13',
-        'simulate/t=0.25.csv': '7e24779a1ee9a8d513b1572007f4d0a95073caddc09519c38423c0a545232d43',
-        'simulate/t=0.5.csv': '0e7ff07b078ce316dae3b06014eafee29d06ea6d3fbf05a35a8efcfffa9c8bdd',
-        'simulate/t=0.75.csv': '34f7aceba31d9420d67a488c11abb1ea397363d6a179ddef71c4a4d6fcf3dd95',
-        'simulate/t=1.0.csv': 'afa8239a3b2ede23ff89b08c695f51003f487c8965c459ce1b8b34f240019864',
+        'simulate/t=0.0.csv': '84db681941997fd42a50752efe7a99df98586e46fb4112fe1857615c5d58358e',
+        'simulate/t=0.25.csv': '70bee8bb4b4b45f5deef594d3dfe83980ac6587d2960cf9384755b613fe1a928',
+        'simulate/t=0.5.csv': 'dbdea0182b964fcaf0253c96688c2887c2c157351392c390d7e65c8ac76eadee',
+        'simulate/t=0.75.csv': '5a1b42768ddbe054c542060a048707430bcf71c469ae142845db7065fced40dd',
+        'simulate/t=1.0.csv': '1555c52a87e20e9c4ecbc912a86e14f4cbf2940483402934fb9bc0223b6d0af0',
         'solitary/profile.csv': '5d8ab4b0c233650d5aa3a71eef89e0f911e0a5ee6afae86ed699472e7a37ae17',
         'solitary/profile.json': '7f6ee6f8261f7abce4e8f940a438fcc5995046385400b018845145f4ad174691',
         'solitary/profile_residuals.json': '18fc8a05ff95da4a2a981b2e6d6b5d620ed5c32b7fd6e0874b5aceecc232a147',

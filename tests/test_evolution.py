@@ -16,6 +16,7 @@ from mase.evolution import (
 )
 from mase.grid import Field, Grid, State
 from mase.operators import _rhs_tables
+from mase.storage import read_columns_csv, write_trajectory
 
 
 @pytest.fixture()
@@ -367,17 +368,17 @@ def test_detect_breaking_negative_on_zero(grid):
     traj = evolve([State(0.0, zero_field(grid))], SolverConfig(t_end=1.0, snapshot_interval=0.25))[0]
     rep = detect_breaking(traj)
     assert not rep.detected
-    assert len(rep.max_slope_history) == len(traj.snapshots)
+    assert len(traj.max_slopes) == len(traj.snapshots)
 
 
 def test_detect_breaking_negative_on_solitary(tw_trajectory):
     rep = detect_breaking(tw_trajectory)
     assert not rep.detected
-    slopes = [v for _, v in rep.max_slope_history]
+    slopes = tw_trajectory.max_slopes
     assert max(slopes) < 2.0 * slopes[0] + 1e-12
 
 
-def test_breaking_run_detected(breaking_trajectory):
+def test_breaking_run_detected(breaking_trajectory, tmp_path):
     traj, s0 = breaking_trajectory
     assert traj.termination is Termination.BREAKING_DETECTED
     rep = detect_breaking(traj)
@@ -388,9 +389,12 @@ def test_breaking_run_detected(breaking_trajectory):
     assert _max_slope(t_final.u.values, traj.grid) >= 10.0 * s0
     sup0 = traj.snapshots[0].u.sup_norm()
     assert abs(t_final.u.sup_norm() - sup0) / sup0 < 0.2
-    # boundedness at breaking: sup norm within 2x of initial
-    sups = [v for _, v in rep.sup_norm_history]
-    i_detect = [t for t, _ in rep.max_slope_history].index(rep.t_detect)
+    # boundedness at breaking: sup norm within 2x of initial, in the run's diagnostics.csv
+    write_trajectory(tmp_path, traj, {})
+    diagnostics = read_columns_csv(tmp_path / "diagnostics.csv")
+    i_detect = traj.times().tolist().index(rep.t_detect)
+    assert diagnostics["max_slope"][i_detect] >= traj.config.breaking_slope_threshold
+    sups = diagnostics["sup_norm"]
     assert sups[i_detect] <= 2.0 * sups[0]
 
 

@@ -10,6 +10,7 @@ run should take.
 """
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -20,11 +21,11 @@ import pytest
 
 from mase.cli import main
 from mase.errors import ConfigError, number
-from mase.evolution import MAX_SNAPSHOTS, MAX_STEPS, SolverConfig, evolve
+from mase.evolution import MAX_SNAPSHOTS, MAX_STEPS, SolverConfig, Termination, Trajectory, evolve
 from mase.grid import MAX_POINTS, MAX_WAVENUMBER, Field, Grid, State
 from mase.operators import _spectral_tables, spectral_derivative
 from mase.scenarios import build_initial_field, scenario_from_dict
-from mase.storage import read_trajectory, write_trajectory
+from mase.storage import read_columns_csv, read_trajectory, write_columns_csv, write_trajectory
 
 HUGE_INT = "9" * 400  # a JSON integer beyond the double range
 
@@ -99,6 +100,40 @@ def test_run_directory_round_trips_times_and_grid_exactly(tmp_path_factory):
     round_trip()
 
 
+def test_a_snapshot_is_one_u_column_read_back_at_12_digits(tmp_path):
+    grid = Grid(32, 20.0)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(grid.n_points) * 10.0 ** rng.integers(-300, 300, grid.n_points)
+    config = SolverConfig(t_end=1.0, snapshot_interval=1.0)
+    traj = Trajectory((State(0.0, Field(grid, values)),), config, Termination.COMPLETED)
+    write_trajectory(tmp_path, traj, {"grid": dataclasses.asdict(grid),
+                                      "solver": dataclasses.asdict(config)})
+    assert (tmp_path / "t=0.0.csv").read_text().splitlines() == ["u"] + ["%.12g" % v for v in values]
+    loaded, _ = read_trajectory(tmp_path)
+    expected = np.array([float("%.12g" % v) for v in values])
+    assert loaded.snapshots[0].u.values.tobytes() == expected.tobytes()
+
+
+def test_a_run_with_snapshots_in_the_old_x_u_layout_reads_the_same_u(small_run):
+    # runs written before snapshots held u alone repeat the grid as an x column
+    before, _ = read_trajectory(small_run)
+    manifest = json.loads((small_run / "manifest.json").read_text())
+    for entry in manifest["outputs"]:
+        if entry["path"].startswith("t="):
+            path = small_run / entry["path"]
+            u = read_columns_csv(path)["u"]
+            entry["sha256"] = write_columns_csv(path, ["x", "u"], [before.grid.points, u])
+            assert path.read_text().startswith("x,u\n")
+    (small_run / "manifest.json").write_text(json.dumps(manifest))
+    after, _ = read_trajectory(small_run)
+    assert after.times().tobytes() == before.times().tobytes()
+    for a, b in zip(after.snapshots, before.snapshots):
+        assert a.u.values.tobytes() == b.u.values.tobytes()
+    for command in ("symmetry", "weakform"):
+        code, _, err = run_cli([command, "--run", str(small_run)])
+        assert code == 0 and not err
+
+
 def test_simulate_symmetry_weakform_sequence_exits_0(small_run):
     code, out, err = run_cli(["symmetry", "--run", str(small_run)])
     assert code == 0 and out.startswith("verdict: ") and not err
@@ -110,8 +145,7 @@ def test_simulate_symmetry_weakform_sequence_exits_0(small_run):
 def test_a_snapshot_edited_after_the_run_exits_2(small_run):
     snap = sorted(small_run.glob("t=*.csv"))[2]
     lines = snap.read_text().splitlines(keepends=True)
-    x, u = lines[5].split(",")
-    lines[5] = f"{x},{float(u) + 1e-3!r}\n"
+    lines[5] = f"{float(lines[5]) + 1e-3!r}\n"
     snap.write_text("".join(lines))
     for command in ("symmetry", "weakform"):
         code, _, err = run_cli([command, "--run", str(small_run)])
@@ -278,10 +312,11 @@ def test_a_tw_sweep_point_with_a_boolean_speed_is_that_points_error(tmp_path):
     cfg.write_text(json.dumps({"command": "tw", "base": {}, "sweep": {"speed": [True, 1.2]}}))
     code, _, err = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
     assert code == 0 and not err
-    rows = (tmp_path / "sweep" / "aggregate.csv").read_text().splitlines()[1:]
-    assert rows[0].startswith("point_0000,true,error,")
-    assert rows[0].endswith("speed must be a finite number; got True")
-    assert ",ok,smooth_solitary," in rows[1]
+    with open(tmp_path / "sweep" / "aggregate.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0][:3] == ["point_0000", "true", "error"]
+    assert rows[0][-1] == "speed must be a finite number, got True"
+    assert rows[1][2:4] == ["ok", "smooth_solitary"]
     assert not (tmp_path / "sweep" / "point_0000").exists()
 
 

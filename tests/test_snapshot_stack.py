@@ -26,7 +26,16 @@ from oracles import (
 import mase.traveling_wave as tw
 from mase.cli import _unsteady_report, main, run_tw
 from mase.errors import ConstantFieldError
-from mase.evolution import SolverConfig, Termination, Trajectory, _block_rows, detect_breaking, evolve
+from mase.evolution import (
+    SolverConfig,
+    Termination,
+    Trajectory,
+    _block_rows,
+    _series,
+    _sup_norms,
+    detect_breaking,
+    evolve,
+)
 from mase.grid import Field, Grid, State
 from mase.scenarios import build_initial_field, scenario_from_dict
 from mase.storage import snapshot_filename, write_columns_csv, write_trajectory
@@ -89,14 +98,18 @@ def check_symmetry(traj: Trajectory) -> None:
     assert same(series.axes, axes) and same(series.asymmetry, asym)
 
 
-def check_breaking(traj: Trajectory) -> None:
+def check_breaking(traj: Trajectory, tmp_path) -> None:
     rep = detect_breaking(traj)
     slopes = [max_slope_loop(s.u) for s in traj.snapshots]
     sups = [s.u.sup_norm() for s in traj.snapshots]
-    assert [t for t, _ in rep.max_slope_history] == [s.time for s in traj.snapshots]
-    assert same([v for _, v in rep.max_slope_history], slopes)
-    assert same([v for _, v in rep.sup_norm_history], sups)
     assert same(traj.max_slopes, slopes)
+    assert same(_series(traj.snapshots, _sup_norms), sups)
+    # the series breaking is decided on, as the run's diagnostics.csv records them
+    manifest = write_trajectory(tmp_path / "breaking", traj, {"solver": {}})
+    ref = write_columns_csv(tmp_path / "ref.csv", ["t", "mean", "sup_norm", "max_slope"],
+                            [[s.time for s in traj.snapshots], [s.u.mean() for s in traj.snapshots],
+                             sups, slopes])
+    assert {e["path"]: e["sha256"] for e in manifest["outputs"]}["diagnostics.csv"] == ref
     hits = [s.time for s, slope, sup in zip(traj.snapshots, slopes, sups)
             if slope >= traj.config.breaking_slope_threshold and sup <= 2.0 * max(sups[0], 1e-300)]
     assert rep.detected == bool(hits)
@@ -107,7 +120,7 @@ def check_breaking(traj: Trajectory) -> None:
 def test_acceptance_12_run(acceptance_12, tmp_path):
     traj = acceptance_12
     check_symmetry(traj)
-    check_breaking(traj)
+    check_breaking(traj, tmp_path)
     report = _unsteady_report(traj, 0)
     times = traj.times()
     rho = TestFunction(0.5 * (times[1] + times[-2]), 0.45 * (times[-2] - times[1]))
@@ -122,32 +135,27 @@ def test_more_snapshots_than_one_block(gaussian_trajectory, tmp_path):
     rows = _block_rows(traj.grid.n_points)
     assert len(traj.snapshots) > 2 * rows and len(traj.snapshots) % rows
     check_symmetry(traj)
-    check_breaking(traj)
-    grid = traj.grid
+    check_breaking(traj, tmp_path)
     phis = [TestFunction(12.0, 3.0), TestFunction(21.3, 4.4), TestFunction(30.0, 2.5)]
     rho = TestFunction(10.0, 9.0)
     assert same(unsteady_weak_residual(traj, phis, rho),
                 unsteady_residual_loop(traj.snapshots, phis, rho))
 
-    # the run directory: snapshot CSVs and diagnostics as the general writer gives them
+    # the run directory: snapshot CSVs as the general writer gives them (check_breaking
+    # compares diagnostics.csv)
     manifest = write_trajectory(tmp_path / "run", traj, {"solver": {}})
     digests = {e["path"]: e["sha256"] for e in manifest["outputs"]}
     for s in traj.snapshots[:: rows - 1]:
         name = snapshot_filename(s.time)
-        ref = write_columns_csv(tmp_path / "ref.csv", ["x", "u"], [grid.points, s.u.values])
+        ref = write_columns_csv(tmp_path / "ref.csv", ["u"], [s.u.values])
         assert digests[name] == ref
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    ref = write_columns_csv(
-        tmp_path / "ref.csv", ["t", "mean", "sup_norm", "max_slope"],
-        [traj.times(), [s.u.mean() for s in traj.snapshots],
-         [s.u.sup_norm() for s in traj.snapshots], [max_slope_loop(s.u) for s in traj.snapshots]])
-    assert digests["diagnostics.csv"] == ref
 
 
-def test_breaking_run(breaking_trajectory):
+def test_breaking_run(breaking_trajectory, tmp_path):
     traj, _ = breaking_trajectory
     assert detect_breaking(traj).detected
-    check_breaking(traj)
+    check_breaking(traj, tmp_path)
 
 
 @pytest.mark.parametrize("speed", [0.0, 0.125, 0.7, -1.3])

@@ -863,6 +863,11 @@ def test_an_output_that_cannot_be_written_exits_2_in_one_line(tmp_path, scenario
                                               "sweep": {"initial.amplitude": [0.05]}}))
     if "run" in argv:
         assert main(["simulate", "--config", "scenario.json", "--out", "run"]) == 0
+
+    def evolve(*args, **kwargs):
+        raise AssertionError("evolved before the output was known to be writable")
+
+    monkeypatch.setattr(evolution, "evolve", evolve)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -1043,7 +1048,7 @@ def test_sweep_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
     assert _tree_digest(out) == _tree_digest(tmp_path / "s1")
 
 
-def test_sweep_batches_each_grid_and_records_invalid_points_for_any_workers(tmp_path):
+def test_sweep_batches_each_grid_and_records_invalid_points_for_any_workers(tmp_path, capsys):
     doc = json.loads(_sweep_config(tmp_path).read_text())
     doc["sweep"] = {"grid.n_points": [128, 256], "initial.amplitude": [0.02, 0.08],
                     "initial.width": [2.0, 40.0]}
@@ -1056,15 +1061,23 @@ def test_sweep_batches_each_grid_and_records_invalid_points_for_any_workers(tmp_
                      "--workers", str(workers)]) == 0
         trees.append(_tree_digest(out))
     assert trees[0] == trees[1] == trees[2]
-    rows = [line.split(",") for line in (out / "aggregate.csv").read_text().splitlines()]
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
     status = rows[0].index("status")
     assert [r[status] for r in rows[1:]] == ["ok", "error"] * 4
-    assert "gaussian width 40.0 must lie in (0; length)" in rows[2][-1]
+
+    # point 1 (N=128, amplitude 0.02, width 40) records the error simulate prints for it
+    sc = tmp_path / "plain.json"
+    sc.write_text(json.dumps(dict(doc["base"], initial=dict(doc["base"]["initial"], amplitude=0.02,
+                                                             width=40.0))))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(sc), "--out", str(tmp_path / "wide")]) == 2
+    assert rows[2][-1] == capsys.readouterr().err.strip().removeprefix("error: config: ")
+    assert rows[2][-1] == "gaussian width 40.0 must lie in (0, length)"
 
     # point 6 (N=256, amplitude 0.08) shares a batch with point 4 for
     # --workers 1 and 2 and runs alone for 3; it equals its plain run
     plain = tmp_path / "plain"
-    sc = tmp_path / "plain.json"
     point = dict(doc["base"], grid={"n_points": 256, "length": 40.0},
                  initial=dict(doc["base"]["initial"], amplitude=0.08))
     sc.write_text(json.dumps(point))
