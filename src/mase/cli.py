@@ -106,9 +106,10 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
 def _unsteady_report(traj, seed: int, n_bumps: int = 5) -> ResidualReport:
     import numpy as np
 
-    from .weakform import ResidualReport, TestFunction, random_bumps, unsteady_weak_residual
+    from .weakform import (ResidualReport, SeededUniform, TestFunction, random_bumps,
+                           unsteady_weak_residual)
 
-    rng = np.random.default_rng(seed)
+    rng = SeededUniform(seed)
     grid = traj.grid
     times = traj.times()
     margin = grid.length / 16.0
@@ -135,14 +136,12 @@ def _steady_report(profile, seed: int, n_bumps: int = 5) -> ResidualReport:
     a profile of fewer than _MIN_STEADY_SAMPLES samples holds no such bump and
     raises ConfigError.
     """
-    import numpy as np
-
-    from .weakform import random_bumps, steady_residual_report
+    from .weakform import SeededUniform, random_bumps, steady_residual_report
 
     if len(profile.xi) < _MIN_STEADY_SAMPLES:
         raise ConfigError(f"the steady weak form needs a profile of at least {_MIN_STEADY_SAMPLES} "
                           f"samples to hold a test bump, got {len(profile.xi)}")
-    rng = np.random.default_rng(seed)
+    rng = SeededUniform(seed)
     lo, hi = profile.xi[0], profile.xi[-1]
     h = profile.xi[1] - profile.xi[0]
     width_lo = max((hi - lo) / 24.0, 33 * h)
@@ -393,8 +392,9 @@ def cmd_sweep(args) -> int:
         point_dir = sweep_dir / f"point_{i:04d}"
         tasks.append((i, command, point_doc, str(point_dir), args.seed))
 
-    # at most one process per CPU: more would only share the cores
-    n_chunks = min(args.workers, len(tasks), os.cpu_count() or 1)
+    # at most one process per CPU this process may run on: more would only share the cores
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_chunks = min(args.workers, len(tasks), cpus or 1)
     chunks = [tasks[len(tasks) * j // n_chunks:len(tasks) * (j + 1) // n_chunks]
               for j in range(n_chunks)]
     if n_chunks == 1:

@@ -4,7 +4,10 @@ A scenario is a plain JSON document; command-line ``--set key=value``
 overrides win over the file.  Initial-condition kinds: zero, gaussian
 (amplitude, center, width), mode (amplitude, wavenumber), tw_profile (speed,
 center), file (path to a CSV with a ``u`` column, such as a run's
-snapshot).  Every numeric setting follows
+snapshot).  tw_profile loads the wave constructors (traveling_wave and
+numpy.polynomial) and file loads storage only when a scenario uses them,
+so that any other scenario, and every sweep worker forked from a parent that
+has loaded this module, runs without them.  Every numeric setting follows
 ``errors.number``, the analysis toggles are JSON booleans and a setting the
 scenario does not read is refused, all checked when a scenario loads.
 """
@@ -21,7 +24,6 @@ import numpy as np
 from .errors import ConfigError, number
 from .evolution import SolverConfig
 from .grid import Field, Grid
-from .traveling_wave import profile_to_field, solitary_profile
 
 # the settings each initial-condition kind reads besides its kind
 _IC_KINDS = {"zero": (), "gaussian": ("amplitude", "center", "width"),
@@ -162,6 +164,8 @@ def build_initial_field(scenario: Scenario) -> Field:
         k = 2.0 * np.pi * m / grid.length
         return Field(grid, amplitude * np.sin(k * grid.points))
     if kind == "tw_profile":
+        from .traveling_wave import profile_to_field, solitary_profile
+
         speed = _setting(ic, "speed")
         center = _setting(ic, "center", grid.length / 2)
         return profile_to_field(solitary_profile(speed), grid, center=center)

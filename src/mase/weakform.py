@@ -51,6 +51,7 @@ __all__ = [
     "unsteady_weak_residual",
     "steady_residual_report",
     "random_bumps",
+    "SeededUniform",
 ]
 
 
@@ -231,13 +232,87 @@ def steady_residual_report(profile: TWProfile, psis: list[TestFunction]) -> Resi
     return ResidualReport(entries, mean_mass)
 
 
+# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier (numpy.random)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix, whose multiplier moves on with every value it hashes."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_words(seed: int) -> tuple[int, int, int, int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``, in Python ints."""
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer seed, got {seed}")
+    # the seed's 32-bit words, least significant first; 0 is one word
+    entropy = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    return tuple(out[2 * j] | out[2 * j + 1] << 32 for j in range(4))
+
+
+class SeededUniform:
+    """numpy's ``default_rng(seed).uniform(lo, hi)`` stream, bit for bit, without numpy.random.
+
+    SeedSequence mixes the seed into four 64-bit words; PCG64 (XSL-RR output
+    on a 128-bit LCG state) takes the first two as its state and the last two
+    as its stream; a draw is ``lo + (hi - lo) * (next64 >> 11) * 2**-53``.
+    """
+
+    def __init__(self, seed: int):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        # pcg64_srandom_r: one step from state 0, add the seed, step again
+        self._state = ((self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self._inc) & _M128
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def uniform(self, lo: float, hi: float) -> float:
+        lo, hi = float(lo), float(hi)
+        return lo + (hi - lo) * ((self._next64() >> 11) * 2.0**-53)
+
+
 def random_bumps(
-    rng: np.random.Generator,
+    rng: SeededUniform,
     n: int,
     domain: tuple[float, float],
     width_range: tuple[float, float],
 ) -> list[TestFunction]:
-    """Random test-function family with supports inside the given interval."""
+    """Random test-function family with supports inside the given interval.
+
+    ``rng`` provides ``uniform(lo, hi)``, one float in [lo, hi) per call
+    (SeededUniform, or a numpy Generator); each bump draws its width, then
+    its centre.
+    """
     lo, hi = domain
     out = []
     for _ in range(n):

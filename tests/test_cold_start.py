@@ -1,7 +1,9 @@
 """A cold start loads only what its command runs.
 
 ``import mase`` loads no submodule, the CLI's argument handling loads no
-numpy, and only ``sweep`` loads the process pool.  Each case runs a fresh
+numpy, only ``sweep`` loads the process pool, no command loads numpy.random
+(the test bumps are drawn in weakform), and only a ``tw_profile`` scenario
+loads the wave constructors.  Each case runs a fresh
 interpreter under ``-X importtime`` and reads the modules it imported.
 """
 
@@ -31,6 +33,12 @@ def _imports(*args: str, cwd=None) -> tuple[int, set[str]]:
 
 def _numpy(names: set[str]) -> set[str]:
     return {name for name in names if name.split(".")[0] == "numpy"}
+
+
+def _within(names: set[str], *packages: str) -> set[str]:
+    """The names that are one of ``packages`` or a module inside one."""
+    return {name for name in names if name.startswith(tuple(f"{p}." for p in packages))
+            or name in packages}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -71,3 +79,39 @@ def test_symmetry_command_imports_no_process_pool_and_no_module_it_does_not_run(
     assert rc == 0 and {"mase.storage", "mase.symmetry"} <= names
     assert not {name for name in names if name.split(".")[0] in ("concurrent", "multiprocessing")}
     assert not names & {"mase.weakform", "mase.traveling_wave", "mase.scenarios"}
+
+
+def _scenario(path: Path, initial: str) -> Path:
+    path.write_text('{"grid": {"n_points": 128, "length": 40.0}, "initial": ' + initial + ', '
+                    '"solver": {"t_end": 0.5, "snapshot_interval": 0.125}, '
+                    '"analysis": {"symmetry": true, "weakform": true, "breaking": true}}')
+    return path
+
+
+def test_a_gaussian_simulate_and_weakform_run_load_no_numpy_random_or_wave_constructor(tmp_path):
+    scenario = _scenario(tmp_path / "gaussian.json",
+                         '{"kind": "gaussian", "amplitude": 0.05, "width": 2.0}')
+    rc, names = _imports("-m", "mase.cli", "simulate", "--config", str(scenario),
+                         "--out", "run", cwd=tmp_path)
+    assert rc == 0 and (tmp_path / "run" / "residuals.json").is_file()
+    assert {"mase.scenarios", "mase.weakform"} <= names
+    assert not _within(names, "numpy.random", "numpy.polynomial", "mase.traveling_wave")
+
+    rc, names = _imports("-m", "mase.cli", "weakform", "--run", "run", cwd=tmp_path)
+    assert rc == 0 and "mase.weakform" in names
+    assert not _within(names, "numpy.random")
+
+
+def test_tw_loads_no_numpy_random(tmp_path):
+    rc, names = _imports("-m", "mase.cli", "tw", "--speed", "1.2", "--out", "tw", cwd=tmp_path)
+    assert rc == 0 and {"mase.traveling_wave", "mase.weakform"} <= names
+    assert not _within(names, "numpy.random")
+
+
+def test_a_tw_profile_simulate_loads_the_wave_constructors(tmp_path):
+    scenario = _scenario(tmp_path / "tw.json", '{"kind": "tw_profile", "speed": 1.2}')
+    rc, names = _imports("-m", "mase.cli", "simulate", "--config", str(scenario),
+                         "--out", "run", cwd=tmp_path)
+    assert rc == 0 and (tmp_path / "run" / "manifest.json").is_file()
+    assert "mase.traveling_wave" in names
+    assert not _within(names, "numpy.random")

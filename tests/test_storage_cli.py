@@ -1039,13 +1039,17 @@ def test_sweep_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
             return map(fn, chunks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # the host has 64 CPUs, of which this process may run on one, then two
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = _sweep_config(tmp_path)
-    out = tmp_path / "s"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "64"]) == 0
-    assert pools == [2]
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s1")]) == 0
-    assert _tree_digest(out) == _tree_digest(tmp_path / "s1")
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        out = tmp_path / f"s{len(cpus)}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "64"]) == 0
+    assert pools == [2]  # one CPU runs its one chunk in-process, with no pool
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "w1")]) == 0
+    assert _tree_digest(tmp_path / "s1") == _tree_digest(tmp_path / "w1")
+    assert _tree_digest(tmp_path / "s2") == _tree_digest(tmp_path / "w1")
 
 
 def test_sweep_batches_each_grid_and_records_invalid_points_for_any_workers(tmp_path, capsys):

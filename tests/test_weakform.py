@@ -11,12 +11,15 @@ from oracles import (
     zero_field,
 )
 
+from mase import weakform
+from mase.cli import _steady_report, _unsteady_report
 from mase.errors import SupportError
 from mase.evolution import SolverConfig, Termination, Trajectory, evolve
 from mase.grid import Field, Grid, State
 from mase.operators import helmholtz_inverse
 from mase.traveling_wave import TWParams, TWProfile
 from mase.weakform import (
+    SeededUniform,
     TestFunction,
     _steady_residuals,
     random_bumps,
@@ -264,3 +267,39 @@ def test_random_bumps_supports_inside(rng):
     for b in bumps:
         lo, hi = b.support
         assert lo >= 5.0 and hi <= 35.0
+
+
+# ---------------------------------------------------------------------------
+# the bump draws: numpy's default_rng(seed).uniform stream, drawn without numpy.random
+
+
+def _bits(bumps):
+    return [(b.width.hex(), b.center.hex()) for b in bumps]
+
+
+def test_seeded_uniform_draws_numpy_default_rng_uniform_bitwise(
+        solitary_c12, gaussian_trajectory, monkeypatch):
+    calls = []  # the (n, domain, width_range) the tw and simulate reports pass to random_bumps
+
+    def recording(rng, n, domain, width_range):
+        calls.append((n, domain, width_range))
+        return random_bumps(rng, n, domain, width_range)
+
+    monkeypatch.setattr(weakform, "random_bumps", recording)
+    _steady_report(solitary_c12, 0)
+    _unsteady_report(gaussian_trajectory, 0)
+    assert len(calls) == 2
+    # 2**32 and 2**64 + 12345 are seeds of two and three 32-bit entropy words
+    for seed in [*range(1000), 2**32 - 1, 2**32, 2**64 + 12345]:
+        ours, numpys = SeededUniform(seed), np.random.default_rng(seed)
+        for n, domain, width_range in calls:  # one stream, drawn in sequence
+            assert (_bits(random_bumps(ours, n, domain, width_range))
+                    == _bits(random_bumps(numpys, n, domain, width_range))), seed
+        assert ([ours.uniform(-1.0, 3.0).hex() for _ in range(4)]
+                == [numpys.uniform(-1.0, 3.0).hex() for _ in range(4)]), seed
+
+
+def test_seeded_uniform_refuses_a_negative_seed_as_numpy_does():
+    for make in (SeededUniform, np.random.default_rng):
+        with pytest.raises(ValueError):
+            make(-1)
