@@ -9,7 +9,10 @@ run later updates its own entry (``record_output``), and ``read_trajectory``
 checks every listed file against its digest before parsing a snapshot's
 ``u``.  Volatile metadata (wall clock, tool version, how the run stepped)
 goes to run.log, outside the manifest, so repeated runs produce
-byte-identical CSV/JSON.
+byte-identical CSV/JSON.  A traveling-wave profile records each fact once
+too: its CSV holds ``U`` alone, and its JSON sidecar holds the wave's
+parameters and the exact ``spacing`` of its grid (sample i of n at
+``(i - n//2) * spacing``).  ``read_profile`` also reads an ``xi,U`` CSV.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, number
 from .evolution import SolverConfig, Termination, Trajectory, _series, _sup_norms
 from .grid import Field, Grid, State
 
@@ -186,38 +189,61 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
 
 
 def write_profile(prefix: Path, profile: TWProfile, extras: dict | None = None) -> None:
-    csv_path = Path(str(prefix) + ".csv")
-    json_path = Path(str(prefix) + ".json")
-    write_columns_csv(csv_path, ["xi", "U"], [profile.xi, profile.values])
+    """Write ``prefix``.csv, the one column ``U``, and the JSON sidecar ``prefix``.json.
+
+    The samples lie on the constructors' grid (``centred_grid``), so the
+    sidecar's ``spacing``, the grid's sample n//2 + 1 written by ``repr``,
+    records ``xi`` exactly.  A profile off that grid raises ValueError.
+    """
+    from .traveling_wave import centred_grid
+
+    n = len(profile.xi)
+    spacing = float(profile.xi[n // 2 + 1])
+    if not np.array_equal(profile.xi, centred_grid(n, spacing)):
+        raise ValueError("a profile is written on the grid (i - n//2) * spacing")
+    write_columns_csv(Path(str(prefix) + ".csv"), ["U"], [profile.values])
     sidecar = {
         "speed": profile.params.speed,
         "integration_constant": profile.params.integration_constant,
         "energy": profile.params.energy,
         "regularity": profile.regularity.value,
         "period": profile.period,
+        "spacing": spacing,
     }
     if extras:
         sidecar.update(extras)
-    write_json(json_path, sidecar)
+    write_json(Path(str(prefix) + ".json"), sidecar)
 
 
 def read_profile(prefix: Path) -> TWProfile:
-    """Profile from ``prefix``.csv and its JSON sidecar; a missing or malformed one raises ConfigError."""
-    from .traveling_wave import Regularity, TWParams, TWProfile
+    """Profile from ``prefix``.csv and its JSON sidecar.
+
+    ``xi`` is the CSV's column where it has one (profiles written before the
+    CSV held ``U`` alone, or by hand), else the grid of the sidecar's
+    ``spacing``.  A missing or malformed file or sidecar, a ``spacing`` or
+    ``period`` that is not a positive number, and samples the steady weak
+    form cannot integrate on raise ConfigError.
+    """
+    from .traveling_wave import Regularity, TWParams, TWProfile, centred_grid
     from .weakform import _profile_grid
 
-    cols = read_columns_csv(Path(str(prefix) + ".csv"), require=("xi", "U"))
+    cols = read_columns_csv(Path(str(prefix) + ".csv"), require=("U",))
     try:
         sidecar = json.loads(Path(str(prefix) + ".json").read_text())
         params = TWParams(
             sidecar["speed"], sidecar["integration_constant"], sidecar["energy"]
         )
+        values = cols["U"]
+        xi = cols.get("xi")
+        if xi is None:
+            xi = centred_grid(len(values), number("spacing", sidecar.get("spacing"), positive=True))
+        period = sidecar.get("period")
         profile = TWProfile(
             params=params,
-            xi=cols["xi"],
-            values=cols["U"],
+            xi=xi,
+            values=values,
             regularity=Regularity(sidecar["regularity"]),
-            period=sidecar.get("period"),
+            period=None if period is None else number("period", period, positive=True),
         )
         _profile_grid(profile)  # the uniform grid the steady weak form integrates on
         return profile

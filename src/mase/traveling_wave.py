@@ -531,7 +531,7 @@ def _solitary_from_head(
         out[~inside] = u_cut * np.exp(-kappa * (s[~inside] - xi_cut))
         return out
 
-    xi = (np.arange(4096) - 2048) * (window / 4096)
+    xi = centred_grid(4096, window / 4096)
     values = evaluator(xi)
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = -np.sign(xi) * sign * np.sqrt(np.abs(num(values) / den(values)))
@@ -630,7 +630,7 @@ def _periodic_wave(params: TWParams, u_mid: float, u_end: float, n_points: int,
         s = np.where(s > half_len, period - s, s)
         return half(s)
 
-    xi = (np.arange(n_points) - n_points // 2) * (period / n_points)
+    xi = centred_grid(n_points, period / n_points)
     values = evaluator(xi)
     num, den = _slope_sq_parts(params, (u_mid, u_end))
     # the slope rises toward the crest u_mid on [-P/2, 0)
@@ -655,6 +655,15 @@ def _periodic_wave(params: TWParams, u_mid: float, u_end: float, n_points: int,
 
 # ---------------------------------------------------------------------------
 # gridding
+
+
+def centred_grid(n: int, spacing: float) -> np.ndarray:
+    """Every constructor's samples: sample i of ``n`` at ``(i - n//2) * spacing``.
+
+    ``read_profile`` rebuilds a written profile's grid from ``n`` and
+    ``spacing`` with this same product, so bit for bit.
+    """
+    return (np.arange(n) - n // 2) * spacing
 
 
 def profile_to_field(profile: TWProfile, grid: Grid, center: float = 0.0) -> Field:

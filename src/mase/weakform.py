@@ -127,7 +127,7 @@ class ResidualReport:
 def _profile_grid(profile: TWProfile) -> Grid:
     """The periodic grid of the samples; too few or unequally spaced ones raise ValueError."""
     n, d = len(profile.xi), np.diff(profile.xi)
-    # tolerance wide enough for 12-significant-digit CSV round trips
+    # tolerance wide enough for the 12 significant digits of a CSV's xi column
     if n < MIN_POINTS or np.max(d) - np.min(d) > 1e-6 * np.mean(d):
         raise ValueError(f"weak residuals need at least {MIN_POINTS} uniformly spaced samples")
     return Grid(n, float(np.mean(d)) * n)

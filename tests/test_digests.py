@@ -37,14 +37,14 @@ SIMULATE = {
 
 DIGESTS = {
     ('2.4.6', 'x86_64'): {
-        'cusped/profile.csv': '07aae11006dcb04e0efcd8156002d0b849daaafbcecab9660daf78abba2dad40',
-        'cusped/profile.json': 'c0b3f4d163b797a5f255fd4ad1a60100fa575b19583f3d25df0ca667de122245',
+        'cusped/profile.csv': 'd1f4660f9b36b4b57cf7d6f4d6640c6a7996bc02a8268c5b93a751094de27ba1',
+        'cusped/profile.json': '619e2daa7b634f9409b6cbd4e5e11b51c5d59c3717db14c55889b054336395f4',
         'cusped/profile_residuals.json': '1e7cec5b91436943518799303e7f14d8d0f5895328c373e8a68061fc22baa5e6',
-        'peaked/profile.csv': '14a2c6458386a78375a681d9b1231fd34ab480ce6e0790dbab00761975cc1df5',
-        'peaked/profile.json': '7601cf766c6e7309da71017d02e3a0f059a81d09ed1a5b68942121f706aa7079',
+        'peaked/profile.csv': 'c04a8437f2ce16be9d763ce55a4df0581d22dec4f76130d0a77dd25e0137c61f',
+        'peaked/profile.json': '884c3e692a6f5b1b4d6330e86002875c38d68ede4bacd3170421b9cceffdd00a',
         'peaked/profile_residuals.json': 'a571b5e458db6d279fa8b561f8e65af3d5d281437b56efd7b147d52350bcb6d7',
-        'periodic/profile.csv': '61d275aca673581b58b468e71c9c430c0697ed4b1d87341188b8809862a624bd',
-        'periodic/profile.json': 'e9352884d02b24cf686a74a529cc5af65f677ca75ceffd89afcf714ba7f76501',
+        'periodic/profile.csv': '7a241c8268473144b586f5bf2f23c806ea5355bbc2df0393bf7c800b54843591',
+        'periodic/profile.json': '0809372cf93ee1f6860c4eabcaeebd0ca8ca147852ba38b0cb00e98897a4063b',
         'periodic/profile_residuals.json': '83dc6b78c98e30d1afbea13d746100d5172da0deabcf7fea9bc5746da57b254b',
         'simulate/breaking.json': '4f903fa2b541930249ae82b54db42acdfbf847ad9c77b258d25d6c193615b010',
         'simulate/diagnostics.csv': '555a1f0a7f114d6d4befd16272760b055f311ab6e7a5dd2bb214116ebe5cbd07',
@@ -56,8 +56,8 @@ DIGESTS = {
         'simulate/t=0.5.csv': 'dbdea0182b964fcaf0253c96688c2887c2c157351392c390d7e65c8ac76eadee',
         'simulate/t=0.75.csv': '5a1b42768ddbe054c542060a048707430bcf71c469ae142845db7065fced40dd',
         'simulate/t=1.0.csv': '1555c52a87e20e9c4ecbc912a86e14f4cbf2940483402934fb9bc0223b6d0af0',
-        'solitary/profile.csv': '5d8ab4b0c233650d5aa3a71eef89e0f911e0a5ee6afae86ed699472e7a37ae17',
-        'solitary/profile.json': '7f6ee6f8261f7abce4e8f940a438fcc5995046385400b018845145f4ad174691',
+        'solitary/profile.csv': '9123fc0d540242764722d4f0350f6f487bc98dd2c51856b8d12570195dead610',
+        'solitary/profile.json': '73ec7d88c54888f6f8882c2e93c09beab127cfe09a07d77591aea16a7068e057',
         'solitary/profile_residuals.json': '18fc8a05ff95da4a2a981b2e6d6b5d620ed5c32b7fd6e0874b5aceecc232a147',
     },
 }

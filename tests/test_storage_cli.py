@@ -30,10 +30,12 @@ from mase.storage import (
     read_profile,
     read_trajectory,
     snapshot_filename,
+    write_columns_csv,
+    write_json,
     write_profile,
     write_trajectory,
 )
-from mase.traveling_wave import solitary_profile
+from mase.traveling_wave import TWParams, peaked_composite, periodic_profile, solitary_profile
 from mase.weakform import ResidualReport
 
 HUGE_INT = "9" * 400  # a JSON integer beyond the double range
@@ -98,6 +100,88 @@ def test_profile_round_trip(tmp_path, solitary_c12):
     assert loaded.params == solitary_c12.params
     assert loaded.regularity == solitary_c12.regularity
     assert np.max(np.abs(loaded.values - solitary_c12.values)) < 1e-11
+
+
+WAVES = {"solitary": lambda: solitary_profile(1.2),
+         "periodic": lambda: periodic_profile(TWParams(1.2, 0.0, -1.58e-4)),
+         "peaked": lambda: peaked_composite(-3.0, -1.0)}
+
+
+@pytest.mark.parametrize("wave", WAVES)
+def test_write_profile_writes_the_one_column_u_and_its_exact_spacing(tmp_path, wave):
+    # the grid is the sidecar's spacing, so xi reads back bitwise and U at 12 digits
+    profile = WAVES[wave]()
+    prefix = tmp_path / "profile"
+    write_profile(prefix, profile)
+    data = Path(str(prefix) + ".csv").read_bytes()
+    assert data.startswith(b"U\n")
+    write_columns_csv(tmp_path / "direct.csv", ["U"], [profile.values])
+    assert data == (tmp_path / "direct.csv").read_bytes()
+    n = len(profile.xi)
+    sidecar = json.loads(Path(str(prefix) + ".json").read_text())
+    assert sidecar["spacing"] == profile.xi[n // 2 + 1]
+    loaded = read_profile(prefix)
+    assert loaded.xi.tobytes() == profile.xi.tobytes()
+    assert np.all(np.abs(loaded.values - profile.values) <= 5e-12 * np.abs(profile.values))
+
+
+def test_write_profile_refuses_samples_off_the_constructors_grid(tmp_path, solitary_c12):
+    shifted = dataclasses.replace(solitary_c12, xi=solitary_c12.xi + 0.5)
+    with pytest.raises(ValueError, match="grid"):
+        write_profile(tmp_path / "profile", shifted)
+    assert not list(tmp_path.iterdir())
+
+
+def _write_parent_layout(prefix: Path, profile) -> None:
+    """``prefix`` as profiles were written before the CSV held U alone: xi,U and no spacing."""
+    write_profile(prefix, profile)
+    write_columns_csv(Path(str(prefix) + ".csv"), ["xi", "U"], [profile.xi, profile.values])
+    sidecar = Path(str(prefix) + ".json")
+    doc = json.loads(sidecar.read_text())
+    del doc["spacing"]
+    write_json(sidecar, doc)
+
+
+@pytest.mark.parametrize("wave", WAVES)
+def test_a_profile_in_the_xi_u_layout_reads_as_before(tmp_path, capsys, wave):
+    profile = WAVES[wave]()
+    old, new = tmp_path / "old" / "profile", tmp_path / "new" / "profile"
+    old.parent.mkdir()
+    new.parent.mkdir()
+    _write_parent_layout(old, profile)
+    write_profile(new, profile)
+    assert Path(str(old) + ".csv").read_text().startswith("xi,U\n")
+    old_loaded, new_loaded = read_profile(old), read_profile(new)
+    assert old_loaded.values.tobytes() == new_loaded.values.tobytes()
+    assert np.all(np.abs(old_loaded.xi - profile.xi) <= 5e-12 * np.abs(profile.xi))
+    assert main(["weakform", "--profile", str(old)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (old.parent / "residuals.json").exists()
+
+
+@pytest.mark.parametrize("layout, key, value", [
+    *[("U", "spacing", value) for value in ("missing", 0, -1, "0.1", None)],
+    *[(layout, "period", value) for layout in ("U", "xi,U") for value in ("x", [1], -1)],
+])
+def test_cli_weakform_profile_malformed_spacing_or_period_exits_2(tmp_path, solitary_c12, capsys,
+                                                                   layout, key, value):
+    # each number of the sidecar passes the rule for numbers; period may be null
+    prefix = tmp_path / "profile_c=1.2"
+    (write_profile if layout == "U" else _write_parent_layout)(prefix, solitary_c12)
+    sidecar = Path(str(prefix) + ".json")
+    doc = json.loads(sidecar.read_text())
+    if value == "missing":
+        del doc[key]
+    else:
+        doc[key] = value
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"cannot read profile .*{key} must be"):
+        read_profile(prefix)
+    assert main(["weakform", "--profile", str(prefix)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: cannot read profile")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile_c=1.2.csv",
+                                                          "profile_c=1.2.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +390,8 @@ def test_cli_tw_and_weakform_profile_draw_the_same_bumps(tmp_path):
     ours = json.loads(out.read_text())["per_test_function"]
     theirs = json.loads((tw_dir / "profile_c=1.2_residuals.json").read_text())["per_test_function"]
     assert len(ours) == len(theirs) == 5
-    # the profile is read back from 12-digit CSV, so the draws agree to rounding
-    for a, b in zip(ours, theirs):
-        a, b = a["test_function"], b["test_function"]
-        assert a["kind"] == b["kind"]
-        assert a["center"] == pytest.approx(b["center"], rel=1e-8)
-        assert a["width"] == pytest.approx(b["width"], rel=1e-8)
+    # the draws read only the grid, which the sidecar's spacing gives back exactly
+    assert [a["test_function"] for a in ours] == [b["test_function"] for b in theirs]
 
 
 def test_cli_symmetry_constant_run_exits_4(tmp_path, capsys):
