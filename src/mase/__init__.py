@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # each submodule and the names the package exports from it, in __all__ order
 _EXPORTS = {
     "grid": ("Field", "Grid", "State"),
-    "evolution": ("SolverConfig", "Termination", "Trajectory", "evolve", "detect_breaking"),
+    "evolution": ("SolverConfig", "Termination", "Trajectory", "evolve"),
     "operators": ("helmholtz_inverse", "spectral_derivative"),
     "symmetry": ("track_axis", "verify_theorem"),
     "traveling_wave": ("TWParams", "TWProfile", "peaked_composite", "periodic_profile",

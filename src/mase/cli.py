@@ -63,18 +63,21 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
     """
     import dataclasses
 
-    from .evolution import detect_breaking
+    from .evolution import Termination
     from .storage import residual_report_dict, symmetry_report_dict, write_json, write_trajectory
     from .symmetry import verify_theorem
 
     run_dir.mkdir(parents=True, exist_ok=True)
     extra: dict[str, str] = {}  # report name -> sha256 of its bytes
     analysis = scenario.analysis
+    first, final = traj.snapshots[0], traj.snapshots[-1]
     if analysis.get("breaking", False):
-        rep = detect_breaking(traj)
+        # stopped on the slope threshold with the amplitude within twice its start
+        detected = (traj.termination is Termination.BREAKING_DETECTED
+                    and final.u.sup_norm() <= 2.0 * max(first.u.sup_norm(), 1e-300))
         extra["breaking.json"] = write_json(run_dir / "breaking.json", {
-            "detected": rep.detected,
-            "t_detect": rep.t_detect if rep.detected else None,
+            "detected": detected,
+            "t_detect": float(final.time) if detected else None,
         })
     if analysis.get("symmetry", False):
         # given tolerances, checked as the scenario loaded; verify_theorem's defaults otherwise
@@ -93,13 +96,12 @@ def _write_run(scenario: Scenario, traj, run_dir: Path, seed: int, t_start: floa
     wall = time.perf_counter() - t_start
     write_trajectory(run_dir, traj, dataclasses.asdict(scenario), wall, extra)
 
-    final = traj.snapshots[-1]
     return {
         "termination": traj.termination.value,
         "t_final": final.time,
         "sup_final": final.u.sup_norm(),
         "max_slope_final": float(traj.max_slopes[-1]),
-        "mean_drift": abs(final.u.mean() - traj.snapshots[0].u.mean()),
+        "mean_drift": abs(final.u.mean() - first.u.mean()),
     }
 
 
@@ -255,12 +257,17 @@ def _tw_name(speed: float, a: float, e: float) -> str:
 
 def _write_report(path: Path, report: dict, run: Path | None = None) -> None:
     """Write an analysis report; one written into the ``run`` directory also
-    updates its entry in the run's manifest, so the run stays verifiable."""
-    from .storage import record_output, write_json
+    updates its entry in the run's manifest, so the run stays verifiable.
+
+    A report never replaces a file the run is read from: its manifest.json,
+    diagnostics.csv, run.log or a snapshot name raise ConfigError.
+    """
+    from .storage import is_snapshot_name, record_output, write_json
 
     inside = run is not None and path.parent.resolve() == run.resolve()
-    if inside and path.name == "manifest.json":
-        raise ConfigError("--out must not name the run's manifest.json")
+    if inside and (path.name in ("manifest.json", "diagnostics.csv", "run.log")
+                   or is_snapshot_name(path.name)):
+        raise ConfigError(f"--out must not name the run's {path.name}")
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = write_json(path, report)
     if inside:

@@ -2,8 +2,8 @@
 
 RK4 in the interaction picture on the Fourier spectrum of u, with a step
 sized by an embedded error estimate under a stability cap, snapshot capture
-at a fixed cadence, and onset detection for wave breaking (slope blow-up
-with bounded amplitude).
+at a fixed cadence, and a stop at the first accepted step whose max|u_x|
+reaches the breaking threshold (BREAKING_DETECTED).
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ __all__ = [
     "Termination",
     "Trajectory",
     "StepStats",
-    "BreakingReport",
     "evolve",
-    "detect_breaking",
 ]
 
 
@@ -124,17 +122,11 @@ class Trajectory:
 
     @cached_property
     def max_slopes(self) -> np.ndarray:
-        """max|u_x| of every snapshot, formed once and shared by the breaking
-        check, diagnostics.csv and the run's headline stats (read-only)."""
+        """max|u_x| of every snapshot, formed once and shared by diagnostics.csv
+        and the run's headline stats (read-only)."""
         out = _series(self.snapshots, lambda values: _max_slope(values, self.grid))
         out.setflags(write=False)
         return out
-
-
-@dataclass(frozen=True)
-class BreakingReport:
-    detected: bool
-    t_detect: float
 
 
 _BLOCK_VALUES = 4096  # snapshot values per stack of a trajectory analysis
@@ -326,20 +318,3 @@ def evolve(initials: Sequence[State], config: SolverConfig) -> list[Trajectory]:
                        StepStats(int(n), int(r), float(lo) if n else None, float(hi) if n else None))
             for s, code, n, r, lo, hi in zip(snapshots, termination, accepted, rejected,
                                              dt_lo, dt_hi)]
-
-
-def detect_breaking(traj: Trajectory) -> BreakingReport:
-    """Check the recorded snapshots for slope blow-up with bounded amplitude.
-
-    Breaking is flagged at the first snapshot whose max|u_x| reaches the
-    configured threshold while the sup norm stays within twice its initial
-    value.
-    """
-    if not traj.snapshots:
-        raise ValueError("trajectory has no snapshots")
-    sups = _series(traj.snapshots, _sup_norms)
-    bounded = sups <= 2.0 * max(float(sups[0]), 1e-300)
-    hits = np.flatnonzero((traj.max_slopes >= traj.config.breaking_slope_threshold) & bounded)
-    if not hits.size:
-        return BreakingReport(False, float("nan"))
-    return BreakingReport(True, float(traj.snapshots[hits[0]].time))

@@ -92,6 +92,11 @@ def snapshot_filename(time: float) -> str:
     return f"t={time!r}.csv"
 
 
+def is_snapshot_name(name: str) -> bool:
+    """Whether ``read_trajectory`` reads a listed file of this name as a snapshot."""
+    return name.startswith("t=") and name.endswith(".csv")
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -160,8 +165,7 @@ def read_trajectory(run_dir: Path) -> tuple[Trajectory, dict]:
         config = SolverConfig(**manifest["scenario"]["solver"])
         termination = Termination(manifest["termination"])
         listed = [(e["path"], e["sha256"]) for e in manifest["outputs"]]
-        times = {name: float(name[2:-4]) for name, _ in listed
-                 if name.startswith("t=") and name.endswith(".csv")}
+        times = {name: float(name[2:-4]) for name, _ in listed if is_snapshot_name(name)}
     except (FileNotFoundError, NotADirectoryError):
         raise ConfigError(f"no manifest.json in {run_dir}") from None
     except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:

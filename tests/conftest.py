@@ -1,13 +1,19 @@
 """Shared fixtures; the expensive runs are session-scoped and reused."""
 
+import dataclasses
+import json
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mase
+from mase.cli import _write_run
 from mase.evolution import SolverConfig, evolve, _max_slope
 from mase.grid import Field, Grid, State
+from mase.scenarios import scenario_from_dict
 from mase.traveling_wave import profile_to_field, solitary_profile
 
 
@@ -66,3 +72,17 @@ def breaking_trajectory():
         t_end=60.0, snapshot_interval=0.6, breaking_slope_threshold=10.5 * s0
     )
     return evolve([State(0.0, u0)], cfg)[0], s0
+
+
+@pytest.fixture()
+def written_breaking(tmp_path):
+    """breaking.json as a run with the breaking analysis writes it for a trajectory."""
+    def write(traj) -> dict:
+        run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        scenario = scenario_from_dict({
+            "grid": {"n_points": traj.grid.n_points, "length": traj.grid.length},
+            "solver": dataclasses.asdict(traj.config), "analysis": {"breaking": True}})
+        _write_run(scenario, traj, run_dir, 0, time.perf_counter())
+        return json.loads((run_dir / "breaking.json").read_text())
+
+    return write

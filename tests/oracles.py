@@ -35,6 +35,8 @@ shared by both sides:
   ``steady_residual_loop`` (with ``reflect_loop`` and ``shift_field_loop``),
   the analyses one snapshot or one bump at a time: the bitwise reference for
   the package's stacked analyses;
+- ``breaking_first_hit``, breaking decided on the snapshot series: the
+  reference for ``breaking.json``, which restates the run's termination;
 - ``sha256_file`` and ``verify_manifest``, digests of the files on disk:
   a check of every manifest entry apart from ``mase.storage.read_trajectory``;
 - ``rk4_step``, one ``mase.evolution._rk4`` step from a spectrum alone, for
@@ -714,6 +716,16 @@ def reflection_bracket_check(u: Field, lam: float, phi: TestFunction) -> tuple[f
 
 # ---------------------------------------------------------------------------
 # run directories
+
+
+def breaking_first_hit(snapshots: Sequence[State], threshold: float) -> dict:
+    """breaking.json from the first snapshot whose max|u_x| reaches ``threshold``
+    while its sup|u| stays within twice the initial one."""
+    bound = 2.0 * max(snapshots[0].u.sup_norm(), 1e-300)
+    for s in snapshots:
+        if max_slope_loop(s.u) >= threshold and s.u.sup_norm() <= bound:
+            return {"detected": True, "t_detect": float(s.time)}
+    return {"detected": False, "t_detect": None}
 
 
 def sha256_file(path: Path) -> str:

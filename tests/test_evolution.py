@@ -2,14 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import constant_field, linear_phase_speed, rhs_spectrum, rk4_step, zero_field
+from oracles import (breaking_first_hit, constant_field, linear_phase_speed, rhs_spectrum,
+                     rk4_step, zero_field)
 
 from mase import evolution
 from mase.evolution import (
     SolverConfig,
     Termination,
     Trajectory,
-    detect_breaking,
     evolve,
     _max_slope,
     _rk4,
@@ -364,38 +364,73 @@ def test_small_mode_travels_at_linear_speed(grid):
 # breaking detection
 
 
-def test_detect_breaking_negative_on_zero(grid):
+NOT_DETECTED = {"detected": False, "t_detect": None}
+
+
+def test_detect_breaking_negative_on_zero(grid, written_breaking):
     traj = evolve([State(0.0, zero_field(grid))], SolverConfig(t_end=1.0, snapshot_interval=0.25))[0]
-    rep = detect_breaking(traj)
-    assert not rep.detected
+    assert traj.termination is Termination.COMPLETED
+    assert written_breaking(traj) == NOT_DETECTED
+    assert breaking_first_hit(traj.snapshots, traj.config.breaking_slope_threshold) == NOT_DETECTED
     assert len(traj.max_slopes) == len(traj.snapshots)
 
 
-def test_detect_breaking_negative_on_solitary(tw_trajectory):
-    rep = detect_breaking(tw_trajectory)
-    assert not rep.detected
+def test_detect_breaking_negative_on_solitary(tw_trajectory, written_breaking):
+    assert written_breaking(tw_trajectory) == NOT_DETECTED
+    threshold = tw_trajectory.config.breaking_slope_threshold
+    assert breaking_first_hit(tw_trajectory.snapshots, threshold) == NOT_DETECTED
     slopes = tw_trajectory.max_slopes
     assert max(slopes) < 2.0 * slopes[0] + 1e-12
 
 
-def test_breaking_run_detected(breaking_trajectory, tmp_path):
+def test_breaking_run_detected(breaking_trajectory, written_breaking, tmp_path):
     traj, s0 = breaking_trajectory
     assert traj.termination is Termination.BREAKING_DETECTED
-    rep = detect_breaking(traj)
-    assert rep.detected
-    assert np.isfinite(rep.t_detect)
-    # slope grew 10x while the amplitude stayed put
+    rep = written_breaking(traj)
     t_final = traj.snapshots[-1]
+    assert rep == {"detected": True, "t_detect": t_final.time}
+    assert rep == breaking_first_hit(traj.snapshots, traj.config.breaking_slope_threshold)
+    # slope grew 10x while the amplitude stayed put
     assert _max_slope(t_final.u.values, traj.grid) >= 10.0 * s0
     sup0 = traj.snapshots[0].u.sup_norm()
     assert abs(t_final.u.sup_norm() - sup0) / sup0 < 0.2
     # boundedness at breaking: sup norm within 2x of initial, in the run's diagnostics.csv
     write_trajectory(tmp_path, traj, {})
     diagnostics = read_columns_csv(tmp_path / "diagnostics.csv")
-    i_detect = traj.times().tolist().index(rep.t_detect)
-    assert diagnostics["max_slope"][i_detect] >= traj.config.breaking_slope_threshold
+    assert diagnostics["max_slope"][-1] >= traj.config.breaking_slope_threshold
+    assert max(diagnostics["max_slope"][:-1]) < traj.config.breaking_slope_threshold
     sups = diagnostics["sup_norm"]
-    assert sups[i_detect] <= 2.0 * sups[0]
+    assert sups[-1] <= 2.0 * sups[0]
+
+
+def test_breaking_stop_with_the_amplitude_past_twice_its_start_is_not_breaking(
+        grid, written_breaking):
+    # the termination alone does not decide: sup|u| must stay within twice its start
+    u0 = gaussian(grid, 0.1, 2.0)
+    snaps = (State(0.0, u0), State(0.5, u0.with_values(2.5 * u0.values)))
+    cfg = SolverConfig(t_end=1.0, snapshot_interval=0.5,
+                       breaking_slope_threshold=_max_slope(u0.values, grid))
+    traj = Trajectory(snaps, cfg, Termination.BREAKING_DETECTED)
+    assert written_breaking(traj) == NOT_DETECTED
+    bounded = Trajectory(snaps[:1] + (State(0.5, u0.with_values(1.5 * u0.values)),), cfg,
+                         Termination.BREAKING_DETECTED)
+    assert written_breaking(bounded) == {"detected": True, "t_detect": 0.5}
+
+
+def test_an_initial_state_past_the_threshold_is_detected_at_the_stop_time(
+        grid, written_breaking):
+    # evolve checks the slope after each accepted step, so it stops after its
+    # first; the series rule would name the initial snapshot, t = 0
+    u0 = gaussian(grid, 0.1, 2.0)
+    cfg = SolverConfig(t_end=1.0, snapshot_interval=0.25,
+                       breaking_slope_threshold=0.5 * _max_slope(u0.values, grid))
+    traj = evolve([State(0.0, u0)], cfg)[0]
+    assert traj.termination is Termination.BREAKING_DETECTED
+    assert len(traj.snapshots) == 2 and traj.steps.accepted == 1
+    t_stop = traj.snapshots[-1].time
+    assert 0.0 < t_stop < cfg.snapshot_interval
+    assert written_breaking(traj) == {"detected": True, "t_detect": t_stop}
+    assert breaking_first_hit(traj.snapshots, cfg.breaking_slope_threshold)["t_detect"] == 0.0
 
 
 def test_evolve_breaking_check_trips_where_max_slope_does(monkeypatch):

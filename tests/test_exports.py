@@ -7,11 +7,13 @@ import mase
 
 # one-row wrappers and reference code that left the package: the CLI runs
 # none of them, and the references among them live in tests/oracles.py
+# (detect_breaking's series rule as breaking_first_hit)
 REMOVED = {
-    "AxisFit", "BlowUpError", "COMPOSITE", "GridMismatchError", "SingularLineError",
-    "_rhs_spectrum", "constant_field", "detect_axis", "evaluate_profile", "level_tangencies",
-    "reaction_term", "reflect", "reflection_bracket_check", "shift_field",
-    "steady_weak_residual", "step", "turning_points", "zero_field",
+    "AxisFit", "BlowUpError", "BreakingReport", "COMPOSITE", "GridMismatchError",
+    "SingularLineError", "_rhs_spectrum", "constant_field", "detect_axis", "detect_breaking",
+    "evaluate_profile", "level_tangencies", "reaction_term", "reflect",
+    "reflection_bracket_check", "shift_field", "steady_weak_residual", "step", "turning_points",
+    "zero_field",
 }
 
 

@@ -249,12 +249,25 @@ def test_an_edited_report_is_refused_in_one_line(tmp_path, scenario_file, capsys
     assert err == f"error: config: output {report} does not match its manifest digest\n"
 
 
-def test_an_out_naming_the_manifest_is_refused(tmp_path, scenario_file, capsys):
+@pytest.mark.parametrize("command, name", [
+    ("symmetry", "manifest.json"),
+    ("symmetry", "t=0.0.csv"),        # a snapshot the manifest lists
+    ("weakform", "t=0.5.csv"),
+    ("weakform", "t=7.0.csv"),        # no snapshot yet: listed, it would read as one
+    ("weakform", "diagnostics.csv"),
+    ("symmetry", "run.log"),
+])
+def test_an_out_naming_the_manifest_is_refused(tmp_path, scenario_file, capsys, command, name):
+    # a file the run is read from: a report written over it would lose the run
     run_dir = tmp_path / "run"
     assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
-    assert main(["symmetry", "--run", str(run_dir), "--out", str(run_dir / "manifest.json")]) == 2
-    assert capsys.readouterr().err == "error: config: --out must not name the run's manifest.json\n"
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    assert main([command, "--run", str(run_dir), "--out", str(run_dir / name)]) == 2
+    assert capsys.readouterr().err == f"error: config: --out must not name the run's {name}\n"
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
     assert verify_manifest(run_dir)
+    assert main([command, "--run", str(run_dir)]) == 0
 
 
 def step_line(run_dir: Path) -> str:
