@@ -167,9 +167,11 @@ def cmd_simulate(args) -> int:
 
 
 def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
-    """Construct the requested traveling wave and write CSV + JSON sidecar."""
+    """Construct the requested traveling wave and write CSV + JSON sidecar.
+    A ``doc`` key other than speed, integration_constant, energy and wave is refused."""
     import numpy as np
 
+    from .scenarios import _refuse_unknown
     from .storage import residual_report_dict, write_json, write_profile
     from .traveling_wave import (TWParams, _beyond_double_range, level_roots, peaked_composite,
                                  periodic_profile, singular_line, solitary_profile)
@@ -180,6 +182,7 @@ def run_tw(doc: dict, out_prefix: Path, seed: int = 0) -> dict:
     wave = doc.get("wave", "auto")
     if wave not in ("auto", "solitary", "periodic", "peaked"):
         raise ConfigError(f"unknown wave kind {wave!r}")
+    _refuse_unknown(doc, "", ("speed", "integration_constant", "energy", "wave"), "tw")
     if wave == "auto":
         wave = "solitary" if (a == 0.0 and e == 0.0) else "periodic"
     # the solitary wave fixes A = E = 0 and the peaked one fixes E
@@ -255,18 +258,23 @@ def _tw_name(speed: float, a: float, e: float) -> str:
 # symmetry / weakform
 
 
-def _write_report(path: Path, report: dict, run: Path | None = None) -> None:
-    """Write an analysis report; one written into the ``run`` directory also
-    updates its entry in the run's manifest, so the run stays verifiable.
+def _write_report(out: str | None, default: Path, report: dict, run: Path | None = None) -> None:
+    """Write an analysis report to ``out``, else to ``default``, the command's
+    own report; one written into the ``run`` directory also updates its entry
+    in the run's manifest, so the run stays verifiable.
 
-    A report never replaces a file the run is read from: its manifest.json,
-    diagnostics.csv, run.log or a snapshot name raise ConfigError.
+    A report never replaces a file the run is read from or another of its
+    reports: inside the run, a name the run's writer uses (its manifest.json,
+    run.log, diagnostics.csv, the three reports or a snapshot name) other
+    than ``default``'s raises ConfigError.
     """
     from .storage import is_snapshot_name, record_output, write_json
 
+    path = Path(out) if out else default
     inside = run is not None and path.parent.resolve() == run.resolve()
-    if inside and (path.name in ("manifest.json", "diagnostics.csv", "run.log")
-                   or is_snapshot_name(path.name)):
+    if inside and path.name != default.name and (is_snapshot_name(path.name) or path.name in (
+            "manifest.json", "run.log", "diagnostics.csv", "breaking.json", "symmetry.json",
+            "residuals.json")):
         raise ConfigError(f"--out must not name the run's {path.name}")
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = write_json(path, report)
@@ -285,8 +293,7 @@ def cmd_symmetry(args) -> int:
     if len(traj.snapshots) < 3:
         raise ConfigError("run has fewer than 3 snapshots")
     rep = verify_theorem(traj, symmetry_tol=symmetry_tol, travel_tol=travel_tol)
-    _write_report(Path(args.out) if args.out else run / "symmetry.json",
-                  symmetry_report_dict(rep), run)
+    _write_report(args.out, run / "symmetry.json", symmetry_report_dict(rep), run)
     print(
         f"verdict: {rep.verdict.value} (speed estimate {rep.speed_estimate:.6g}, "
         f"travel error {rep.travel_error:.3e})"
@@ -307,11 +314,10 @@ def cmd_weakform(args) -> int:
         if len(traj.snapshots) < 4:
             raise ConfigError("the unsteady residual needs a run with at least 4 snapshots")
         report = _unsteady_report(traj, args.seed, args.n_bumps)
-        _write_report(Path(args.out) if args.out else run / "residuals.json",
-                      residual_report_dict(report), run)
+        _write_report(args.out, run / "residuals.json", residual_report_dict(report), run)
     else:
         report = _steady_report(read_profile(Path(args.profile)), args.seed, args.n_bumps)
-        _write_report(Path(args.out) if args.out else Path(args.profile).parent / "residuals.json",
+        _write_report(args.out, Path(args.profile).parent / "residuals.json",
                       residual_report_dict(report))
     print(f"max residual {report.max_residual():.3e} over {len(report.per_test_function)} test functions")
     return 0

@@ -3,7 +3,8 @@
 RK4 in the interaction picture on the Fourier spectrum of u, with a step
 sized by an embedded error estimate under a stability cap, snapshot capture
 at a fixed cadence, and a stop at the first accepted step whose max|u_x|
-reaches the breaking threshold (BREAKING_DETECTED).
+reaches the breaking threshold (BREAKING_DETECTED), the one max|u_x| the
+package computes: each snapshot keeps the value its row checked.
 """
 
 from __future__ import annotations
@@ -11,13 +12,12 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, number
 from .grid import Field, Grid, State
-from .operators import FLUX, _nonlinear_spectrum, _rhs_tables, _spectral_tables
+from .operators import FLUX, _nonlinear_spectrum, _rhs_tables
 
 __all__ = [
     "SolverConfig",
@@ -101,17 +101,21 @@ class StepStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one run; ``steps`` is set by evolve, not by a run read back."""
+    """Snapshots of one run; ``steps`` and ``max_slopes``, the max|u_x| evolve
+    checked for each snapshot, are set by evolve, not by a run read back."""
 
     snapshots: tuple[State, ...]
     config: SolverConfig
     termination: Termination
     steps: StepStats | None = None
+    max_slopes: tuple[float, ...] | None = None
 
     def __post_init__(self):
         times = [s.time for s in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("snapshot times must be strictly increasing")
+        if self.max_slopes is not None and len(self.max_slopes) != len(self.snapshots):
+            raise ValueError("max_slopes needs one entry per snapshot")
 
     @property
     def grid(self) -> Grid:
@@ -119,14 +123,6 @@ class Trajectory:
 
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.snapshots])
-
-    @cached_property
-    def max_slopes(self) -> np.ndarray:
-        """max|u_x| of every snapshot, formed once and shared by diagnostics.csv
-        and the run's headline stats (read-only)."""
-        out = _series(self.snapshots, lambda values: _max_slope(values, self.grid))
-        out.setflags(write=False)
-        return out
 
 
 _BLOCK_VALUES = 4096  # snapshot values per stack of a trajectory analysis
@@ -152,22 +148,6 @@ def _value_blocks(states: Sequence[State]) -> Iterator[tuple[slice, np.ndarray]]
     for start in range(0, len(states), size):
         rows = slice(start, start + size)
         yield rows, np.stack([s.u.values for s in states[rows]])
-
-
-def _series(states: Sequence[State], fn) -> np.ndarray:
-    """One value per state: ``fn`` maps each block of _value_blocks to its row values."""
-    return np.concatenate([fn(values) for _, values in _value_blocks(states)])
-
-
-def _sup_norms(values: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(values), axis=-1)
-
-
-def _max_slope(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """max|u_x| of each row of ``values`` (a scalar for one row)."""
-    t = _spectral_tables(grid.n_points, grid.length)
-    ux = np.fft.irfft(t["d1"] * np.fft.rfft(values), grid.n_points)
-    return np.max(np.abs(ux), axis=-1)
 
 
 def _rk4(uh: np.ndarray, nl: np.ndarray, grid: Grid, dt):
@@ -229,6 +209,8 @@ def evolve(initials: Sequence[State], config: SolverConfig) -> list[Trajectory]:
     (DT_UNDERFLOW) or when a step gives non-finite values (BLOW_UP); the
     state at the stop time, the last finite one, is appended as its final
     snapshot.  The other rows go on.
+    A row's max|u_x|, from the spectrum at the start and after each accepted
+    step, is what the breaking check reads and what ``max_slopes`` keeps.
     """
     if not initials:
         raise ValueError("evolve needs at least one initial state")
@@ -262,6 +244,7 @@ def evolve(initials: Sequence[State], config: SolverConfig) -> list[Trajectory]:
 
     def record(i) -> None:
         snapshots[i].append(State(t[i], Field(grid, values[i])))
+        slopes[i].append(float(slope[i]))
 
     def stop(rows: np.ndarray, code: Termination) -> None:
         """Finish the rows, each with its state at the stop time as its last snapshot."""
@@ -275,6 +258,8 @@ def evolve(initials: Sequence[State], config: SolverConfig) -> list[Trajectory]:
     # infinite cap or growth factor
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         uh = np.fft.rfft(values)
+        slope = np.max(np.abs(np.fft.irfft(value_slope[1] * uh, grid.n_points)), axis=-1)
+        slopes = [[float(v)] for v in slope]
         nl = _nonlinear_spectrum(uh[:, :band], grid)
         while (rows := np.flatnonzero(nxt < len(schedule))).size:
             # a slice while every row steps: views instead of copies
@@ -309,12 +294,14 @@ def evolve(initials: Sequence[State], config: SolverConfig) -> list[Trajectory]:
             # values for the next cap and the snapshot, slope for breaking
             both = np.fft.irfft(value_slope * new[:, None, :], grid.n_points)
             values[at] = both[:, 0]
+            slope[at] = np.max(np.abs(both[:, 1]), axis=-1)
             for i in rows[land]:
                 record(i)
-            smooth = np.max(np.abs(both[:, 1]), axis=-1) < config.breaking_slope_threshold
+            smooth = slope[at] < config.breaking_slope_threshold
             stop(rows[~smooth], Termination.BREAKING_DETECTED)
 
     return [Trajectory(tuple(s), config, code,
-                       StepStats(int(n), int(r), float(lo) if n else None, float(hi) if n else None))
-            for s, code, n, r, lo, hi in zip(snapshots, termination, accepted, rejected,
-                                             dt_lo, dt_hi)]
+                       StepStats(int(n), int(r), float(lo) if n else None, float(hi) if n else None),
+                       tuple(m))
+            for s, m, code, n, r, lo, hi in zip(snapshots, slopes, termination, accepted,
+                                                rejected, dt_lo, dt_hi)]

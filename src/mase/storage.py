@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, number
-from .evolution import SolverConfig, Termination, Trajectory, _series, _sup_norms
+from .evolution import SolverConfig, Termination, Trajectory
 from .grid import Field, Grid, State
 
 if TYPE_CHECKING:  # the analyses' modules load with the commands that run them
@@ -112,17 +112,21 @@ def write_trajectory(
 
     The manifest also lists ``extra_outputs``, reports in ``run_dir`` by name
     and digest.  ``read_trajectory`` needs the ``scenario``'s grid and solver.
+    diagnostics.csv's max_slope column is ``traj.max_slopes``, the slopes
+    evolve checked, so a trajectory without them raises ValueError.
     """
+    if traj.max_slopes is None:
+        raise ValueError("write_trajectory writes a trajectory from evolve, with its max_slopes")
     run_dir.mkdir(parents=True, exist_ok=True)
     digests = dict(extra_outputs or {})
     for s in traj.snapshots:
         name = snapshot_filename(s.time)
         digests[name] = write_columns_csv(run_dir / name, ["u"], [s.u.values])
 
-    means = _series(traj.snapshots, lambda values: np.mean(values, axis=-1))
     digests["diagnostics.csv"] = write_columns_csv(
         run_dir / "diagnostics.csv", ["t", "mean", "sup_norm", "max_slope"],
-        [traj.times(), means, _series(traj.snapshots, _sup_norms), traj.max_slopes])
+        [traj.times(), [s.u.mean() for s in traj.snapshots],
+         [s.u.sup_norm() for s in traj.snapshots], traj.max_slopes])
 
     manifest = {
         "schema": "mase/run/v1",

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import max_slope_loop
 
 import mase
 from mase.cli import _write_run
-from mase.evolution import SolverConfig, evolve, _max_slope
+from mase.evolution import SolverConfig, evolve
 from mase.grid import Field, Grid, State
 from mase.scenarios import scenario_from_dict
 from mase.traveling_wave import profile_to_field, solitary_profile
@@ -67,7 +68,7 @@ def breaking_trajectory():
     grid = Grid(1024, 300.0)
     x = grid.points
     u0 = Field(grid, 0.25 * np.sin(2 * np.pi * x / grid.length))
-    s0 = _max_slope(u0.values, grid)
+    s0 = max_slope_loop(u0)
     cfg = SolverConfig(
         t_end=60.0, snapshot_interval=0.6, breaking_slope_threshold=10.5 * s0
     )

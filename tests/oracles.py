@@ -31,10 +31,16 @@ shared by both sides:
 - ``GridMismatchError``, ``SingularLineError`` and ``COMPOSITE``, the errors
   and the regularity that only these references use;
 - ``detect_axis_loop``, ``track_axis_loop``, ``travel_error_loop``,
-  ``max_slope_loop``, ``unsteady_residual_loop`` and
-  ``steady_residual_loop`` (with ``reflect_loop`` and ``shift_field_loop``),
-  the analyses one snapshot or one bump at a time: the bitwise reference for
-  the package's stacked analyses;
+  ``unsteady_residual_loop`` and ``steady_residual_loop`` (with
+  ``reflect_loop`` and ``shift_field_loop``), the analyses one snapshot or
+  one bump at a time: the bitwise reference for the package's stacked
+  analyses;
+- ``spectrum_slope``, max|u_x| from a spectrum by one irfft, and
+  ``accepted_spectra``, the spectra an evolve run stepped through: with
+  them, the bitwise reference for the slopes evolve checks and keeps;
+- ``max_slope_loop``, max|u_x| of one field from its values, within 1e-12
+  of that slope, and ``with_slopes``, which gives a hand-built trajectory
+  its slopes by it, so that the run writer takes it;
 - ``breaking_first_hit``, breaking decided on the snapshot series: the
   reference for ``breaking.json``, which restates the run's termination;
 - ``sha256_file`` and ``verify_manifest``, digests of the files on disk:
@@ -47,16 +53,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from mase import evolution
 from mase.errors import ConstantFieldError, MaseError, SupportError
 from mase.grid import Field, Grid, State
-from mase.evolution import _rk4
+from mase.evolution import SolverConfig, Trajectory, _rk4
 from mase.operators import (REACTION, SLOPE_SQ, _nonlinear_spectrum, _rhs_tables, _spectral_tables,
                             helmholtz_inverse)
 from mase.traveling_wave import (
@@ -601,13 +608,42 @@ def travel_error_loop(snapshots: Sequence[State], speed: float) -> float:
     return worst
 
 
+def spectrum_slope(uh: np.ndarray, grid: Grid) -> float:
+    """max|u_x| of the state whose spectrum is uh = rfft(u), by one irfft."""
+    k = _spectral_tables(grid.n_points, grid.length)["k"]
+    d1 = 1j * k
+    if grid.n_points % 2 == 0:
+        d1[-1] = 0.0
+    return float(np.max(np.abs(np.fft.irfft(d1 * uh, grid.n_points))))
+
+
 def max_slope_loop(u: Field) -> float:
     """max|u_x| of one field by its own transform pair."""
-    k = _spectral_tables(u.grid.n_points, u.grid.length)["k"]
-    d1 = 1j * k
-    if u.grid.n_points % 2 == 0:
-        d1[-1] = 0.0
-    return float(np.max(np.abs(np.fft.irfft(d1 * np.fft.rfft(u.values), u.grid.n_points))))
+    return spectrum_slope(np.fft.rfft(u.values), u.grid)
+
+
+def with_slopes(traj: Trajectory) -> Trajectory:
+    """``traj`` with the max_slopes of its snapshots by max_slope_loop."""
+    return replace(traj, max_slopes=tuple(max_slope_loop(s.u) for s in traj.snapshots))
+
+
+def accepted_spectra(initial: State, config: SolverConfig) -> tuple[Trajectory, list[np.ndarray]]:
+    """``evolve([initial], config)[0]`` and the spectra it stepped through: the
+    initial state's, then the new spectrum of each accepted ``_rk4`` step."""
+    spectra = [np.fft.rfft(initial.u.values)]
+
+    def recording(uh, nl, grid, dt):
+        out = _rk4(uh, nl, grid, dt)
+        if np.all(out[2] <= evolution.TOL):  # the one row accepts its step
+            spectra.append(out[0][0])
+        return out
+
+    evolution._rk4 = recording
+    try:
+        traj = evolution.evolve([initial], config)[0]
+    finally:
+        evolution._rk4 = _rk4
+    return traj, spectra
 
 
 def unsteady_residual_loop(snapshots: Sequence[State], phis, rho) -> list[float]:

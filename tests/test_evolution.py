@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import (breaking_first_hit, constant_field, linear_phase_speed, rhs_spectrum,
-                     rk4_step, zero_field)
+from oracles import (accepted_spectra, breaking_first_hit, constant_field, linear_phase_speed,
+                     max_slope_loop, rhs_spectrum, rk4_step, spectrum_slope, with_slopes,
+                     zero_field)
 
 from mase import evolution
 from mase.evolution import (
@@ -11,7 +12,6 @@ from mase.evolution import (
     Termination,
     Trajectory,
     evolve,
-    _max_slope,
     _rk4,
 )
 from mase.grid import Field, Grid, State
@@ -391,7 +391,7 @@ def test_breaking_run_detected(breaking_trajectory, written_breaking, tmp_path):
     assert rep == {"detected": True, "t_detect": t_final.time}
     assert rep == breaking_first_hit(traj.snapshots, traj.config.breaking_slope_threshold)
     # slope grew 10x while the amplitude stayed put
-    assert _max_slope(t_final.u.values, traj.grid) >= 10.0 * s0
+    assert max_slope_loop(t_final.u) >= 10.0 * s0
     sup0 = traj.snapshots[0].u.sup_norm()
     assert abs(t_final.u.sup_norm() - sup0) / sup0 < 0.2
     # boundedness at breaking: sup norm within 2x of initial, in the run's diagnostics.csv
@@ -409,11 +409,11 @@ def test_breaking_stop_with_the_amplitude_past_twice_its_start_is_not_breaking(
     u0 = gaussian(grid, 0.1, 2.0)
     snaps = (State(0.0, u0), State(0.5, u0.with_values(2.5 * u0.values)))
     cfg = SolverConfig(t_end=1.0, snapshot_interval=0.5,
-                       breaking_slope_threshold=_max_slope(u0.values, grid))
-    traj = Trajectory(snaps, cfg, Termination.BREAKING_DETECTED)
+                       breaking_slope_threshold=max_slope_loop(u0))
+    traj = with_slopes(Trajectory(snaps, cfg, Termination.BREAKING_DETECTED))
     assert written_breaking(traj) == NOT_DETECTED
-    bounded = Trajectory(snaps[:1] + (State(0.5, u0.with_values(1.5 * u0.values)),), cfg,
-                         Termination.BREAKING_DETECTED)
+    bounded = with_slopes(Trajectory(snaps[:1] + (State(0.5, u0.with_values(1.5 * u0.values)),),
+                                     cfg, Termination.BREAKING_DETECTED))
     assert written_breaking(bounded) == {"detected": True, "t_detect": 0.5}
 
 
@@ -423,7 +423,7 @@ def test_an_initial_state_past_the_threshold_is_detected_at_the_stop_time(
     # first; the series rule would name the initial snapshot, t = 0
     u0 = gaussian(grid, 0.1, 2.0)
     cfg = SolverConfig(t_end=1.0, snapshot_interval=0.25,
-                       breaking_slope_threshold=0.5 * _max_slope(u0.values, grid))
+                       breaking_slope_threshold=0.5 * max_slope_loop(u0))
     traj = evolve([State(0.0, u0)], cfg)[0]
     assert traj.termination is Termination.BREAKING_DETECTED
     assert len(traj.snapshots) == 2 and traj.steps.accepted == 1
@@ -433,25 +433,39 @@ def test_an_initial_state_past_the_threshold_is_detected_at_the_stop_time(
     assert breaking_first_hit(traj.snapshots, cfg.breaking_slope_threshold)["t_detect"] == 0.0
 
 
-def test_evolve_breaking_check_trips_where_max_slope_does(monkeypatch):
+def test_evolve_breaking_check_trips_where_max_slope_does():
     # evolve reads the slope off its own transform of the spectral state; it
-    # must stop at the first step whose state _max_slope puts over threshold
+    # must stop at the first step whose state max_slope_loop puts over threshold
     grid = Grid(256, 300.0)
     u0 = Field(grid, 0.25 * np.sin(2 * np.pi * grid.points / grid.length))
-    threshold = 3.0 * _max_slope(u0.values, grid)
-    spectra = []
-
-    def recording(uh, nl, grid, dt):
-        out = _rk4(uh, nl, grid, dt)
-        if np.all(out[2] <= evolution.TOL):  # an accepted step
-            spectra.append(out[0])
-        return out
-
-    monkeypatch.setattr(evolution, "_rk4", recording)
+    threshold = 3.0 * max_slope_loop(u0)
     cfg = SolverConfig(t_end=60.0, snapshot_interval=5.0, breaking_slope_threshold=threshold)
-    traj = evolve([State(0.0, u0)], cfg)[0]
+    traj, spectra = accepted_spectra(State(0.0, u0), cfg)
     assert traj.termination is Termination.BREAKING_DETECTED
-    states = [np.fft.irfft(uh[0], grid.n_points) for uh in spectra]
-    slopes = [_max_slope(v, grid) for v in states]
+    states = [np.fft.irfft(uh, grid.n_points) for uh in spectra[1:]]
+    slopes = [max_slope_loop(Field(grid, v)) for v in states]
     assert max(slopes[:-1]) < threshold <= slopes[-1]
     assert np.array_equal(traj.snapshots[-1].u.values, states[-1])
+
+
+@pytest.fixture(scope="module")
+def sine_run():
+    """The 256-point sine run without a stop, and the slope evolve checks
+    after each accepted step (entry n after step n; entry 0 is the start's)."""
+    grid = Grid(256, 300.0)
+    initial = State(0.0, Field(grid, 0.25 * np.sin(2 * np.pi * grid.points / grid.length)))
+    cfg = SolverConfig(t_end=60.0, snapshot_interval=5.0)
+    traj, spectra = accepted_spectra(initial, cfg)
+    assert traj.termination is Termination.COMPLETED
+    return initial, cfg, [spectrum_slope(uh, grid) for uh in spectra]
+
+
+@pytest.mark.parametrize("n", [4, 105, 108, 301, 961])
+def test_a_run_stopped_on_the_threshold_reports_the_slope_it_checked(sine_run, n):
+    # the threshold is exactly the slope of accepted step n, above every earlier one
+    initial, cfg, checked = sine_run
+    threshold = checked[n]
+    assert threshold > max(checked[:n])
+    traj = evolve([initial], replace(cfg, breaking_slope_threshold=threshold))[0]
+    assert traj.termination is Termination.BREAKING_DETECTED and traj.steps.accepted == n
+    assert traj.max_slopes[-1] >= threshold > max(traj.max_slopes[:-1])

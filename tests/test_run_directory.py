@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import with_slopes
 
 from mase.cli import main
 from mase.errors import ConfigError, number
@@ -106,12 +107,27 @@ def test_a_snapshot_is_one_u_column_read_back_at_12_digits(tmp_path):
     values = rng.standard_normal(grid.n_points) * 10.0 ** rng.integers(-300, 300, grid.n_points)
     config = SolverConfig(t_end=1.0, snapshot_interval=1.0)
     traj = Trajectory((State(0.0, Field(grid, values)),), config, Termination.COMPLETED)
-    write_trajectory(tmp_path, traj, {"grid": dataclasses.asdict(grid),
-                                      "solver": dataclasses.asdict(config)})
+    scenario = {"grid": dataclasses.asdict(grid), "solver": dataclasses.asdict(config)}
+    # the writer takes only a trajectory with the slopes evolve checked
+    with pytest.raises(ValueError, match="max_slopes"):
+        write_trajectory(tmp_path, traj, scenario)
+    assert not (tmp_path / "t=0.0.csv").exists()
+    write_trajectory(tmp_path, with_slopes(traj), scenario)
     assert (tmp_path / "t=0.0.csv").read_text().splitlines() == ["u"] + ["%.12g" % v for v in values]
     loaded, _ = read_trajectory(tmp_path)
     expected = np.array([float("%.12g" % v) for v in values])
     assert loaded.snapshots[0].u.values.tobytes() == expected.tobytes()
+    # a run read back has no slopes: evolve checked them, and the CSV holds them rounded
+    assert loaded.max_slopes is None and loaded.steps is None
+
+
+def test_a_trajectory_has_one_slope_per_snapshot():
+    grid = Grid(32, 20.0)
+    config = SolverConfig(t_end=1.0, snapshot_interval=1.0)
+    snaps = (State(0.0, Field(grid, np.zeros(grid.n_points))),)
+    with pytest.raises(ValueError, match="one entry per snapshot"):
+        Trajectory(snaps, config, Termination.COMPLETED, max_slopes=(0.0, 0.0))
+    assert Trajectory(snaps, config, Termination.COMPLETED, max_slopes=(0.0,)).max_slopes == (0.0,)
 
 
 def test_a_run_with_snapshots_in_the_old_x_u_layout_reads_the_same_u(small_run):
@@ -317,6 +333,21 @@ def test_a_tw_sweep_point_with_a_boolean_speed_is_that_points_error(tmp_path):
     assert rows[0][:3] == ["point_0000", "true", "error"]
     assert rows[0][-1] == "speed must be a finite number, got True"
     assert rows[1][2:4] == ["ok", "smooth_solitary"]
+    assert not (tmp_path / "sweep" / "point_0000").exists()
+
+
+def test_a_tw_sweep_point_with_a_setting_tw_does_not_read_is_that_points_error(tmp_path):
+    # a misspelled energy would otherwise give the solitary wave of E = 0
+    cfg = tmp_path / "tw.json"
+    cfg.write_text(json.dumps({"command": "tw", "base": {"speed": 1.2, "energi": -1.58e-4},
+                               "sweep": {"speed": [1.2]}}))
+    code, _, err = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")])
+    assert code == 0 and not err
+    with open(tmp_path / "sweep" / "aggregate.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0][:3] == ["point_0000", "1.2", "error"]
+    assert rows[0][-1] == ("unknown setting energi: tw reads speed, integration_constant, "
+                           "energy, wave")
     assert not (tmp_path / "sweep" / "point_0000").exists()
 
 

@@ -3,7 +3,10 @@
 The package analyses a trajectory as (b, n) stacks of snapshot rows
 (mase.evolution._value_blocks); tests/oracles.py keeps the loops they
 replaced, one transform chain per snapshot or bump.  Every comparison here
-is exact: the stacks may save transform calls, never change a bit.
+is exact: the stacks may save transform calls, never change a bit.  The
+slopes of a run are the ones evolve checked, taken from the spectra it
+stepped through; those spectra are their bitwise reference, and the loop
+over the snapshot values is within 1e-12 of them.
 """
 
 import json
@@ -11,6 +14,7 @@ import json
 import numpy as np
 import pytest
 from oracles import (
+    accepted_spectra,
     breaking_first_hit,
     constant_field,
     detect_axis_loop,
@@ -18,6 +22,7 @@ from oracles import (
     random_band_limited,
     reflect_loop,
     shift_field_loop,
+    spectrum_slope,
     steady_residual_loop,
     track_axis_loop,
     travel_error_loop,
@@ -32,8 +37,6 @@ from mase.evolution import (
     Termination,
     Trajectory,
     _block_rows,
-    _series,
-    _sup_norms,
     evolve,
 )
 from mase.grid import Field, Grid, State
@@ -99,15 +102,21 @@ def check_symmetry(traj: Trajectory) -> None:
 
 
 def check_breaking(traj: Trajectory, tmp_path, written_breaking) -> None:
-    slopes = [max_slope_loop(s.u) for s in traj.snapshots]
-    sups = [s.u.sup_norm() for s in traj.snapshots]
-    assert same(traj.max_slopes, slopes)
-    assert same(_series(traj.snapshots, _sup_norms), sups)
+    # each snapshot's slope is the one evolve checked: that of the spectrum it
+    # stepped to the snapshot's values, and within 1e-12 of the values' own
+    rerun, spectra = accepted_spectra(traj.snapshots[0], traj.config)
+    n = traj.grid.n_points
+    checked = {np.fft.irfft(uh, n).tobytes(): spectrum_slope(uh, traj.grid) for uh in spectra[1:]}
+    slopes = [spectrum_slope(spectra[0], traj.grid)]
+    slopes += [checked[s.u.values.tobytes()] for s in traj.snapshots[1:]]
+    assert same(traj.max_slopes, slopes) and same(rerun.max_slopes, slopes)
+    np.testing.assert_allclose(slopes, [max_slope_loop(s.u) for s in traj.snapshots],
+                               rtol=1e-12, atol=0)
     # the series as the run's diagnostics.csv records them
     manifest = write_trajectory(tmp_path / "breaking", traj, {"solver": {}})
     ref = write_columns_csv(tmp_path / "ref.csv", ["t", "mean", "sup_norm", "max_slope"],
                             [[s.time for s in traj.snapshots], [s.u.mean() for s in traj.snapshots],
-                             sups, slopes])
+                             [s.u.sup_norm() for s in traj.snapshots], slopes])
     assert {e["path"]: e["sha256"] for e in manifest["outputs"]}["diagnostics.csv"] == ref
     # breaking.json restates the termination, and says what the series rule says
     assert written_breaking(traj) == breaking_first_hit(traj.snapshots,

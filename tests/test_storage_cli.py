@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import SingularLineError, verify_manifest
+from oracles import SingularLineError, verify_manifest, with_slopes
 
 from mase import cli, evolution
 from mase.cli import main
@@ -256,9 +256,14 @@ def test_an_edited_report_is_refused_in_one_line(tmp_path, scenario_file, capsys
     ("weakform", "t=7.0.csv"),        # no snapshot yet: listed, it would read as one
     ("weakform", "diagnostics.csv"),
     ("symmetry", "run.log"),
+    ("weakform", "breaking.json"),    # another report of the run
+    ("weakform", "symmetry.json"),
+    ("symmetry", "residuals.json"),
+    ("symmetry", "breaking.json"),
 ])
 def test_an_out_naming_the_manifest_is_refused(tmp_path, scenario_file, capsys, command, name):
-    # a file the run is read from: a report written over it would lose the run
+    # a file the run is read from, or another of its reports: a report written
+    # over it would lose the run's own
     run_dir = tmp_path / "run"
     assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
     before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
@@ -268,6 +273,19 @@ def test_an_out_naming_the_manifest_is_refused(tmp_path, scenario_file, capsys, 
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
     assert verify_manifest(run_dir)
     assert main([command, "--run", str(run_dir)]) == 0
+
+
+def test_an_out_naming_the_commands_own_report_or_a_new_name_is_written(tmp_path, scenario_file,
+                                                                        capsys):
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(scenario_file), "--out", str(run_dir)]) == 0
+    for command, name in (("symmetry", "symmetry.json"), ("weakform", "residuals.json"),
+                          ("symmetry", "sym_tight.json"), ("symmetry", "sym_tight.json")):
+        assert main([command, "--run", str(run_dir), "--out", str(run_dir / name)]) == 0
+        assert verify_manifest(run_dir)
+    listed = {e["path"] for e in json.loads((run_dir / "manifest.json").read_text())["outputs"]}
+    assert "sym_tight.json" in listed
+    capsys.readouterr()
 
 
 def step_line(run_dir: Path) -> str:
@@ -447,8 +465,8 @@ def test_cli_symmetry_on_a_run_scaled_past_the_squares_exits_5(tmp_path, capsys)
     grid = Grid(64, 10.0)
     u0 = Field(grid, 0.05 * np.exp(-((grid.points - 5.0) ** 2)))
     traj = evolve([State(0.0, u0)], SolverConfig(t_end=0.5, snapshot_interval=0.25))[0]
-    scaled = Trajectory(tuple(State(s.time, Field(grid, 1e155 * s.u.values))
-                              for s in traj.snapshots), traj.config, traj.termination)
+    scaled = with_slopes(Trajectory(tuple(State(s.time, Field(grid, 1e155 * s.u.values))
+                                          for s in traj.snapshots), traj.config, traj.termination))
     run_dir = tmp_path / "run"
     write_trajectory(run_dir, scaled, {"grid": dataclasses.asdict(grid),
                                        "solver": dataclasses.asdict(traj.config)})
@@ -463,8 +481,8 @@ def test_symmetry_of_a_run_whose_mean_overflows_the_squares_is_an_error(tmp_path
     grid = Grid(64, 10.0)
     u0 = Field(grid, 1e-5 * np.exp(-((grid.points - 5.0) ** 2)))
     traj = evolve([State(0.0, u0)], SolverConfig(t_end=0.5, snapshot_interval=0.25))[0]
-    lifted = Trajectory(tuple(State(s.time, Field(grid, 1e160 + s.u.values))
-                              for s in traj.snapshots), traj.config, traj.termination)
+    lifted = with_slopes(Trajectory(tuple(State(s.time, Field(grid, 1e160 + s.u.values))
+                                          for s in traj.snapshots), traj.config, traj.termination))
     scenario = scenario_from_dict({"grid": {"n_points": 64, "length": 10.0},
                                    "solver": dataclasses.asdict(traj.config),
                                    "analysis": {"symmetry": True}})

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import constant_field, random_band_limited, zero_field
+from oracles import constant_field, random_band_limited, with_slopes, zero_field
 
 from mase.cli import main
 from mase.errors import ConstantFieldError, NonFiniteFieldError
@@ -247,7 +247,7 @@ def _written_run(run_dir, grid, field_at):
     times = 0.5 * np.arange(7)
     snaps = tuple(State(float(t), Field(grid, field_at(t, grid.points))) for t in times)
     cfg = SolverConfig(t_end=3.0, snapshot_interval=0.5)
-    write_trajectory(run_dir, Trajectory(snaps, cfg, Termination.COMPLETED), {
+    write_trajectory(run_dir, with_slopes(Trajectory(snaps, cfg, Termination.COMPLETED)), {
         "grid": {"n_points": grid.n_points, "length": grid.length},
         "solver": {"t_end": cfg.t_end, "snapshot_interval": cfg.snapshot_interval}})
     return run_dir
